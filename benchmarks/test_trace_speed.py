@@ -1,18 +1,23 @@
 """Trace-synthesis and controller-day speed — batch vs scalar paths.
 
-The ISSUE-3 tentpole: on the default 150-config intra-Europe scenario
-(~40k calls/day), ``TraceGenerator.table_for_day`` must synthesize one
-day's calls at least 5x faster than the scalar per-call reference, and
-a full Titan-Next controller day through ``process_table`` must run at
-least 3x faster than the scalar per-call loop — while reproducing the
-scalar calls, placements, and :class:`ControllerStats` exactly.
+On the default 150-config intra-Europe scenario (~40k calls/day),
+``TraceGenerator.table_for_day`` must synthesize one day's calls at
+least 5x faster than the scalar per-call reference, and a full
+Titan-Next controller day through ``process_table`` must run at least
+3x faster than the scalar per-call loop — while reproducing the scalar
+calls, placements, and :class:`ControllerStats` exactly.
+
+The first-joiner WRR and LF baselines admit a day in bulk: on a
+200k-call Europe day (~136k calls, capacity binding at the peak) their
+``process_table`` must reproduce the scalar loop and run at least 2.5x
+faster than it; both speedups are recorded in ``BENCH_trace_speed.json``.
 """
 
 import time
 
 import pytest
 
-from repro.core.controller import TitanNextController
+from repro.core.controller import FirstJoinerLf, FirstJoinerWrr, TitanNextController
 from repro.core.lp import JointAssignmentLp, JointLpOptions
 from repro.core.plan import OfflinePlan
 from repro.core.titan_next import build_europe_setup, predicted_demand_for_day
@@ -22,6 +27,7 @@ pytestmark = pytest.mark.slow
 
 REQUIRED_TRACE_SPEEDUP = 5.0
 REQUIRED_CONTROLLER_SPEEDUP = 3.0
+REQUIRED_BASELINE_SPEEDUP = 2.5
 DAY = 30
 
 
@@ -103,3 +109,42 @@ def test_controller_day_is_3x_faster_with_identical_stats(default_setup):
         f"{ref_stats.dc_migration_rate:.1%} DC migrations)"
     )
     assert speedup >= REQUIRED_CONTROLLER_SPEEDUP
+
+
+@pytest.mark.parametrize("policy", ["wrr", "lf"])
+def test_first_joiner_day_is_2_5x_faster_with_identical_placements(policy, record_bench):
+    setup = build_europe_setup(daily_calls=200_000)
+    table = TraceGenerator(
+        setup.demand, top_n_configs=setup.top_n_configs, seed=71
+    ).table_for_day(DAY)
+    calls = table.to_calls()
+
+    def make():
+        if policy == "wrr":
+            return FirstJoinerWrr(setup.scenario, seed=73)
+        return FirstJoinerLf(setup.scenario)
+
+    def scalar_day():
+        controller = make()
+        return [controller.process(call) for call in calls], controller.stats
+
+    def batched_day():
+        controller = make()
+        return controller.process_table(table), controller.stats
+
+    t_ref, (ref_assignments, ref_stats) = _best_of(scalar_day)
+    t_new, (batch, batch_stats) = _best_of(batched_day)
+
+    assert batch_stats == ref_stats
+    assert ref_stats.unplanned > 0  # capacity binds somewhere in the day
+    assert [(a.call.call_id, a.initial_dc, a.initial_option) for a in batch] == [
+        (a.call.call_id, a.initial_dc, a.initial_option) for a in ref_assignments
+    ]
+
+    speedup = t_ref / t_new
+    print(
+        f"\n{policy} day: scalar {t_ref:.2f} s, batched {t_new:.2f} s "
+        f"-> {speedup:.1f}x ({ref_stats.calls} calls, {ref_stats.unplanned} overflowed)"
+    )
+    record_bench(speedup=round(speedup, 2), calls=ref_stats.calls)
+    assert speedup >= REQUIRED_BASELINE_SPEEDUP

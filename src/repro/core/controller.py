@@ -232,6 +232,71 @@ def _table_countries(table: CallTable) -> Tuple[List[str], np.ndarray]:
     return codes, per_call
 
 
+#: Calls in the first bulk-admission round of a slot and after each
+#: break: enough to amortize a round's fixed NumPy cost, few enough
+#: that a round cut short by a break wastes little.  Rounds double
+#: while they commit whole.
+_FIRST_ROUND = 128
+
+
+def _first_refused(
+    usage: np.ndarray,
+    cap: np.ndarray,
+    rows: np.ndarray,
+    loads: np.ndarray,
+    owner: np.ndarray,
+    checked: np.ndarray,
+) -> int:
+    """The first call whose load no longer fits under a cap.
+
+    Entry ``i`` adds ``loads[i]`` to ``usage[rows[i]]`` on behalf of call
+    ``owner[i]`` (non-decreasing); the entries of one row add up one at
+    a time in call order, the same float additions as a loop of
+    ``+=``.  An entry is refused when its running total exceeds ``cap``
+    and its call is ``checked``; unchecked calls add load but are never
+    refused.  Loads are non-negative, so running totals only grow: a
+    row whose final total fits refuses nothing, and only the overfull
+    rows get running totals, one column each (a column adds ``0.0`` at
+    other rows' entries, which changes no total).  Returns
+    ``len(checked)`` when every entry fits.
+    """
+    total = usage.copy()
+    np.add.at(total, rows, loads)
+    over = total > cap
+    mine = np.flatnonzero(over[rows])
+    if not len(mine):
+        return len(checked)
+    over_rows = np.flatnonzero(over)
+    on = rows[mine]
+    col = np.searchsorted(over_rows, on)
+    steps = np.arange(1, len(mine) + 1)
+    running = np.zeros((len(mine) + 1, len(over_rows)))
+    running[0] = usage[over_rows]
+    running[steps, col] = loads[mine]
+    np.cumsum(running, axis=0, out=running)
+    refused = (running[steps, col] > cap[on]) & checked[owner[mine]]
+    first = int(refused.argmax())
+    return int(owner[mine[first]]) if refused[first] else len(checked)
+
+
+def _commit_later(
+    flat: np.ndarray,
+    slot: int,
+    width: int,
+    later: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> None:
+    """Add the ``(rows, loads, durations)`` admitted at ``slot`` to the
+    slots after it in ``flat`` (``(slot, row)`` usage of ``width`` rows
+    per slot), each cell receiving its additions in admission order."""
+    if not later:
+        return
+    rows, loads, durations = (np.concatenate(part) for part in zip(*later))
+    extra = durations - 1
+    rep = np.repeat(np.arange(len(rows)), extra)
+    step = 1 + np.arange(len(rep)) - np.repeat(np.cumsum(extra) - extra, extra)
+    np.add.at(flat, (slot + step) * width + rows[rep], loads[rep])
+
+
 @dataclass(frozen=True)
 class _ConfigLoad:
     """Interned per-config resource profile for the capacity tracker."""
@@ -247,12 +312,14 @@ class _CapacityTracker:
     (country, DC, slot) — what first-joiner baselines check before
     admitting a call to a bucket.
 
-    Usage lives in dense ``(dc, slot)`` / ``(country, dc, slot)``
-    arrays (grown geometrically along the slot axis) indexed by the
-    scenario's DC and country order; capacity caps are snapshotted at
+    Usage lives in one dense ``(slot, row)`` array, grown geometrically
+    along the slot axis: row ``d`` holds DC ``d``'s compute cores and
+    row ``n_dc * (1 + c) + d`` the Internet Gbps from country ``c`` to
+    DC ``d``, in the scenario's DC and country order, so one slot's
+    usage is one contiguous row.  Capacity caps are snapshotted at
     construction.  The string-keyed methods serve the scalar
-    controllers; the ``*_at`` methods are the integer-indexed batch
-    path over the same arrays.
+    controllers; the ``*_at`` methods and :meth:`admit_table` are the
+    integer-indexed batch path over the same array.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -271,15 +338,25 @@ class _CapacityTracker:
             dtype=float,
         )
         self._slots = 64
-        self._compute = np.zeros((len(self.dc_codes), self._slots))
-        self._internet = np.zeros(
-            (len(scenario.country_codes), len(self.dc_codes), self._slots)
+        self._usage = np.zeros(
+            (self._slots, (1 + len(scenario.country_codes)) * len(self.dc_codes))
         )
         #: Internet usage for participant countries outside the
         #: scenario's country list (no dense row): a sparse side ledger
         #: keyed (country, dc index, slot).
         self._extra_internet: Dict[Tuple[str, int, int], float] = {}
         self._loads: Dict[CallConfig, _ConfigLoad] = {}
+
+    @property
+    def _compute(self) -> np.ndarray:
+        """Compute usage as a ``(dc, slot)`` view."""
+        return self._usage[:, : len(self.dc_codes)].T
+
+    @property
+    def _internet(self) -> np.ndarray:
+        """Internet usage as a ``(country, dc, slot)`` view."""
+        n_dc = len(self.dc_codes)
+        return self._usage[:, n_dc:].reshape(self._slots, -1, n_dc).transpose(1, 2, 0)
 
     def reserve(self, slots: int) -> None:
         """Pre-grow the slot axis (one resize instead of many)."""
@@ -291,11 +368,9 @@ class _CapacityTracker:
         new = self._slots
         while new < slots:
             new *= 2
-        compute = np.zeros((self._compute.shape[0], new))
-        compute[:, : self._slots] = self._compute
-        internet = np.zeros(self._internet.shape[:2] + (new,))
-        internet[:, :, : self._slots] = self._internet
-        self._compute, self._internet, self._slots = compute, internet, new
+        usage = np.zeros((new, self._usage.shape[1]))
+        usage[: self._slots] = self._usage
+        self._usage, self._slots = usage, new
 
     def load_for(self, config: CallConfig) -> _ConfigLoad:
         """The interned resource profile of a config."""
@@ -314,14 +389,15 @@ class _CapacityTracker:
 
     def compute_headroom_at(self, dc_i: int, slot: int, cores: float) -> bool:
         self._ensure(slot + 1)
-        return self._compute[dc_i, slot] + cores <= self._caps[dc_i] + 1e-9
+        return self._usage[slot, dc_i] + cores <= self._caps[dc_i] + 1e-9
 
     def internet_headroom_at(self, load: _ConfigLoad, dc_i: int, slot: int) -> bool:
         self._ensure(slot + 1)
+        n_dc = len(self.dc_codes)
         for ci, code, bw in zip(load.country_idx, load.country_codes, load.bandwidths):
             if ci >= 0:
                 cap = self._pair_caps[ci, dc_i]
-                used = self._internet[ci, dc_i, slot]
+                used = self._usage[slot, n_dc * (1 + ci) + dc_i]
             else:
                 cap = self.scenario.internet_cap_gbps(code, self.dc_codes[dc_i])
                 used = self._extra_internet.get((code, dc_i, slot), 0.0)
@@ -333,15 +409,194 @@ class _CapacityTracker:
         self, load: _ConfigLoad, dc_i: int, internet: bool, start: int, end: int
     ) -> None:
         self._ensure(end)
-        self._compute[dc_i, start:end] += load.cores
+        self._usage[start:end, dc_i] += load.cores
         if internet:
+            n_dc = len(self.dc_codes)
             for ci, code, bw in zip(load.country_idx, load.country_codes, load.bandwidths):
                 if ci >= 0:
-                    self._internet[ci, dc_i, start:end] += bw
+                    self._usage[start:end, n_dc * (1 + ci) + dc_i] += bw
                 else:
                     for slot in range(start, end):
                         key = (code, dc_i, slot)
                         self._extra_internet[key] = self._extra_internet.get(key, 0.0) + bw
+
+    def bucket_matrix(self, key_lists: Sequence[Sequence[Tuple[str, str]]]) -> np.ndarray:
+        """``(dc, option)`` key lists as rows of bucket ids
+        ``2 * dc + internet``, each row ending in at least one end
+        marker ``2 * len(dc_codes)``, in the smallest unsigned dtype
+        holding it."""
+        end = 2 * len(self.dc_codes)
+        width = 1 + max(len(keys) for keys in key_lists)
+        rows = np.full((len(key_lists), width), end, dtype=np.min_scalar_type(end))
+        for row, keys in enumerate(key_lists):
+            rows[row, : len(keys)] = [2 * self.dc_index[dc] + (opt == INTERNET) for dc, opt in keys]
+        return rows
+
+    def walk_at(
+        self, load: _ConfigLoad, buckets: np.ndarray, start: int, end: int, overflow_dc: int
+    ) -> Tuple[int, bool, bool]:
+        """Sequential first fit of one call over its bucket order.
+
+        ``buckets`` is a :meth:`bucket_matrix` row.  Admits the call to
+        the first bucket with compute (and, for the Internet,
+        per-country) headroom at ``start``, else to ``overflow_dc`` over
+        the WAN.  Returns ``(dc, internet, placed)``.
+        """
+        marker = 2 * len(self.dc_codes)
+        for bucket in buckets.tolist():
+            if bucket == marker:
+                break
+            d, inet = bucket >> 1, bool(bucket & 1)
+            if not self.compute_headroom_at(d, start, load.cores):
+                continue
+            if inet and not self.internet_headroom_at(load, d, start):
+                continue
+            self.admit_at(load, d, inet, start, end)
+            return d, inet, True
+        self.admit_at(load, overflow_dc, False, start, end)
+        return overflow_dc, False, False
+
+    def admit_table(
+        self, table: CallTable, orders: np.ndarray, order_row: np.ndarray, overflow_dc: int
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """First-fit admission of a whole table, exact and in bulk.
+
+        Call ``i`` tries the buckets of ``orders[order_row[i]]`` (a
+        :meth:`bucket_matrix`) in order, and the result is exactly that
+        of :meth:`walk_at` run call by call in table order: the same
+        placements and the same usage, bit for bit.  Returns
+        ``(dc, option, unplanned)`` with ``option`` 1 for the Internet.
+
+        Headroom is checked only at a call's start slot, and within one
+        start slot usage only grows.  So each run of rows sharing a
+        start slot is taken in rounds, with a table of which (config,
+        bucket) pairs have headroom kept exact at every round start:
+
+        (a) every call of the round takes the first bucket of its order
+            that has headroom against the usage at the start of the
+            round — every bucket it skips would fail in the loop too;
+        (b) running per-DC and per-(country, DC) totals of those loads,
+            added in call order exactly as the loop's ``+=`` would, find
+            the first call whose bucket no longer fits;
+        (c) the calls before it are committed in call order, and the
+            next round starts at the breaking call: first in its round,
+            it fits the first bucket with headroom, as in the loop.
+
+        Loads on the slots after the start slot are read only by later
+        runs, so they are committed, in call order, when the run ends.
+        Calls with a participant country outside the scenario, whose
+        Internet usage lives in the side ledger, are walked.  Rounds
+        double while they commit whole and restart small after a break,
+        so the work stays proportional to the calls admitted.
+        """
+        n = len(table)
+        dc_out = np.zeros(n, dtype=np.int64)
+        inet_out = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            return dc_out, inet_out, 0
+        n_dc = len(self.dc_codes)
+        self.reserve(int(table.end_slot.max()))
+        usage = self._usage
+        width = usage.shape[1]
+        usage_flat = usage.reshape(-1)
+        cap = np.concatenate((self._caps + 1e-9, (self._pair_caps + 1e-12).reshape(-1)))
+
+        # Each config's load entries, relative to DC 0: its cores on the
+        # compute row, then each country's Gbps on the (country, DC)
+        # row.  Padding loads -inf, which fits under any cap.
+        loads = [self.load_for(config) for config in table.configs]
+        entry_row = np.zeros((len(loads), 1 + max(len(ld.bandwidths) for ld in loads)), np.int64)
+        entry_load = np.full(entry_row.shape, -np.inf)
+        side_cfg = np.zeros(len(loads), dtype=bool)
+        for c, load in enumerate(loads):
+            k = len(load.bandwidths)
+            entry_load[c, : k + 1] = (load.cores,) + load.bandwidths
+            # Side-ledger configs are always walked; clamp their rows.
+            entry_row[c, 1 : k + 1] = n_dc * (1 + np.maximum(load.country_idx, 0))
+            side_cfg[c] = min(load.country_idx) < 0
+        # The entries a call adds: ``entry_mask[0]`` over the WAN (the
+        # compute entry), ``entry_mask[1]`` over the Internet (all).
+        entry_mask = np.stack(
+            (np.broadcast_to(np.arange(entry_row.shape[1]) == 0, entry_row.shape),
+             np.isfinite(entry_load))
+        )
+        side_calls = np.flatnonzero(side_cfg[table.config_idx])
+
+        # Which (config, bucket) has headroom at the current slot; the
+        # end-marker column always "fits" and stands for the overflow.
+        marker = 2 * n_dc
+        feasible = np.zeros((len(loads), marker + 1), dtype=bool)
+        feasible[:, marker] = True
+        feasible_flat = feasible.reshape(-1)
+        by_dc = feasible[:, :marker].reshape(len(loads), n_dc, 2)
+        bucket_dc = np.append(np.arange(marker) >> 1, overflow_dc)
+        bucket_inet = np.append(np.arange(marker) & 1, 0)
+
+        def refresh(slot: int, dcs: np.ndarray) -> None:
+            rows = entry_row[:, :, None] + dcs
+            fits = usage[slot][rows] + entry_load[:, :, None] <= cap[rows]
+            by_dc[:, dcs, 0] = fits[:, 0]
+            by_dc[:, dcs, 1] = fits.all(axis=1)
+
+        cfg_of, starts, ends = table.config_idx, table.start_slot, table.end_slot
+        durations = table.duration_slots
+        row_base = cfg_of * (marker + 1)
+        index = np.arange(max(n, n_dc))
+        bounds = (np.flatnonzero(np.diff(starts)) + 1).tolist()
+        unplanned = 0
+        for lo, hi in zip([0] + bounds, bounds + [n]):
+            slot = int(starts[lo])
+            slot_usage = usage[slot]
+            refresh(slot, index[:n_dc])
+            # Loads on the slots after this one, committed in call order
+            # once the run is done: only later runs read those slots.
+            later: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+            pos, size = lo, _FIRST_ROUND
+            while pos < hi:
+                k = int(np.searchsorted(side_calls, pos))
+                next_side = int(side_calls[k]) if k < len(side_calls) else n
+                if next_side == pos:
+                    _commit_later(usage_flat, slot, width, later)
+                    later = []
+                    d, on_inet, ok = self.walk_at(
+                        loads[cfg_of[pos]], orders[order_row[pos]], slot, int(ends[pos]),
+                        overflow_dc,
+                    )
+                    dc_out[pos], inet_out[pos] = d, on_inet
+                    unplanned += not ok
+                    refresh(slot, index[d : d + 1])
+                    pos += 1
+                    continue
+                cut = min(pos + size, hi, next_side)
+                # (a) Tentative choice against the usage at round start.
+                order = orders[order_row[pos:cut]]
+                pick = feasible_flat[row_base[pos:cut, None] + order].argmax(axis=1)
+                bucket = order[index[: cut - pos], pick]
+                dc, inet, placed = bucket_dc[bucket], bucket_inet[bucket], bucket != marker
+                # One compute entry per call, one per country for an
+                # Internet call; in call order.
+                cfg = cfg_of[pos:cut]
+                owner, col = np.nonzero(entry_mask[inet, cfg])
+                owner_cfg = cfg[owner]
+                rows = entry_row[owner_cfg, col] + dc[owner]
+                amount = entry_load[owner_cfg, col]
+                # (b) The first call that no longer fits breaks the round.
+                brk = _first_refused(slot_usage, cap, rows, amount, owner, placed)
+                # (c) Commit the calls before it, in call order.  The
+                # breaking call opens the next round: first in it, it
+                # fits its first feasible bucket, as in the loop.
+                kept = int(np.searchsorted(owner, brk))
+                np.add.at(slot_usage, rows[:kept], amount[:kept])
+                later.append((rows[:kept], amount[:kept], durations[pos:cut][owner[:kept]]))
+                dc_out[pos : pos + brk] = dc[:brk]
+                inet_out[pos : pos + brk] = inet[:brk]
+                unplanned += brk - int(np.count_nonzero(placed[:brk]))
+                touched = np.zeros(n_dc, dtype=bool)
+                touched[dc[:brk]] = True
+                refresh(slot, np.flatnonzero(touched))
+                pos, size = (pos + brk, _FIRST_ROUND) if pos + brk < cut else (cut, 2 * size)
+            _commit_later(usage_flat, slot, width, later)
+        return dc_out, inet_out, unplanned
 
     # -- string-keyed scalar API ------------------------------------------
 
@@ -703,72 +958,39 @@ class FirstJoinerWrr:
         return CallAssignment(call, dc, WAN, dc, WAN)
 
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch WRR: one uniform block, vectorized weighted shuffles,
-        then a sequential capacity-checked admission pass (calls within
-        a slot contend for the same headroom, so admission order is
-        part of the semantics).  Stream- and float-identical to
+        """Batch WRR: one uniform block, vectorized weighted shuffles
+        into one ``(calls, buckets)`` order matrix, then the tracker's
+        exact bulk admission.  Stream- and float-identical to
         :meth:`process` call for call."""
         n = len(table)
         tracker = self.tracker
         dc_codes = tuple(tracker.dc_codes)
-        initial_dc = np.zeros(n, dtype=np.int64)
-        option_idx = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return AssignmentBatch(table, initial_dc, option_idx, initial_dc, option_idx, dc_codes)
+            empty = np.zeros(0, dtype=np.int64)
+            return AssignmentBatch(table, empty, empty, empty, empty, dc_codes)
 
         codes, country_of_call = _table_countries(table)
-        per_country = []
-        for code in codes:
-            keys, weights = self._buckets(code)
-            per_country.append(
-                (
-                    np.asarray([tracker.dc_index[dc] for dc, _ in keys], dtype=np.int64),
-                    np.asarray([opt == INTERNET for _, opt in keys], dtype=bool),
-                    weights,
-                )
-            )
-        bucket_count = np.asarray([len(pc[0]) for pc in per_country], dtype=np.int64)
+        per_country = [self._buckets(code) for code in codes]
+        ids = tracker.bucket_matrix([keys for keys, _ in per_country])
+        bucket_count = np.asarray([len(keys) for keys, _ in per_country], dtype=np.int64)
         k_per_call = bucket_count[country_of_call]
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(k_per_call, out=offsets[1:])
         uniforms = self.rng.random(int(offsets[-1]))
 
-        orders: List[Optional[np.ndarray]] = [None] * n
-        for c, (_, _, weights) in enumerate(per_country):
+        orders = ids[country_of_call]
+        for c, (_, weights) in enumerate(per_country):
             rows = np.nonzero(country_of_call == c)[0]
             if not len(rows):
                 continue
             k = int(bucket_count[c])
             block = uniforms[offsets[rows][:, None] + np.arange(k)[None, :]]
-            for row, order in zip(rows, weighted_shuffle_order(block, weights)):
-                orders[row] = order
+            orders[rows, :k] = ids[c, :k][weighted_shuffle_order(block, weights)]
 
-        loads = [tracker.load_for(config) for config in table.configs]
-        starts, ends, cfg_idx = table.start_slot, table.end_slot, table.config_idx
-        tracker.reserve(int(ends.max()))
-        unplanned = 0
-        for i in range(n):
-            load = loads[cfg_idx[i]]
-            dc_arr, inet_arr, _ = per_country[country_of_call[i]]
-            start = int(starts[i])
-            placed = False
-            for idx in orders[i]:
-                d = int(dc_arr[idx])
-                inet = bool(inet_arr[idx])
-                if not tracker.compute_headroom_at(d, start, load.cores):
-                    continue
-                if inet and not tracker.internet_headroom_at(load, d, start):
-                    continue
-                tracker.admit_at(load, d, inet, start, int(ends[i]))
-                initial_dc[i] = d
-                option_idx[i] = 1 if inet else 0
-                placed = True
-                break
-            if not placed:
-                unplanned += 1
-                d = int(dc_arr[0])
-                tracker.admit_at(load, d, False, start, int(ends[i]))
-                initial_dc[i] = d
+        # Every country's first key is on the first DC: the overflow DC.
+        initial_dc, option_idx, unplanned = tracker.admit_table(
+            table, orders, np.arange(n), tracker.dc_index[self.scenario.dc_codes[0]]
+        )
         self.stats.calls += n
         self.stats.unplanned += unplanned
         return AssignmentBatch(
@@ -820,47 +1042,21 @@ class FirstJoinerLf:
         return CallAssignment(call, dc, WAN, dc, WAN)
 
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch LF: cached latency-sorted buckets per country, one
-        sequential capacity-checked admission pass (LF draws no
-        randomness).  Identical to :meth:`process` call for call."""
+        """Batch LF: cached latency-sorted buckets per country, then the
+        tracker's exact bulk admission (LF draws no randomness).
+        Identical to :meth:`process` call for call."""
         n = len(table)
         tracker = self.tracker
         dc_codes = tuple(tracker.dc_codes)
-        initial_dc = np.zeros(n, dtype=np.int64)
-        option_idx = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return AssignmentBatch(table, initial_dc, option_idx, initial_dc, option_idx, dc_codes)
+            empty = np.zeros(0, dtype=np.int64)
+            return AssignmentBatch(table, empty, empty, empty, empty, dc_codes)
 
         codes, country_of_call = _table_countries(table)
-        per_country = []
-        for code in codes:
-            buckets = self._sorted_buckets(code)
-            per_country.append(
-                [(tracker.dc_index[dc], opt == INTERNET) for dc, opt in buckets]
-            )
-        loads = [tracker.load_for(config) for config in table.configs]
-        starts, ends, cfg_idx = table.start_slot, table.end_slot, table.config_idx
-        tracker.reserve(int(ends.max()))
-        unplanned = 0
-        overflow_dc = tracker.dc_index[self.scenario.dc_codes[0]]
-        for i in range(n):
-            load = loads[cfg_idx[i]]
-            start = int(starts[i])
-            placed = False
-            for d, inet in per_country[country_of_call[i]]:
-                if not tracker.compute_headroom_at(d, start, load.cores):
-                    continue
-                if inet and not tracker.internet_headroom_at(load, d, start):
-                    continue
-                tracker.admit_at(load, d, inet, start, int(ends[i]))
-                initial_dc[i] = d
-                option_idx[i] = 1 if inet else 0
-                placed = True
-                break
-            if not placed:
-                unplanned += 1
-                tracker.admit_at(load, overflow_dc, False, start, int(ends[i]))
-                initial_dc[i] = overflow_dc
+        orders = tracker.bucket_matrix([self._sorted_buckets(code) for code in codes])
+        initial_dc, option_idx, unplanned = tracker.admit_table(
+            table, orders, country_of_call, tracker.dc_index[self.scenario.dc_codes[0]]
+        )
         self.stats.calls += n
         self.stats.unplanned += unplanned
         return AssignmentBatch(
