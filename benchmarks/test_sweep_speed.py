@@ -7,13 +7,6 @@ pinned reference path) — while reproducing the serial results exactly.
 Only the hot-started ``PlanCache`` solve loop stays serial, so the
 window is sized so per-day replay dominates planning (Amdahl).
 
-The ISSUE-6 tentpole removes that last serial phase: on a
-planning-heavy window (many configs → a big Fig 13 LP), the
-``decomposed+pipelined`` planner — slot subproblems fanned over the
-pool, next day's plan solving while the pool replays the previous day —
-must beat the phase-alternating serial planning loop by at least 1.5x
-at the same 4 workers.
-
 The ISSUE-8 tentpole attacks the fan-out's *memory channel*: at
 millions of calls per day the process backend spends its time pickling
 — the setup to every worker, every day's full tables back.  The
@@ -47,7 +40,6 @@ from repro.core.titan_next import build_europe_setup, run_prediction_sweep
 pytestmark = pytest.mark.slow
 
 REQUIRED_SWEEP_SPEEDUP = 2.0
-REQUIRED_PLANNER_SPEEDUP = 1.5
 REQUIRED_SHM_SPEEDUP = 1.3
 REQUIRED_IPC_REDUCTION = 10.0
 WORKERS = 4
@@ -66,16 +58,6 @@ def sweep_setup():
     """A replay-heavy scenario: 120k calls/day keeps the parallel phase
     (trace synthesis + controller replay) well above the serial LP loop."""
     return build_europe_setup(daily_calls=120_000, top_n_configs=60)
-
-
-@pytest.fixture(scope="module")
-def planning_heavy_setup():
-    """A scenario where the planning loop is the Amdahl bottleneck.
-
-    150 top configs makes the per-day Fig 13 LP large enough that at 4
-    workers serial planning rivals the fanned replay phase — exactly
-    the regime the decomposed+pipelined planner exists for."""
-    return build_europe_setup(daily_calls=120_000, top_n_configs=150)
 
 
 @pytest.mark.skipif(
@@ -116,101 +98,6 @@ def test_parallel_sweep_is_2x_faster(sweep_setup, record_bench):
         required_speedup=REQUIRED_SWEEP_SPEEDUP,
     )
     assert speedup >= REQUIRED_SWEEP_SPEEDUP
-
-
-@pytest.mark.skipif(
-    available_workers() < WORKERS,
-    reason=f"speedup pin needs >= {WORKERS} CPUs available to this process",
-)
-def test_pipelined_decomposed_sweep_is_1_5x_faster(planning_heavy_setup, record_bench):
-    """The ISSUE-6 pin: decomposed+pipelined planning vs the serial
-    planning loop, same worker count, end to end.
-
-    The baseline is the phase-alternating runner (parallel forecast →
-    *serial* monolithic planning → parallel replay); the candidate fans
-    slot subproblems over the same pool and keeps replay running while
-    the next day's plan solves.  Plans are equivalent by the exactness
-    contract, so scores must agree to solver precision — checked on a
-    few days before the wall-clock assertion."""
-    setup = planning_heavy_setup
-
-    start = time.perf_counter()
-    baseline = run_prediction_sweep(setup, DAYS, workers=WORKERS)
-    t_baseline = time.perf_counter() - start
-
-    start = time.perf_counter()
-    piped = run_prediction_sweep(
-        setup, DAYS, workers=WORKERS, planner="decomposed+pipelined"
-    )
-    t_piped = time.perf_counter() - start
-
-    # Equivalent results first — a fast wrong answer pins nothing.
-    assert set(piped) == set(baseline)
-    for day in DAYS[:3]:
-        ours = piped[day].evaluate(setup.scenario)
-        reference = baseline[day].evaluate(setup.scenario)
-        assert ours.sum_of_peaks_gbps == pytest.approx(
-            reference.sum_of_peaks_gbps, rel=1e-6
-        )
-
-    speedup = t_baseline / t_piped
-    print(
-        f"\nplanning-heavy sweep over {len(DAYS)} days: serial-planning "
-        f"{t_baseline:.2f} s, decomposed+pipelined {t_piped:.2f} s "
-        f"-> {speedup:.2f}x at {WORKERS} workers"
-    )
-    record_bench(
-        days=len(DAYS),
-        workers=WORKERS,
-        t_serial_planning_s=round(t_baseline, 3),
-        t_pipelined_s=round(t_piped, 3),
-        speedup=round(speedup, 3),
-        required_speedup=REQUIRED_PLANNER_SPEEDUP,
-    )
-    assert speedup >= REQUIRED_PLANNER_SPEEDUP
-
-
-def test_decomposed_planning_matches_and_stays_bounded(planning_heavy_setup, record_bench):
-    """Core-count-independent half of the planner pin.
-
-    Serial decomposed planning (slot shards + coupling pass, no pool)
-    must reproduce the monolithic day plans and stay within 4x of the
-    hot-started monolithic loop — catches a broken pricing loop (which
-    would show up as runaway rounds or full-LP fallbacks) even on the
-    1-core sandbox where the wall-clock pin above is skipped.  (Day 1
-    builds all 48 per-slot caches, so a longer window amortizes the
-    cold start toward the ~parity steady state.)"""
-    setup = planning_heavy_setup
-    days = DAYS[:6]
-
-    runner = SweepRunner(setup, workers=1)
-    predictions = runner.forecast_days(days)
-
-    start = time.perf_counter()
-    mono = runner.plan_days(predictions)
-    t_mono = time.perf_counter() - start
-
-    decomposed_runner = SweepRunner(setup, workers=1, planner="decomposed")
-    start = time.perf_counter()
-    dec = decomposed_runner.plan_days(predictions)
-    t_dec = time.perf_counter() - start
-
-    for day in days:
-        keys = set(mono[day]) | set(dec[day])
-        deviation = max(abs(mono[day].get(k, 0.0) - dec[day].get(k, 0.0)) for k in keys)
-        assert deviation < 1e-6
-
-    print(
-        f"\nplanning only, {len(days)} days: monolithic {t_mono:.2f} s, "
-        f"decomposed (serial slots) {t_dec:.2f} s"
-    )
-    record_bench(
-        days=len(days),
-        t_monolithic_s=round(t_mono, 3),
-        t_decomposed_s=round(t_dec, 3),
-        overhead_ratio=round(t_dec / t_mono, 3),
-    )
-    assert t_dec < t_mono * 4.0
 
 
 @pytest.mark.skipif(

@@ -7,7 +7,7 @@ named multi-region scenarios out of the six-continent catalog —
 ``americas``, ``apac``, ``emea``, and the full 21-DC ``global`` — with
 Internet RTTs calibrated against published Azure inter-region medians,
 and returns the same bundle shape the Europe box uses, so the sweep
-runner and planner backends work unchanged.
+runner and the plan cache work unchanged.
 
 Run:
     python examples/scenario_zoo.py

@@ -171,10 +171,6 @@ class LpArtifacts:
     c3_slot: Optional[np.ndarray] = None
     c3_country: Optional[np.ndarray] = None
     c3_dc: Optional[np.ndarray] = None
-    #: Lazily built (t, config, dc, option) -> column handle map.
-    _column_index: Optional[Dict[Tuple[int, CallConfig, str, str], int]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_cols(self) -> int:
@@ -188,42 +184,6 @@ class LpArtifacts:
             self.dc_codes[self.col_dc[j]],
             _OPTIONS[self.col_opt[j]],
         )
-
-    # -- per-slot block slicing ---------------------------------------------
-    #
-    # The C1 (demand), C2 (compute), and C3 (Internet capacity) blocks
-    # are block-diagonal per timeslot: each row touches columns of one
-    # slot only.  Only the C4 average-E2E row and the C5 rows' shared
-    # ``y`` columns couple slots — which is what lets a decomposed
-    # planner solve slots independently and reconcile with a small
-    # coupling pass over the full row set.
-
-    @property
-    def y_columns(self) -> np.ndarray:
-        """Handles of the cross-slot ``y`` (link-peak) columns."""
-        return np.arange(self.y_base, self.y_base + self.n_links, dtype=np.int64)
-
-    @property
-    def slots(self) -> np.ndarray:
-        """The distinct timeslots covered by the x columns, sorted."""
-        return np.unique(self.col_t)
-
-    def x_columns_for_slot(self, t: int) -> np.ndarray:
-        """Handles of the slot-``t`` x block (C1/C2/C3 are block-diagonal
-        per slot, so these columns form an independent subproblem but
-        for C4 and the shared ``y`` columns)."""
-        return np.nonzero(self.col_t == t)[0].astype(np.int64)
-
-    def column_index(self) -> Dict[Tuple[int, CallConfig, str, str], int]:
-        """(t, config, dc, option) -> column handle, built once.
-
-        The inverse of :meth:`key_of`; a decomposed planner uses it to
-        translate slot-subproblem supports back into columns of the
-        full LP.
-        """
-        if self._column_index is None:
-            self._column_index = {self.key_of(j): j for j in range(self.n_cols)}
-        return self._column_index
 
 
 class JointAssignmentLp:

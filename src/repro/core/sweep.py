@@ -26,10 +26,8 @@ worker rebuilds its :class:`EuropeSetup` from one pickled payload in
 the pool initializer, so ``Scenario.eval_tables`` / trace-generator
 caches are worker-local (the id-keyed evaluation cache must never
 travel between processes — :class:`~repro.core.scenario.Scenario`
-drops it on pickle).  ``backend="thread"`` shares the parent's setup
-(useful when the replay is numpy-dominated or processes are
-unavailable); ``workers=1`` runs inline and *is* the pinned serial
-reference path.
+drops it on pickle).  ``workers=1`` runs inline and *is* the pinned
+serial reference path.
 
 **Fault tolerance.** Long sweeps die to the environment, not the math:
 a worker OOM-killed mid-replay collapses the whole
@@ -89,13 +87,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -117,7 +109,6 @@ from ..workload.configs import CallConfig
 from ..workload.demand import SLOTS_PER_DAY
 from ..workload.traces import TraceGenerator
 from .lp import AssignmentTable, JointLpOptions
-from .planner import PlanBackend, PlannerSpec, SlotMap, SlotTask, resolve_planner, slot_support_keys
 from .scenario import EVAL_OPTION_ORDER
 from .shm import ShmArena, ShmPayload, map_payload
 
@@ -203,7 +194,7 @@ class SweepFailure:
     its ``failures``.
     """
 
-    kind: str  #: task family: "forecast", "replay", "plan-slot", "oracle"
+    kind: str  #: task family: "forecast", "replay", "oracle"
     label: str  #: human-readable task identity, e.g. "replay:day=31"
     attempts: int  #: attempts so far for this task (1 + retries)
     error_type: str  #: the exception's class name (or "Timeout"/"BrokenPool")
@@ -233,8 +224,7 @@ class KillWorkerFault:
     ``os._exit`` mimics an OOM-kill/SIGKILL — no cleanup, no exception,
     the pool just loses a process and every pending future breaks.
     Fires once (attempt 0 only), so the rebuilt pool's resubmission
-    completes.  Process backend only: on the thread backend this would
-    take down the parent.
+    completes.
     """
 
     day: int
@@ -301,9 +291,6 @@ class _WorkerState:
     def __init__(self, setup: "EuropeSetup") -> None:
         self.setup = setup
         self._generators: Dict[int, TraceGenerator] = {}
-        self._slot_planners: Dict[
-            Tuple[Tuple[CallConfig, ...], JointLpOptions, int], "PlanCache"
-        ] = {}
         #: The shared-memory attachment whose pages back this worker's
         #: mapped arrays (``process+shm`` backend); pinned here so the
         #: mapping outlives every view for the life of the worker.
@@ -317,27 +304,6 @@ class _WorkerState:
             )
             self._generators[seed] = generator
         return generator
-
-    def slot_planner(
-        self, configs: Tuple[CallConfig, ...], options: JointLpOptions, slot: int
-    ) -> "PlanCache":
-        """This worker's hot single-slot :class:`PlanCache` for ``slot``.
-
-        Keyed on the full planning signature so a worker re-used across
-        sweeps (or config unions) never serves a stale structure; the
-        persistent per-slot session hot-starts across the days the
-        worker plans.
-        """
-        from .titan_next import PlanCache
-
-        key = (configs, options, slot)
-        cache = self._slot_planners.get(key)
-        if cache is None:
-            cache = PlanCache(
-                self.setup.scenario, list(configs), slots=[slot], options=options, reuse_basis=True
-            )
-            self._slot_planners[key] = cache
-        return cache
 
 
 #: Process-pool worker context, set once by :func:`_init_worker`.
@@ -425,23 +391,6 @@ def _replay_day_task(
     return day, results
 
 
-def _plan_slot_task(
-    task: Tuple[Tuple[CallConfig, ...], JointLpOptions, int, DemandTable, float],
-    state: Optional[_WorkerState] = None,
-) -> List[Tuple[int, CallConfig, str, str]]:
-    """Solve one slot subproblem of the decomposed planner.
-
-    ``task`` is ``(configs, options, slot, slot_demand, bound)``;
-    returns the slot optimum's support keys (the columns the coupling
-    pass seeds its restricted master with).  The worker keeps one hot
-    per-slot cache per planning signature, so a day's slot solve
-    hot-starts from the previous day the worker planned that slot.
-    """
-    configs, options, slot, slot_demand, bound = task
-    worker = _state_or_worker(state)
-    return slot_support_keys(worker.slot_planner(configs, options, slot), slot_demand, bound)
-
-
 def _oracle_day_task(
     task: Tuple[int, DemandTable, Optional[AssignmentTable], Tuple[str, ...]],
     state: Optional[_WorkerState] = None,
@@ -470,15 +419,11 @@ def _oracle_day_task(
 _KIND_OF: Dict[Callable, str] = {
     _forecast_day_task: "forecast",
     _replay_day_task: "replay",
-    _plan_slot_task: "plan-slot",
     _oracle_day_task: "oracle",
 }
 
 
-def _guarded_task(
-    payload: Tuple[Callable, str, object, int, Optional[Callable]],
-    state: Optional[_WorkerState] = None,
-) -> object:
+def _guarded_task(payload: Tuple[Callable, str, object, int, Optional[Callable]]) -> object:
     """Worker-side shim every pooled task runs through.
 
     ``payload`` is ``(fn, kind, task, attempt, inject)``: the injector
@@ -489,7 +434,7 @@ def _guarded_task(
     fn, kind, task, attempt, inject = payload
     if inject is not None:
         inject(kind, task, attempt)
-    return fn(task, state=state)
+    return fn(task)
 
 
 # ---------------------------------------------------------------------------
@@ -695,23 +640,19 @@ class _PoolHandle:
 
     def __init__(
         self,
-        backend: str,
         workers: int,
         mp_context: Any,
-        payload: "bytes | ShmPayload | None",
+        payload: "bytes | ShmPayload",
         arena: Optional[ShmArena] = None,
     ) -> None:
-        self.backend = backend
         self.workers = workers
         self.mp_context = mp_context
         self._payload = payload
         self.arena = arena
         self.rebuilds = 0
-        self._pool: Optional[Executor] = self._spawn()
+        self._pool: Optional[ProcessPoolExecutor] = self._spawn()
 
-    def _spawn(self) -> Executor:
-        if self.backend == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
+    def _spawn(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=self.mp_context,
@@ -726,10 +667,8 @@ class _PoolHandle:
     def kill(self) -> None:
         """Tear the executor down without waiting on stuck work.
 
-        Process workers are terminated outright (the only way to
-        un-wedge a hung task); thread workers cannot be killed, so a
-        hung thread is abandoned to finish its (finite) sleep while
-        the handle moves on to a fresh executor.
+        Workers are terminated outright: the only way to un-wedge a
+        hung task.
         """
         pool, self._pool = self._pool, None
         if pool is None:
@@ -768,18 +707,10 @@ class SweepRunner:
     ``tests/test_sweep_parallel.py`` pins.
 
     ``backend`` is ``"process"`` (default for ``workers > 1``),
-    ``"thread"``, or ``"serial"``; ``workers="auto"`` uses the CPUs the
-    process is allowed to run on.  The runner itself is cheap — it owns
-    no pool between calls, so it can be kept around or rebuilt freely.
-
-    ``planner`` picks the planning backend and orchestration (see
-    :mod:`repro.core.planner`): ``"monolithic"`` (default, the pinned
-    hot-started loop), ``"decomposed"`` (slot-sharded solves fanned
-    over the pool + an exact coupling pass), and/or ``"pipelined"``
-    (plan day ``d+1`` in the caller's thread while the pool replays day
-    ``d``, instead of strictly alternating phases).  Every combination
-    reproduces the monolithic plans — bit-exactly for monolithic
-    specs, to solver precision for decomposed ones.
+    ``"process+shm"``, or ``"serial"``; ``workers="auto"`` uses the
+    CPUs the process is allowed to run on.  The runner itself is cheap
+    — it owns no pool between calls, so it can be kept around or
+    rebuilt freely.
 
     ``fault_policy`` governs the pooled phases' supervision loop
     (retries, hang timeout, pool rebuilds; see :class:`FaultPolicy`)
@@ -808,7 +739,6 @@ class SweepRunner:
         workers: int | str = 1,
         backend: Optional[str] = None,
         mp_context: Any = None,
-        planner: "PlannerSpec | str | None" = None,
         fault_policy: Optional[FaultPolicy] = None,
         inject_fault: Optional[Callable] = None,
         shared_memory: Optional[bool] = None,
@@ -824,10 +754,10 @@ class SweepRunner:
                 backend = "process+shm"
             elif not (backend == "serial" and self.workers == 1):
                 # A single worker degrades to the serial reference path
-                # (nothing to share); an explicit thread backend is a
-                # contradiction worth refusing.
+                # (nothing to share); a serial backend over several
+                # workers is a contradiction worth refusing.
                 raise ValueError("shared_memory=True requires the process backend")
-        if backend not in ("serial", "thread", "process", "process+shm"):
+        if backend not in ("serial", "process", "process+shm"):
             raise ValueError(f"unknown sweep backend {backend!r}")
         if self.workers == 1:
             backend = "serial"
@@ -842,7 +772,6 @@ class SweepRunner:
         #: ``run_*`` windows; ``None`` = monolithic.
         self.chunk_days = chunk_days
         self.mp_context = mp_context
-        self.planner: PlannerSpec = resolve_planner(planner)
         #: Supervision knobs for pooled phases; the serial path ignores
         #: them (no pool, no retries — it is the pinned reference).
         self.fault_policy = fault_policy if fault_policy is not None else FaultPolicy()
@@ -852,7 +781,7 @@ class SweepRunner:
         #: Structured reports of every recovered incident this runner
         #: has seen (successful retries included), newest last.
         self.fault_log: List[SweepFailure] = []
-        # Inline/thread execution state: shares the caller's setup, so
+        # Inline execution state: shares the caller's setup, so
         # serial sweeps also reuse one TraceGenerator across days.
         self._state = _WorkerState(setup)
         self._configs_cache: Optional[Tuple[CallConfig, ...]] = None
@@ -875,14 +804,14 @@ class SweepRunner:
             return
         workers = min(self.workers, tasks_hint)
         arena = None
-        payload = None
+        payload: "bytes | ShmPayload"
         if self.backend == "process+shm":
             arena = ShmArena(self._shm_state_payload())
             payload = arena.payload()
-        elif self.backend == "process":
+        else:
             payload = pickle.dumps(self.setup, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            handle = _PoolHandle(self.backend, workers, self.mp_context, payload, arena=arena)
+            handle = _PoolHandle(workers, self.mp_context, payload, arena=arena)
         except BaseException:
             if arena is not None:
                 arena.dispose()
@@ -983,8 +912,6 @@ class SweepRunner:
             self.inject_fault,
         )
         try:
-            if handle.backend == "thread":
-                return handle.submit(_guarded_task, payload, self._state)
             return handle.submit(_guarded_task, payload)
         except BrokenExecutor:
             return None
@@ -1031,13 +958,7 @@ class SweepRunner:
             results[index] = future.result()
             del pending[index]
 
-    def _gather(
-        self,
-        fn: Callable,
-        tasks: Sequence,
-        handle: _PoolHandle,
-        pending: Optional[Dict[int, Optional["Future[object]"]]] = None,
-    ) -> List:
+    def _gather(self, fn: Callable, tasks: Sequence, handle: _PoolHandle) -> List:
         """The supervision loop: gather pooled results, surviving faults.
 
         Results are collected in task order.  A task exception retries
@@ -1045,17 +966,13 @@ class SweepRunner:
         broken pool kills and rebuilds the executor and resubmits the
         incomplete tail; tasks out of retries are reported together on
         a :class:`SweepError` once everything else has finished.
-        ``pending`` lets pipelined callers hand in futures they already
-        submitted (index-keyed, aligned with ``tasks``).
         """
         policy = self.fault_policy
         n = len(tasks)
         results: List = [None] * n
         attempts = [0] * n
         failures: List[SweepFailure] = []
-
-        if pending is None:
-            pending = {i: self._submit_guarded(handle, fn, tasks[i], 0) for i in range(n)}
+        pending = {i: self._submit_guarded(handle, fn, tasks[i], 0) for i in range(n)}
 
         def resubmit_incomplete() -> None:
             self._harvest(pending, results)
@@ -1129,82 +1046,36 @@ class SweepRunner:
         return dict(self.map_days(_forecast_day_task, tasks, pool=pool))
 
     def _plan_backend(
-        self,
-        demands: Dict[int, DemandTable],
-        lp_options: Optional[JointLpOptions],
-        pool: Optional[_PoolHandle],
-    ) -> Tuple[PlanBackend, Callable[[int], float]]:
-        """Build this runner's planner backend for a set of day tables.
+        self, demands: Dict[int, DemandTable], lp_options: Optional[JointLpOptions]
+    ) -> Tuple["PlanCache", Callable[[int], float]]:
+        """Build the planning loop's cache for a set of day tables.
 
-        Returns the backend (covering the union of the days' configs)
-        plus the per-day E2E bound resolver.  With the decomposed spec
-        and a live pool, the backend's slot subproblems fan out through
-        :func:`_plan_slot_task` (worker-side hot per-slot caches);
-        otherwise slots solve serially inside the backend.
+        Returns one hot-started :class:`~repro.core.titan_next.PlanCache`
+        over the union of the days' configs, plus the per-day E2E bound
+        resolver.
         """
-        from .titan_next import day_e2e_bound_ms
+        from .titan_next import PlanCache, day_e2e_bound_ms
 
         configs = sorted({c for table in demands.values() for _, c in table}, key=str)
         if not configs:
             raise ValueError("no predicted demand across the requested days")
-        base_options = lp_options if lp_options is not None else JointLpOptions()
-
-        slot_map: Optional[SlotMap] = None
-        if self.planner.backend == "decomposed" and pool is not None:
-            signature = tuple(configs)
-
-            def fan_slots(tasks: List[SlotTask]) -> List[List[Tuple[int, CallConfig, str, str]]]:
-                wrapped = [
-                    (signature, base_options, t, slot_demand, bound)
-                    for t, slot_demand, bound in tasks
-                ]
-                return self.map_days(_plan_slot_task, wrapped, pool=pool)
-
-            slot_map = fan_slots
-
-        backend = self.planner.build(
-            self.setup.scenario, configs, options=base_options, slot_map=slot_map
-        )
+        cache = PlanCache(self.setup.scenario, configs, options=lp_options, reuse_basis=True)
 
         def bound_for(day: int) -> float:
             return lp_options.e2e_bound_ms if lp_options is not None else day_e2e_bound_ms(day)
 
-        return backend, bound_for
-
-    def plan_days(
-        self,
-        predictions: Dict[int, DemandTable],
-        lp_options: Optional[JointLpOptions] = None,
-        pool: Optional[_PoolHandle] = None,
-    ) -> Dict[int, AssignmentTable]:
-        """Phase 2: the planning loop, through this runner's backend.
-
-        The monolithic backend is one
-        :class:`~repro.core.titan_next.PlanCache` over the union of
-        predicted configs: each day refreshes the C1/C4 RHS and
-        hot-starts HiGHS from the previous day's optimal basis — which
-        is why the day loop stays in the parent process, in day order.
-        The decomposed backend shards each day by slot (fanned over
-        ``pool`` when given) and reconciles with an exact coupling
-        pass.  When ``lp_options`` is omitted each day gets the §7.5
-        weekday/weekend E2E bound.
-        """
-        backend, bound_for = self._plan_backend(predictions, lp_options, pool)
-        plans: Dict[int, AssignmentTable] = {}
-        for day, prediction in predictions.items():
-            plans[day] = self._solve_plan(backend, bound_for, prediction, day)
-        return plans
+        return cache, bound_for
 
     @staticmethod
     def _solve_plan(
-        backend: PlanBackend,
+        cache: "PlanCache",
         bound_for: Callable[[int], float],
         demand: DemandTable,
         day: int,
         label: str = "planning",
     ) -> AssignmentTable:
-        """One day's plan through an already-built backend."""
-        solved = backend.solve_day(demand, e2e_bound_ms=bound_for(day))
+        """One day's plan through the window's already-built cache."""
+        solved = cache.solve_day(demand, e2e_bound_ms=bound_for(day))
         if not solved.is_optimal:
             raise RuntimeError(f"Titan-Next {label} LP failed for day {day}: {solved.status}")
         return solved.assignment
@@ -1296,17 +1167,14 @@ class SweepRunner:
         monolithic window for every chunk size.  That holds because
         chunking never splits the planning *structure* — forecasts for
         the whole window are computed up front (demand tables are
-        small), one planner backend is built over the full-window
-        config union, and the day loop walks it in day order across
-        chunk boundaries — so the hot-start chain, and therefore every
-        plan, is the monolithic one.  Only plan-solving, replay
-        fan-out, and result materialization proceed O(chunk) at a
-        time: a 52-week sweep holds one chunk of day results (plus the
-        window's forecast tables) instead of every ``CallTable`` in
-        the window.
-
-        With the pipelined planner each chunk still overlaps planning
-        with replay; chunks of 1 degrade to inline replay, so keep
+        small), one plan cache is built over the full-window config
+        union, and the day loop walks it in day order across chunk
+        boundaries — so the hot-start chain, and therefore every plan,
+        is the monolithic one.  Only plan-solving, replay fan-out, and
+        result materialization proceed O(chunk) at a time: a 52-week
+        sweep holds one chunk of day results (plus the window's
+        forecast tables) instead of every ``CallTable`` in the window.
+        Chunks of 1 degrade to inline replay, so keep
         ``chunk_days >= workers`` when fan-out matters.
         """
         day_list = list(days)
@@ -1336,67 +1204,24 @@ class SweepRunner:
             predictions = self.forecast_days(
                 day_list, history_weeks, reduced=reduced, pool=pool
             )
-            backend, bound_for = self._plan_backend(predictions, lp_options, pool)
+            cache, bound_for = self._plan_backend(predictions, lp_options)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
-                if self.planner.pipelined and pool is not None:
-                    results = self._replay_chunk_pipelined(
-                        block, predictions, backend, bound_for, chosen,
-                        seed, reduced, evaluate, return_tables, pool,
-                    )
-                else:
-                    plans = {
-                        day: self._solve_plan(backend, bound_for, predictions[day], day)
-                        for day in block
-                    }
-                    results = self.replay_days(
-                        block,
-                        plans=plans,
-                        policies=chosen,
-                        seed=seed,
-                        reduced=reduced,
-                        evaluate=evaluate,
-                        pool=pool,
-                        return_tables=return_tables,
-                    )
+                plans = {
+                    day: self._solve_plan(cache, bound_for, predictions[day], day)
+                    for day in block
+                }
+                results = self.replay_days(
+                    block,
+                    plans=plans,
+                    policies=chosen,
+                    seed=seed,
+                    reduced=reduced,
+                    evaluate=evaluate,
+                    pool=pool,
+                    return_tables=return_tables,
+                )
                 yield from ((day, results[day]) for day in block)
-
-    def _replay_chunk_pipelined(
-        self,
-        block: Sequence[int],
-        predictions: Dict[int, DemandTable],
-        backend: PlanBackend,
-        bound_for: Callable[[int], float],
-        policies: Tuple[str, ...],
-        seed: int,
-        reduced: bool,
-        evaluate: bool,
-        return_tables: Optional[bool],
-        pool: _PoolHandle,
-    ) -> Dict[int, Dict[str, "PredictionDayResult"]]:
-        """Planning/replay pipelining: plan day ``d+1`` while the pool
-        replays day ``d``.
-
-        The planner runs in the caller's thread in day order — the same
-        hot-start chain, hence the same plans, as the phase-alternating
-        path — but each day's replay is *submitted* the moment its plan
-        is solved, so the pool chews replay (and, for the decomposed
-        backend, slot-subproblem) tasks while the next day's LP solves.
-        Results are gathered at the end of the chunk, keyed by day.
-        """
-        compact = self._compact(return_tables)
-        plans: Dict[int, AssignmentTable] = {}
-        tasks: List[Tuple[int, AssignmentTable, Tuple[str, ...], int, bool, bool, bool]] = []
-        pending: Dict[int, Optional["Future[object]"]] = {}
-        for day in block:
-            plans[day] = self._solve_plan(backend, bound_for, predictions[day], day)
-            task = (day, plans[day], policies, seed, reduced, evaluate, compact)
-            pending[len(tasks)] = self._submit_guarded(pool, _replay_day_task, task, 0)
-            tasks.append(task)
-        gathered = dict(self._gather(_replay_day_task, tasks, pool, pending=pending))
-        if not compact:
-            return gathered
-        return {day: self._wrap_results(day, results, plans) for day, results in gathered.items()}
 
     def run_prediction_sweep(
         self,
@@ -1441,7 +1266,7 @@ class SweepRunner:
         loop for any worker count and any ``chunk_days``: chunking only
         bounds how many days are planned and in flight at once — the
         cached-LP hot-start chain still walks the full window's one
-        backend in day order.
+        cache in day order.
         """
         from .titan_next import oracle_demand_for_day
 
@@ -1456,36 +1281,14 @@ class SweepRunner:
             tasks: List[OracleTask] = [(day, demands[day], None, chosen) for day in day_list]
             return dict(self.map_days(_oracle_day_task, tasks))
 
-        # One pool spans planning and scoring, so the pipelined mode
-        # can overlap the two and the decomposed backend can fan its
-        # slot subproblems over the same workers.
+        # One pool spans every chunk's scoring: workers spawn once.
         out: Dict[int, Dict[str, "EvaluationResult"]] = {}
         with self.worker_pool(len(day_list)) as pool:
-            backend, bound_for = self._plan_backend(demands, None, pool)
+            cache, bound_for = self._plan_backend(demands, None)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
-                if self.planner.pipelined and pool is not None:
-                    tasks = []
-                    pipelined_pending: Dict[int, Optional["Future[object]"]] = {}
-                    for day in block:
-                        assignment = self._solve_plan(
-                            backend, bound_for, demands[day], day, label="cached"
-                        )
-                        task = (day, demands[day], assignment, chosen)
-                        pipelined_pending[len(tasks)] = self._submit_guarded(
-                            pool, _oracle_day_task, task, 0
-                        )
-                        tasks.append(task)
-                    out.update(
-                        dict(
-                            self._gather(
-                                _oracle_day_task, tasks, pool, pending=pipelined_pending
-                            )
-                        )
-                    )
-                    continue
                 tn_plans = {
-                    day: self._solve_plan(backend, bound_for, demands[day], day, label="cached")
+                    day: self._solve_plan(cache, bound_for, demands[day], day, label="cached")
                     for day in block
                 }
                 tasks = [(day, demands[day], tn_plans.get(day), chosen) for day in block]

@@ -263,10 +263,8 @@ class PlanCache:
     :meth:`solve_day` serializes callers behind an internal lock:
     concurrent calls are safe (each sees a consistent RHS and its own
     result — RHS uniquely determines the optimum through the tie-break
-    perturbation) but never parallel.  To overlap planning with other
-    work, run the cache on a single dedicated thread (the pipelined
-    sweep mode) or fan out across *separate* caches (the decomposed
-    planner's per-slot subproblems).
+    perturbation) but never parallel.  Independent planning horizons
+    need *separate* caches.
     """
 
     def __init__(
@@ -309,8 +307,8 @@ class PlanCache:
     def __getstate__(self):
         raise TypeError(
             "PlanCache holds a lock and a live solver session and cannot cross a "
-            "process boundary; sweep workers build their own per-slot caches "
-            "(see repro.core.sweep._WorkerState.slot_planner)"
+            "process boundary; build a fresh cache from the scenario and configs "
+            "on the far side"
         )
 
     @property
@@ -382,8 +380,12 @@ class PlanCache:
                         )
                 artifacts.c3_block.rhs[:] = rhs
 
-    def _solve_with_rhs(self, counts: np.ndarray, bound: float, solve) -> JointLpResult:
-        """Install a day's RHS, run ``solve``, and extract the plan.
+    def solve_day(
+        self,
+        demand: Mapping[Tuple[int, CallConfig], float],
+        e2e_bound_ms: Optional[float] = None,
+    ) -> JointLpResult:
+        """Solve one day's plan by refreshing the RHS and re-solving.
 
         The C1/C4 mutation happens in place on the cached blocks; if
         the solve *raises*, the previous RHS is restored so the cache
@@ -392,6 +394,8 @@ class PlanCache:
         returns a non-optimal status leaves the RHS as installed — the
         next ``solve_day`` overwrites both blocks wholesale.
         """
+        counts = self.demand_counts(demand)
+        bound = e2e_bound_ms if e2e_bound_ms is not None else self.options.e2e_bound_ms
         with self._lock:
             saved_c1 = self._artifacts.c1_block.rhs.copy()
             saved_c4 = float(self._artifacts.c4_block.rhs[0])
@@ -399,22 +403,12 @@ class PlanCache:
             self._artifacts.c4_block.rhs[0] = bound * counts.sum()
             self.solves += 1
             try:
-                solution = solve()
+                solution = self._prepared.solve()
             except BaseException:
                 self._artifacts.c1_block.rhs[:] = saved_c1
                 self._artifacts.c4_block.rhs[0] = saved_c4
                 raise
             return extract_result(solution, self._artifacts)
-
-    def solve_day(
-        self,
-        demand: Mapping[Tuple[int, CallConfig], float],
-        e2e_bound_ms: Optional[float] = None,
-    ) -> JointLpResult:
-        """Solve one day's plan by refreshing the RHS and re-solving."""
-        counts = self.demand_counts(demand)
-        bound = e2e_bound_ms if e2e_bound_ms is not None else self.options.e2e_bound_ms
-        return self._solve_with_rhs(counts, bound, self._prepared.solve)
 
 
 def plan_cache_for_days(
@@ -513,7 +507,6 @@ def run_oracle_week(
     use_plan_cache: bool = True,
     workers: int = 1,
     backend: Optional[str] = None,
-    planner=None,
     shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
 ):
@@ -523,17 +516,14 @@ def run_oracle_week(
     With ``use_plan_cache`` (the default) the Titan-Next LP structure is
     built once for the whole week and only its RHS changes per day.
     ``workers`` fans the per-day baseline assignment + scoring over a
-    :class:`~repro.core.sweep.SweepRunner` pool; ``planner`` picks the
-    planning backend/orchestration (see :mod:`repro.core.planner`);
-    ``shared_memory`` maps worker state zero-copy and ``chunk_days``
-    bounds in-flight days.  Results are identical for any worker
-    count, planner spec, backend, and chunk size.
+    :class:`~repro.core.sweep.SweepRunner` pool; ``shared_memory`` maps
+    worker state zero-copy and ``chunk_days`` bounds in-flight days.
+    Results are identical for any worker count, backend, and chunk
+    size.
     """
     from .sweep import SweepRunner
 
-    runner = SweepRunner(
-        setup, workers=workers, backend=backend, planner=planner, shared_memory=shared_memory
-    )
+    runner = SweepRunner(setup, workers=workers, backend=backend, shared_memory=shared_memory)
     return runner.run_oracle_days(
         range(start_day, start_day + days),
         policies=policies,
@@ -697,7 +687,6 @@ def run_prediction_sweep(
     seed: int = 71,
     workers: int = 1,
     backend: Optional[str] = None,
-    planner=None,
     shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     return_tables: Optional[bool] = None,
@@ -714,12 +703,8 @@ def run_prediction_sweep(
     each day gets the §7.5 weekday/weekend E2E bound.
 
     ``workers`` fans the per-day forecast and replay phases over a
-    :class:`~repro.core.sweep.SweepRunner` pool; ``planner`` picks the
-    planning backend/orchestration (monolithic / decomposed /
-    pipelined — see :mod:`repro.core.planner`).  The output is
-    byte-identical for every worker count and for every monolithic
-    spec; decomposed specs reproduce the same plans to solver
-    precision.
+    :class:`~repro.core.sweep.SweepRunner` pool; the output is
+    byte-identical for every worker count.
 
     ``shared_memory=True`` maps worker state zero-copy through one
     shm segment and (by default) ships compact
@@ -730,9 +715,7 @@ def run_prediction_sweep(
     """
     from .sweep import SweepRunner
 
-    runner = SweepRunner(
-        setup, workers=workers, backend=backend, planner=planner, shared_memory=shared_memory
-    )
+    runner = SweepRunner(setup, workers=workers, backend=backend, shared_memory=shared_memory)
     return runner.run_prediction_sweep(
         days,
         history_weeks=history_weeks,
@@ -754,7 +737,6 @@ def run_prediction_window(
     seed: int = 71,
     workers: int = 1,
     backend: Optional[str] = None,
-    planner=None,
     evaluate: bool = False,
     shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
@@ -765,20 +747,16 @@ def run_prediction_window(
     ``{day: {policy: PredictionDayResult}}``, each entry identical to
     :func:`run_prediction_day` for that day — but Titan-Next planning
     is amortized through one hot-started :class:`PlanCache` and the
-    per-day work fans out across ``workers``.  ``planner`` swaps the
-    planning backend/orchestration (see :mod:`repro.core.planner`).
-    ``evaluate=True`` also scores each result in-pool
-    (``PredictionDayResult.evaluation``).  ``shared_memory`` /
-    ``chunk_days`` / ``return_tables`` select the zero-copy worker
-    state, streaming chunk size, and compact result mode (see
-    :class:`~repro.core.sweep.SweepRunner`) without changing any
-    result byte.
+    per-day work fans out across ``workers``.  ``evaluate=True`` also
+    scores each result in-pool (``PredictionDayResult.evaluation``).
+    ``shared_memory`` / ``chunk_days`` / ``return_tables`` select the
+    zero-copy worker state, streaming chunk size, and compact result
+    mode (see :class:`~repro.core.sweep.SweepRunner`) without changing
+    any result byte.
     """
     from .sweep import SweepRunner
 
-    runner = SweepRunner(
-        setup, workers=workers, backend=backend, planner=planner, shared_memory=shared_memory
-    )
+    runner = SweepRunner(setup, workers=workers, backend=backend, shared_memory=shared_memory)
     return runner.run_prediction_window(
         days,
         policies=policies,

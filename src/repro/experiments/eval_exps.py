@@ -88,7 +88,6 @@ def run_fig14(
     setup: Optional[EuropeSetup] = None,
     days: int = 7,
     workers: int = 1,
-    planner=None,
     shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     scenario: Optional[str] = None,
@@ -96,10 +95,9 @@ def run_fig14(
     """Fig 14 — oracle sum-of-peaks per day, normalized to WRR.
 
     ``workers`` fans the per-day assignment + scoring across a sweep
-    pool and ``planner`` picks the planning backend/orchestration
-    (see :mod:`repro.core.planner`); ``shared_memory`` maps worker
-    state zero-copy and ``chunk_days`` bounds in-flight days; the
-    measured rows are identical for any worker count and spec.
+    pool; ``shared_memory`` maps worker state zero-copy and
+    ``chunk_days`` bounds in-flight days; the measured rows are
+    identical for any worker count.
     ``scenario`` swaps the Europe box for a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
@@ -108,7 +106,6 @@ def run_fig14(
             setup,
             days=days,
             workers=workers,
-            planner=planner,
             shared_memory=shared_memory,
             chunk_days=chunk_days,
         )
@@ -206,7 +203,6 @@ def run_fig15(
     day: int = 30,
     days: int = 1,
     workers: int = 1,
-    planner=None,
     shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     scenario: Optional[str] = None,
@@ -215,15 +211,14 @@ def run_fig15(
 
     ``days > 1`` extends the experiment over a window starting at
     ``day`` (per-day rows plus window-mean savings), planned through
-    the selected ``planner`` backend and replayed/scored across
-    ``workers``.  ``scenario`` swaps in a named zoo topology.
+    one hot-started plan cache and replayed/scored across ``workers``.
+    ``scenario`` swaps in a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
     window = run_prediction_window(
         setup,
         range(day, day + days),
         workers=workers,
-        planner=planner,
         evaluate=True,
         shared_memory=shared_memory,
         chunk_days=chunk_days,
@@ -245,7 +240,6 @@ def run_fig18_sweep(
     start_day: int = 28,
     days: int = 14,
     workers: int = 1,
-    planner=None,
     shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     scenario: Optional[str] = None,
@@ -259,21 +253,16 @@ def run_fig18_sweep(
     score per day), aggregated like Fig 15 but reporting the per-day
     savings spread alongside the window mean.
 
-    This is the experiment the planner backends exist for: with
-    ``planner="decomposed+pipelined"`` and ``workers > 1`` the planning
-    loop shards by slot over the pool and runs a day ahead of replay
-    (``benchmarks/test_sweep_speed.py`` pins the speedup); the measured
-    rows stay equivalent for every spec.  With ``chunk_days`` set the
-    window *streams*: days flow straight from the sweep into the
-    aggregator and only one chunk of results is alive at a time, so the
-    horizon can grow without the resident set growing with it.
+    The measured rows are identical for any worker count.  With
+    ``chunk_days`` set the window *streams*: days flow straight from
+    the sweep into the aggregator and only one chunk of results is
+    alive at a time, so the horizon can grow without the resident set
+    growing with it.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
     day_range = range(start_day, start_day + days)
     if chunk_days is not None:
-        runner = SweepRunner(
-            setup, workers=workers, planner=planner, shared_memory=shared_memory
-        )
+        runner = SweepRunner(setup, workers=workers, shared_memory=shared_memory)
         stream = runner.iter_days(day_range, evaluate=True, chunk_days=chunk_days)
         measured = fig15_measured(stream, setup.scenario)
     else:
@@ -281,7 +270,6 @@ def run_fig18_sweep(
             setup,
             day_range,
             workers=workers,
-            planner=planner,
             evaluate=True,
             shared_memory=shared_memory,
         )
@@ -296,7 +284,7 @@ def run_fig18_sweep(
         paper={
             "tn_savings_vs_wrr": "0.55-0.61 (held across the deployment window)",
         },
-        notes="window mean plus per-day min/max; planner backends must agree",
+        notes="window mean plus per-day min/max",
     )
 
 

@@ -9,7 +9,7 @@ persistent solver session's sent-bounds bookkeeping) describing a day
 it never solved, corrupting every later hot-started solve.  The
 sanctioned shape is mutate, then solve inside ``try`` with the restore
 in the handler/``finally`` (see
-:meth:`repro.core.titan_next.PlanCache._solve_with_rhs`).
+:meth:`repro.core.titan_next.PlanCache.solve_day`).
 
 The rule flags a function that stores into an ``rhs``-named target
 (``block.rhs[:] = ...``, ``rhs[i] *= ...`` on an aliased array) and

@@ -3,7 +3,7 @@
 * :func:`build_scenario` / :class:`ScenarioFactory` — the named setups
   (``americas``, ``apac``, ``emea``, ``global``), each an
   ``EuropeSetup``-shaped bundle that drops into ``SweepRunner``, the
-  planner backends, and the stress layer unchanged;
+  plan cache, and the stress layer unchanged;
 * :mod:`repro.scenarios.rtt_table` — published Azure inter-region RTT
   medians (the calibration ground truth);
 * :mod:`repro.scenarios.calibration` — the fit pass pinning the latency

@@ -7,7 +7,7 @@ factory generalizes that construction: each named scenario slices the
 catalog by continent, builds the same config universe / demand /
 capacity-book / compute-cap pipeline over the slice, and returns the
 same :class:`~repro.core.titan_next.EuropeSetup` bundle — so
-``SweepRunner``, every planner backend, and the stress layer work on a
+``SweepRunner``, the plan cache, and the stress layer work on a
 zoo scenario exactly as they do on the Europe box.
 
 The zoo's latency model is RTT-calibrated: on top of the Fig 4 richness

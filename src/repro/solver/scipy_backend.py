@@ -22,7 +22,6 @@ degrades gracefully to the plain ``linprog`` path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -39,20 +38,6 @@ def _highs_core():
     except Exception:  # pragma: no cover - depends on the SciPy build
         return None
     return _core if hasattr(_core, "_Highs") else None
-
-
-#: Feasibility tolerance for persistent HiGHS sessions.  The decomposed
-#: planner's pricing certificate compares reduced costs built from these
-#: sessions' duals against PRICING_TOLERANCE (1e-9); HiGHS's default
-#: 1e-7 dual tolerance leaves sign noise in the duals larger than that,
-#: so a column with a genuinely negative reduced cost can read as
-#: non-negative and the master terminates short of the true optimum.
-FEASIBILITY_TOLERANCE = 1e-10
-
-
-def _set_tight_tolerances(highs) -> None:
-    highs.setOptionValue("primal_feasibility_tolerance", FEASIBILITY_TOLERANCE)
-    highs.setOptionValue("dual_feasibility_tolerance", FEASIBILITY_TOLERANCE)
 
 
 class PreparedHighs:
@@ -134,32 +119,12 @@ class PreparedHighs:
         )
         lowers, uppers = lp.bounds_arrays()
         self.bounds = np.column_stack([lowers, uppers]) if n else None
-        self._stacked: Optional[sparse.csc_matrix] = None
 
     def __getstate__(self):
         raise TypeError(
             "PreparedHighs owns a live HiGHS session and cannot cross a process "
             "boundary; build a fresh instance from the LinearProgram on the far side"
         )
-
-    def stacked_matrix(self) -> sparse.csc_matrix:
-        """The ``[A_ub; A_eq]`` row stack in CSC form, built once.
-
-        Column-sliced by :class:`PreparedSubproblem` and used for
-        reduced-cost pricing (``rc = c - A.T @ row_dual``); rows are
-        ordered inequality-first, matching :meth:`_row_bounds` and the
-        persistent session's row space.
-        """
-        if self._stacked is None:
-            blocks = [m for m in (self.a_ub, self.a_eq) if m is not None]
-            if not blocks:
-                raise ValueError("program has no constraints to stack")
-            self._stacked = sparse.vstack(blocks).tocsc()
-        return self._stacked
-
-    def stacked_row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current ``(row_lower, row_upper)`` for the stacked rows."""
-        return self._row_bounds()
 
     def _rhs_vectors(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Re-read right-hand sides from the (possibly mutated) program."""
@@ -215,7 +180,6 @@ class PreparedHighs:
             model.a_matrix_ = a
         highs = core._Highs()
         highs.setOptionValue("output_flag", False)
-        _set_tight_tolerances(highs)
         if highs.passModel(model) != core.HighsStatus.kOk:
             raise RuntimeError("HiGHS rejected the prepared model")
         self._session = (highs, row_lower, row_upper)
@@ -300,234 +264,6 @@ class PreparedHighs:
             x=np.asarray(result.x, dtype=np.float64),
             name_of=lp.variable_name,
         )
-
-
-@dataclass
-class SubproblemSolution:
-    """Outcome of one :meth:`PreparedSubproblem.solve`.
-
-    ``x`` is in *model* column space (align with
-    :attr:`PreparedSubproblem.columns` or scatter through
-    :meth:`PreparedSubproblem.x_full`); ``row_dual`` follows the
-    stacked ``[A_ub; A_eq]`` row order, with the sign convention
-    ``reduced_cost = c - A.T @ row_dual`` for the minimization form —
-    identical between the persistent-session and linprog paths.
-    """
-
-    status: str
-    objective: Optional[float]
-    x: Optional[np.ndarray] = None
-    row_dual: Optional[np.ndarray] = None
-    iterations: int = 0
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
-
-class PreparedSubproblem:
-    """A column-restricted view of a :class:`PreparedHighs`, kept hot.
-
-    The restricted master problem of a column-generation scheme: all
-    rows of the parent program, columns limited to ``columns``.  The
-    subproblem lives inside a persistent HiGHS session so that
-
-    * RHS refreshes (the parent's mutable block ``rhs`` arrays) become
-      in-place row-bound updates, and
-    * :meth:`extend` grows the column pool with ``addCols`` — the new
-      columns enter nonbasic, the incumbent basis stays valid, and the
-      next :meth:`solve` hot-starts the dual simplex instead of
-      re-solving from scratch.
-
-    When the vendored bindings are unavailable (or their private
-    surface drifts) every solve degrades to a cold ``linprog`` over the
-    sliced matrices, with duals recovered from the scipy marginals —
-    byte-compatible results, just slower.
-
-    Not thread-safe: one session, one driving thread (the same
-    contract as :class:`PreparedHighs`).
-    """
-
-    def __init__(self, parent: PreparedHighs, columns: np.ndarray) -> None:
-        self.parent = parent
-        self.columns = np.unique(np.asarray(columns, dtype=np.int64))
-        if self.columns.size and (
-            self.columns[0] < 0 or self.columns[-1] >= parent.lp.num_variables
-        ):
-            raise ValueError("subproblem columns outside the parent's variable range")
-        self.in_model = np.zeros(parent.lp.num_variables, dtype=bool)
-        self.in_model[self.columns] = True
-        self._use_session = _highs_core() is not None
-        self._session = None
-
-    def __getstate__(self):
-        raise TypeError(
-            "PreparedSubproblem owns a live HiGHS session and cannot cross a "
-            "process boundary; rebuild from the parent program and column set"
-        )
-
-    # -- column bookkeeping -------------------------------------------------
-
-    def _col_bounds(self, columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lowers, uppers = self.parent.lp.bounds_arrays()
-        return lowers[columns], uppers[columns]
-
-    def extend(self, new_columns: np.ndarray) -> np.ndarray:
-        """Add columns to the pool; returns the genuinely new handles.
-
-        On the live session this is an in-place ``addCols`` (basis
-        preserved); on the fallback path the next solve just slices a
-        wider matrix.
-        """
-        new_columns = np.asarray(new_columns, dtype=np.int64)
-        fresh = np.unique(new_columns[~self.in_model[new_columns]])
-        if not fresh.size:
-            return fresh
-        if self._session is not None:
-            try:
-                self._add_cols_live(fresh)
-            except Exception:
-                self._use_session = False
-                self._session = None
-        self.columns = np.concatenate([self.columns, fresh])
-        self.in_model[fresh] = True
-        return fresh
-
-    def x_full(self, solution: SubproblemSolution) -> np.ndarray:
-        """Scatter a model-space optimum into parent column space."""
-        x = np.zeros(self.parent.lp.num_variables)
-        if solution.x is not None:
-            x[self.columns] = solution.x
-        return x
-
-    # -- persistent session -------------------------------------------------
-
-    def _open_session(self, core) -> None:
-        matrix = self.parent.stacked_matrix()[:, self.columns]
-        row_lower, row_upper = self.parent.stacked_row_bounds()
-        col_lower, col_upper = self._col_bounds(self.columns)
-
-        model = core.HighsLp()
-        model.num_col_ = self.columns.size
-        model.num_row_ = matrix.shape[0]
-        model.col_cost_ = self.parent.c[self.columns]
-        model.col_lower_ = col_lower
-        model.col_upper_ = col_upper
-        model.row_lower_ = row_lower
-        model.row_upper_ = row_upper
-        a = core.HighsSparseMatrix()
-        a.format_ = core.MatrixFormat.kColwise
-        a.num_col_ = self.columns.size
-        a.num_row_ = matrix.shape[0]
-        a.start_ = matrix.indptr.astype(np.int64)
-        a.index_ = matrix.indices.astype(np.int64)
-        a.value_ = matrix.data.astype(np.float64)
-        model.a_matrix_ = a
-        highs = core._Highs()
-        highs.setOptionValue("output_flag", False)
-        _set_tight_tolerances(highs)
-        if highs.passModel(model) != core.HighsStatus.kOk:
-            raise RuntimeError("HiGHS rejected the prepared subproblem")
-        self._session = (highs, row_lower, row_upper)
-
-    def _add_cols_live(self, fresh: np.ndarray) -> None:
-        highs = self._session[0]
-        core = _highs_core()
-        matrix = self.parent.stacked_matrix()[:, fresh]
-        col_lower, col_upper = self._col_bounds(fresh)
-        status = highs.addCols(
-            int(fresh.size),
-            self.parent.c[fresh],
-            col_lower,
-            col_upper,
-            int(matrix.nnz),
-            matrix.indptr[:-1].astype(np.int32),
-            matrix.indices.astype(np.int32),
-            matrix.data.astype(np.float64),
-        )
-        if status not in (core.HighsStatus.kOk, core.HighsStatus.kWarning):
-            raise RuntimeError("HiGHS rejected the added columns")
-
-    def _solve_persistent(self, core) -> SubproblemSolution:
-        if self._session is None:
-            self._open_session(core)
-        else:
-            highs, sent_lower, sent_upper = self._session
-            row_lower, row_upper = self.parent.stacked_row_bounds()
-            changed = np.nonzero((row_lower != sent_lower) | (row_upper != sent_upper))[0]
-            for row in changed:
-                highs.changeRowBounds(int(row), float(row_lower[row]), float(row_upper[row]))
-            self._session = (highs, row_lower, row_upper)
-        highs = self._session[0]
-        highs.run()
-        status = highs.getModelStatus()
-        iterations = int(highs.getInfo().simplex_iteration_count)
-        if status == core.HighsModelStatus.kInfeasible:
-            return SubproblemSolution(status="infeasible", objective=None, iterations=iterations)
-        if status == core.HighsModelStatus.kUnbounded:
-            return SubproblemSolution(status="unbounded", objective=None, iterations=iterations)
-        if status != core.HighsModelStatus.kOptimal:
-            return SubproblemSolution(status="error", objective=None, iterations=iterations)
-        solution = highs.getSolution()
-        return SubproblemSolution(
-            status="optimal",
-            objective=float(highs.getObjectiveValue()) + self.parent.lp.objective_constant,
-            x=np.asarray(solution.col_value, dtype=np.float64),
-            row_dual=np.asarray(solution.row_dual, dtype=np.float64),
-            iterations=iterations,
-        )
-
-    # -- fallback -----------------------------------------------------------
-
-    def _solve_linprog(self) -> SubproblemSolution:
-        parent = self.parent
-        b_ub, b_eq = parent._rhs_vectors()
-        a_ub = parent.a_ub[:, self.columns] if parent.a_ub is not None else None
-        a_eq = parent.a_eq[:, self.columns] if parent.a_eq is not None else None
-        col_lower, col_upper = self._col_bounds(self.columns)
-        result = linprog(
-            parent.c[self.columns],
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack([col_lower, col_upper]),
-            method="highs",
-        )
-        iterations = int(getattr(result, "nit", 0))
-        if result.status == 2:
-            return SubproblemSolution(status="infeasible", objective=None, iterations=iterations)
-        if result.status == 3:
-            return SubproblemSolution(status="unbounded", objective=None, iterations=iterations)
-        if not result.success:
-            return SubproblemSolution(status="error", objective=None, iterations=iterations)
-        duals = []
-        if parent.n_ub:
-            duals.append(np.asarray(result.ineqlin.marginals, dtype=np.float64))
-        if parent.n_eq:
-            duals.append(np.asarray(result.eqlin.marginals, dtype=np.float64))
-        return SubproblemSolution(
-            status="optimal",
-            objective=float(result.fun) + parent.lp.objective_constant,
-            x=np.asarray(result.x, dtype=np.float64),
-            row_dual=np.concatenate(duals) if duals else None,
-            iterations=iterations,
-        )
-
-    def solve(self) -> SubproblemSolution:
-        """Solve the restricted problem with the parent's current RHS."""
-        if self._use_session:
-            core = _highs_core()
-            if core is not None:
-                try:
-                    return self._solve_persistent(core)
-                except Exception:
-                    # Same contract as PreparedHighs: the bindings are
-                    # a private API — degrade to linprog permanently
-                    # rather than failing the solve.
-                    self._use_session = False
-                    self._session = None
-        return self._solve_linprog()
 
 
 def solve_highs(lp: LinearProgram) -> Solution:

@@ -17,11 +17,10 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: The strict-subset modules mypy.ini fully annotates (process-boundary
-#: code: shm lifecycle, pool supervision, planner backends).
+#: code: shm lifecycle, pool supervision).
 MYPY_TARGETS = [
     "src/repro/core/shm.py",
     "src/repro/core/sweep.py",
-    "src/repro/core/planner.py",
 ]
 
 

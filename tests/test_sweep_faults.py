@@ -84,14 +84,6 @@ class TestRetry:
         assert "injected transient failure" in incidents[0].message
         assert incidents[0].traceback  # full worker-side traceback captured
 
-    def test_thread_backend_retries_too(self, small_setup, serial_reference):
-        runner = SweepRunner(
-            small_setup, workers=2, backend="thread", inject_fault=FlakyTaskFault(day=31)
-        )
-        results = runner.run_prediction_sweep(DAYS, evaluate=True)
-        assert_matches_reference(results, serial_reference)
-        assert any(f.error_type == "RuntimeError" for f in runner.fault_log)
-
     def test_exhausted_retries_raise_structured_sweep_error(self, small_setup):
         """A deterministic failure (fails on every attempt) must give up
         with a report naming the phase, day, and attempts."""

@@ -64,11 +64,6 @@ class TestPredictionSweepEquivalence:
         for day in DAYS:
             assert_same_day_result(parallel[day], serial_sweep[day])
 
-    def test_thread_backend_reproduces_serial(self, small_setup, serial_sweep):
-        parallel = run_prediction_sweep(small_setup, DAYS, workers=4, backend="thread")
-        for day in DAYS:
-            assert_same_day_result(parallel[day], serial_sweep[day])
-
     def test_parallel_scores_match_serial(self, small_setup, serial_sweep):
         runner = SweepRunner(small_setup, workers=2)
         window = runner.run_prediction_window(DAYS, policies=("titan-next",), evaluate=True)

@@ -213,7 +213,7 @@ class TestShmSweepEquivalence:
 
     def test_shared_memory_requires_process_backend(self, small_setup):
         with pytest.raises(ValueError):
-            SweepRunner(small_setup, workers=2, backend="thread", shared_memory=True)
+            SweepRunner(small_setup, workers=2, backend="serial", shared_memory=True)
 
 
 class TestStreaming:
