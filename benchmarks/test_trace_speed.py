@@ -3,9 +3,12 @@
 On the default 150-config intra-Europe scenario (~40k calls/day),
 ``TraceGenerator.table_for_day`` must synthesize one day's calls at
 least 5x faster than the scalar per-call reference, and a full
-Titan-Next controller day through ``process_table`` must run at least
-3x faster than the scalar per-call loop — while reproducing the scalar
-calls, placements, and :class:`ControllerStats` exactly.
+Titan-Next controller day through ``process_table`` — an exact bulk
+replay, no per-call loop — must run at least 8x faster than the scalar
+per-call loop (~14x measured on a 2-vCPU host; the per-call batch loop
+it replaced ran ~4x) — while reproducing the scalar calls, placements,
+and :class:`ControllerStats` exactly.  The controller speedup is
+recorded in ``BENCH_trace_speed.json``.
 
 The first-joiner WRR and LF baselines admit a day in bulk: on a
 200k-call Europe day (~136k calls, capacity binding at the peak) their
@@ -26,7 +29,7 @@ from repro.workload.traces import TraceGenerator
 pytestmark = pytest.mark.slow
 
 REQUIRED_TRACE_SPEEDUP = 5.0
-REQUIRED_CONTROLLER_SPEEDUP = 3.0
+REQUIRED_CONTROLLER_SPEEDUP = 8.0
 REQUIRED_BASELINE_SPEEDUP = 2.5
 DAY = 30
 
@@ -66,7 +69,7 @@ def test_table_synthesis_is_5x_faster_with_identical_calls(default_setup):
     assert speedup >= REQUIRED_TRACE_SPEEDUP
 
 
-def test_controller_day_is_3x_faster_with_identical_stats(default_setup):
+def test_controller_day_is_8x_faster_with_identical_stats(default_setup, record_bench):
     setup = default_setup
     options = JointLpOptions(e2e_bound_ms=75.0)
     predicted = predicted_demand_for_day(setup, DAY)
@@ -108,6 +111,7 @@ def test_controller_day_is_3x_faster_with_identical_stats(default_setup):
         f"-> {speedup:.1f}x ({ref_stats.calls} calls, "
         f"{ref_stats.dc_migration_rate:.1%} DC migrations)"
     )
+    record_bench(speedup=round(speedup, 2), calls=ref_stats.calls)
     assert speedup >= REQUIRED_CONTROLLER_SPEEDUP
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from ..net.latency import INTERNET, WAN
 from ..workload.configs import CallConfig
 from ..workload.traces import Call, CallTable
-from .plan import OfflinePlan, QuotaIndex
+from .plan import QUOTA_EPS, OfflinePlan, QuotaEntry, QuotaIndex
 from .scenario import Scenario
 
 #: Routing options in batch index order (0 = WAN, 1 = INTERNET).
@@ -165,15 +165,16 @@ class AssignmentBatch:
 
 
 class _UniformStream:
-    """Chunked reader over a Generator's uniform stream.
+    """Buffered reader over a Generator's uniform stream.
 
-    ``next()`` returns exactly what ``rng.random()`` would have — numpy
-    fills arrays from the same underlying doubles — while amortizing
-    the per-draw Generator overhead across a chunk.  The buffer
-    persists across batches (the generator itself has already advanced
-    past it), so route every draw through one stream: a direct draw
-    from the underlying generator would skip the buffered doubles and
-    desynchronize all subsequent draws.
+    :meth:`peek` returns exactly what ``m`` successive ``rng.random()``
+    calls would have — numpy fills arrays from the same underlying
+    doubles — without consuming them, and :meth:`skip` consumes them, so
+    a batch can look ahead at its draws and commit only the ones it
+    used.  The buffer persists across batches (the generator itself has
+    already advanced past it), so route every draw through one stream:
+    a direct draw from the underlying generator would skip the buffered
+    doubles and desynchronize all subsequent draws.
     """
 
     __slots__ = ("_rng", "_buffer", "_pos", "_chunk")
@@ -184,13 +185,20 @@ class _UniformStream:
         self._buffer = rng.random(chunk)
         self._pos = 0
 
-    def next(self) -> float:
-        if self._pos >= self._chunk:
-            self._buffer = self._rng.random(self._chunk)
+    def peek(self, m: int) -> np.ndarray:
+        """The next ``m`` uniforms, left unconsumed."""
+        short = self._pos + m - len(self._buffer)
+        if short > 0:
+            self._buffer = np.concatenate(
+                (self._buffer[self._pos :], self._rng.random(max(short, self._chunk)))
+            )
             self._pos = 0
-        u = self._buffer[self._pos]
-        self._pos += 1
-        return float(u)
+        return self._buffer[self._pos : self._pos + m]
+
+    def skip(self, m: int) -> None:
+        """Consume the next ``m`` uniforms."""
+        self.peek(m)
+        self._pos += m
 
 
 def weighted_shuffle_order(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -644,6 +652,312 @@ def _intra_country_guess(country: str, media: str) -> CallConfig:
     return CallConfig(((country, 1),), media)
 
 
+def _previous_keys(
+    true_key: np.ndarray, country: np.ndarray, recent: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each call's first guess, and each country's new most recent key.
+
+    A call's first guess is the true plan key of the previous call from
+    its first joiner's country; a country's first call in the table
+    guesses ``recent[country]`` (carried from earlier tables, ``-1`` for
+    none).  Returns ``(guess, last)``, ``last`` being ``recent`` with
+    every first-joiner country set to its last call's true key.
+    """
+    order = np.argsort(country, kind="stable")
+    grouped = country[order]
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = grouped[1:] != grouped[:-1]
+    previous = np.empty(len(order), dtype=true_key.dtype)
+    previous[1:] = true_key[order[:-1]]
+    previous[heads] = recent[grouped[heads]]
+    guess = np.empty_like(previous)
+    guess[order] = previous
+    tails = np.append(heads[1:], True)
+    last = recent.copy()
+    last[grouped[tails]] = true_key[order[tails]]
+    return guess, last
+
+
+#: A unit consume succeeds while the quota is at least this: the scalar
+#: path refuses when ``remaining < amount - QUOTA_EPS``.
+_UNIT = 1.0 - QUOTA_EPS
+
+
+def _unit_consumes(quota: np.ndarray) -> np.ndarray:
+    """How many successive unit consumes each quota admits, as floats.
+
+    The ``j``-th succeeds while ``quota - j >= 1 - QUOTA_EPS``.  Every
+    ``quota - j`` is exact for an integer ``j`` below ``2**53``, so the
+    float estimate is corrected by exact comparisons, and ``quota - j``
+    equals ``j`` successive ``- 1.0`` steps bit for bit.
+    """
+    count = np.where(quota >= _UNIT, np.floor(quota - _UNIT) + 1.0, 0.0)
+    count += quota - count >= _UNIT
+    count -= (count > 0) & (quota - (count - 1.0) < _UNIT)
+    return count
+
+
+def _chain_picks(
+    quota: np.ndarray,
+    entry: np.ndarray,
+    call: np.ndarray,
+    u: np.ndarray,
+    mutating: np.ndarray,
+    dry: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted picks along every multi-bucket entry's op chain at once.
+
+    Op ``i`` is a draw with uniform ``u[i]`` by call ``call[i]`` on entry
+    (row of ``quota``) ``entry[i]``; a ``mutating`` op then consumes a
+    unit from the picked bucket if it holds one.  Each entry's ops run
+    in call order, and step ``j`` takes the ``j``-th op of every chain
+    at once, against the quotas the earlier steps left.  A step
+    reproduces :func:`~repro.core.plan.weighted_pick`: ``np.cumsum``
+    adds the buckets in the loop's order, ``0.0`` for a bucket at or
+    below ``QUOTA_EPS`` changes no partial sum, ``target = u * total``,
+    and the pick is the first bucket with ``target < cumulative``, else
+    the last positive one.  Steps are the longest chain, not the ops.
+    ``quota`` is only read.
+
+    Returns per op ``(pick, consumed, emptied)``: the bucket, whether a
+    unit was consumed, and whether that emptied a ``dry`` entry.
+    """
+    order = np.argsort(entry.astype(np.int64) * (int(call.max()) + 1) + call, kind="stable")
+    chained = entry[order]
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = chained[1:] != chained[:-1]
+    starts = np.flatnonzero(heads).astype(np.int32)
+    lengths = np.diff(np.append(starts, len(order)))
+    # Chains longest first: the chains still running at step ``j`` are
+    # the first ``active[j]`` rows, and step ``j``'s ops one slice.
+    rank = np.argsort(-lengths, kind="stable")
+    row = np.empty(len(rank), dtype=np.int32)
+    row[rank] = np.arange(len(rank), dtype=np.int32)
+    active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+    offset = np.zeros(len(active) + 1, dtype=np.int32)
+    np.cumsum(active, out=offset[1:])
+    slot = np.arange(len(order), dtype=np.int32) - np.repeat(starts, lengths)
+    slot = offset[slot]
+    slot += np.repeat(row, lengths)
+    op = np.empty(len(order), dtype=np.int32)
+    op[slot] = order
+    del order, slot
+    uniforms, mut = u[op], mutating[op]
+    rows_entry = chained[starts[rank]]
+    q = quota[rows_entry]
+    dry_rows = dry[rows_entry]
+    first_dry = int(dry_rows.argmax()) if dry_rows.any() else len(rank)
+
+    pick = np.empty(len(op), dtype=np.int16)
+    consumed = np.empty(len(op), dtype=bool)
+    emptied = np.zeros(len(op), dtype=bool)
+    flat_q = q.reshape(-1)
+    row_start = np.arange(0, q.size, q.shape[1])
+    last = q.shape[1] - 1
+    bounds = offset.tolist()
+    for j, m in enumerate(active.tolist()):
+        lo, hi = bounds[j], bounds[j + 1]
+        weights = q[:m]
+        weights = np.where(weights > QUOTA_EPS, weights, 0.0)
+        cumulative = np.cumsum(weights, axis=1)
+        below = (uniforms[lo:hi] * cumulative[:, last])[:, None] < cumulative
+        p = below.argmax(axis=1)
+        # ``target < total`` fails only by rounding: take the last
+        # positive bucket, as the loop does.
+        if not below[:, last].all():
+            miss = ~below[:, last]
+            p[miss] = last - (weights[miss] > 0.0)[:, ::-1].argmax(axis=1)
+        at = row_start[:m] + p
+        picked = flat_q[at]
+        ok = picked >= _UNIT
+        ok &= mut[lo:hi]
+        flat_q[at] = picked - ok
+        pick[lo:hi] = p
+        consumed[lo:hi] = ok
+        if first_dry < m:
+            done = ok & dry_rows[:m]
+            done[done] = ~(q[:m][done] > QUOTA_EPS).any(axis=1)
+            emptied[lo:hi] = done
+    back = np.empty_like(op)
+    back[op] = np.arange(len(op), dtype=op.dtype)
+    return pick[back], consumed[back], emptied[back]
+
+
+def _replay_round(
+    first: np.ndarray,
+    pair: np.ndarray,
+    skip: np.ndarray,
+    intra_row: np.ndarray,
+    true_entry: np.ndarray,
+    quota: np.ndarray,
+    stream: _UniformStream,
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One round of the Titan-Next bulk replay; commits a prefix.
+
+    Entries are rows of ``quota``, the last one an empty sentinel.
+    Call ``i`` tries the entry ``first[i]``, then the entries
+    ``intra_row[pair[i]]`` but column ``skip[i]``, and takes the first
+    live one; ``true_entry[i]`` is its true plan key's entry.  Every
+    path is fixed by which entries are live at the round start, and
+    only a right guess's consume and a reveal's consume change quotas,
+    so the ops are replayed per entry: closed form for entries with one
+    live bucket, :func:`_chain_picks` for the rest.  The round breaks at
+    the first call that reads an entry emptied earlier in the round;
+    the calls before it commit their quotas and draws.  Returns
+    ``(committed, chosen, planned, initial_pick, revealed,
+    final_pick)`` over the committed calls.
+    """
+    n, sentinel = len(first), len(quota) - 1
+    positive = quota > QUOTA_EPS
+    live = positive.any(axis=1)
+    multi = positive.sum(axis=1) > 1
+    sole = positive.argmax(axis=1).astype(np.int16)
+    units = _unit_consumes(quota)
+    dry = live & (quota - units <= QUOTA_EPS).all(axis=1)
+    sole_units = units[np.arange(len(quota)), sole]
+
+    planned = live[first]
+    chosen = np.where(planned, first, sentinel)
+    intra_live = live[intra_row]
+    for m in range(intra_row.shape[1]):
+        hit = intra_live[pair, m] & (skip != m) & ~planned
+        chosen[hit] = intra_row[pair[hit], m]
+        planned |= hit
+    right = planned & (chosen == true_entry)
+    reveal = ~right & live[true_entry]
+    draws = planned.astype(np.int8) + reveal
+    ends = np.cumsum(draws, dtype=np.int32)
+    u = stream.peek(int(ends[-1]))
+    ends -= draws
+
+    initial_pick, final_pick = sole[chosen], sole[true_entry]
+    death = np.full(len(quota), n, dtype=np.int64)
+    a_ops = np.flatnonzero(planned & multi[chosen])
+    r_ops = np.flatnonzero(reveal & multi[true_entry])
+    ops_entry = np.concatenate((chosen[a_ops], true_entry[r_ops]))
+    ops_call = np.concatenate((a_ops, r_ops))
+    if len(ops_call):
+        pick, consumed, emptied = _chain_picks(
+            quota,
+            ops_entry,
+            ops_call,
+            u[np.concatenate((ends[a_ops], ends[r_ops] + planned[r_ops]))],
+            np.concatenate((right[a_ops], np.ones(len(r_ops), dtype=bool))),
+            dry,
+        )
+        initial_pick[a_ops] = pick[: len(a_ops)]
+        final_pick[r_ops] = pick[len(a_ops) :]
+        death[ops_entry[emptied]] = ops_call[emptied]
+
+    # A one-bucket entry's k-th consume succeeds while k <= its units,
+    # and a dry one empties at the last of them.
+    def mutations(stop: int) -> np.ndarray:
+        return np.bincount(chosen[:stop][right[:stop]], minlength=len(quota)) + np.bincount(
+            true_entry[:stop][reveal[:stop]], minlength=len(quota)
+        )
+
+    consumes = mutations(n)
+    dying = dry & ~multi & (consumes >= sole_units)
+    if dying.any():
+        at_a = np.flatnonzero(right & dying[chosen])
+        at_r = np.flatnonzero(reveal & dying[true_entry])
+        calls = np.concatenate((at_a, at_r))
+        owner = np.concatenate((chosen[at_a], true_entry[at_r]))
+        order = np.argsort(owner.astype(np.int64) * n + calls, kind="stable")
+        calls, owner = calls[order], owner[order]
+        heads = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
+        nth = np.arange(1, len(owner) + 1) - np.repeat(heads, np.diff(np.append(heads, len(owner))))
+        final = nth == sole_units[owner]
+        death[owner[final]] = calls[final]
+
+    committed = n
+    if (death < n).any():
+        index = np.arange(n)
+        broken = ~right & (death[true_entry] < index)
+        broken |= death[first] < index
+        found = live[first]
+        for m in range(intra_row.shape[1]):
+            rows = np.where(skip != m, intra_row[pair, m], sentinel)
+            broken |= ~found & (death[rows] < index)
+            found |= live[rows]
+        if broken.any():
+            committed = int(broken.argmax())
+
+    # Commit: q - k is exact, so k unit consumes subtract k at once.
+    if committed < n:
+        consumes = mutations(committed)
+    take = np.where(multi, 0.0, np.minimum(consumes, sole_units))
+    quota[np.arange(len(quota)), sole] -= take
+    if len(ops_call):
+        keep = consumed & (ops_call < committed)
+        flat = ops_entry[keep].astype(np.int64) * quota.shape[1] + pick[keep]
+        quota.reshape(-1)[:] -= np.bincount(flat, minlength=quota.size)
+    stream.skip(int(ends[committed - 1] + draws[committed - 1]))
+    return (
+        committed,
+        chosen[:committed],
+        planned[:committed],
+        initial_pick[:committed],
+        reveal[:committed],
+        final_pick[:committed],
+    )
+
+
+def _snapshot_rows(
+    index: QuotaIndex, touched: np.ndarray, dc_of: _DcInterner
+) -> Tuple[List[QuotaEntry], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows for the plan entries among the dense ``slot * key_count +
+    key`` codes marked in ``touched``.
+
+    Returns ``(entries, row_of, quota, bucket_dc, bucket_opt)``: the
+    entries that exist, each code's row (``len(entries)``, an empty
+    sentinel row, where none exists), and per row the quotas and the
+    buckets' DC and option indices, padded with empty buckets.
+    """
+    row_of = np.full(len(touched), -1, dtype=np.int32)
+    entries: List[QuotaEntry] = []
+    for code in np.flatnonzero(touched).tolist():
+        entry = index.entry(*divmod(code, index.key_count))
+        if entry is not None:
+            row_of[code] = len(entries)
+            entries.append(entry)
+    row_of[row_of < 0] = len(entries)
+    shape = (len(entries) + 1, max((len(entry.keys) for entry in entries), default=1))
+    quota = np.zeros(shape)
+    bucket_dc = np.zeros(shape, dtype=np.int64)
+    bucket_opt = np.zeros(shape, dtype=np.int64)
+    for i, entry in enumerate(entries):
+        k = len(entry.keys)
+        quota[i, :k] = entry.quota
+        bucket_dc[i, :k] = [dc_of(dc) for dc, _ in entry.keys]
+        bucket_opt[i, :k] = [_OPTION_INDEX[option] for _, option in entry.keys]
+    return entries, row_of, quota, bucket_dc, bucket_opt
+
+
+def _first_use_order(
+    codes: List[str], fixed: int, initial_dc: np.ndarray, final_dc: np.ndarray
+) -> List[str]:
+    """Renumber DCs past the first ``fixed`` in order of first use.
+
+    ``codes`` interns every DC the plan's touched buckets name; a call
+    by call loop would have interned the plan-only ones as placements
+    first used them, initial before final.  Rewrites the two index
+    arrays in place and returns the DC codes in that order.
+    """
+    if len(codes) == fixed:
+        return codes
+    used = np.stack((initial_dc, final_dc), axis=1).reshape(-1)
+    extra = used[used >= fixed]
+    ids, first = np.unique(extra, return_index=True)
+    ids = ids[np.argsort(first)]
+    mapping = np.arange(len(codes))
+    mapping[ids] = fixed + np.arange(len(ids))
+    if len(ids):
+        initial_dc[:] = mapping[initial_dc]
+        final_dc[:] = mapping[final_dc]
+    return codes[:fixed] + [codes[i] for i in ids.tolist()]
+
+
 class TitanNextController:
     """The §6.4 real-time controller over an offline precomputed plan."""
 
@@ -652,7 +966,6 @@ class TitanNextController:
         scenario: Scenario,
         plan: OfflinePlan,
         seed: int = 53,
-        slots_per_day: int = 48,
         reduce_configs: bool = True,
     ) -> None:
         """``reduce_configs`` selects the planning key: reduced call
@@ -661,7 +974,6 @@ class TitanNextController:
         self.scenario = scenario
         self.plan = plan
         self.rng = np.random.default_rng(seed)
-        self.slots_per_day = slots_per_day
         self.reduce_configs = reduce_configs
         self.stats = ControllerStats()
         #: Most recently used planning config per country ("we pick the
@@ -687,7 +999,7 @@ class TitanNextController:
         return config.reduced() if self.reduce_configs else config
 
     def _plan_slot(self, call: Call) -> int:
-        return call.start_slot % self.slots_per_day
+        return call.start_slot % self.scenario.slots_per_day
 
     def _fallback_for_country(self, country_code: str) -> Tuple[str, str]:
         """Surge handling: nearest DC with capacity, over the WAN (§6.4)."""
@@ -793,20 +1105,41 @@ class TitanNextController:
     def process_table(self, table: CallTable) -> AssignmentBatch:
         """Batch rendition of :meth:`process` over a whole trace table.
 
-        Groups all per-call work around integer-interned state — a
-        :class:`~repro.core.plan.QuotaIndex` snapshot of the plan,
-        interned plan keys, per-country guess/fallback tables — and
-        consumes the controller's uniform stream in the exact order the
-        scalar loop would, so assignments and stats are identical call
-        for call.  The quota snapshot, uniform buffer, and per-country
-        recent-config state persist across calls, so splitting a day
-        into several tables behaves like processing one table; quota
-        accounting runs on the snapshot, so do not interleave with
-        scalar :meth:`process` calls on one controller.
+        An exact bulk replay: the placements, :class:`ControllerStats`
+        and the carried state (quota snapshot, uniform-stream position,
+        per-country recent keys) are those of :meth:`process` run call
+        by call, bit for bit, from the same uniform stream.
+
+        * **Static paths.**  A call's first guess is the true plan key
+          of the previous call from its country (one stable sort by
+          country), so given which (slot, key) entries are live — hold
+          a bucket above ``QUOTA_EPS`` — each call's path is fixed: the
+          first live entry among that guess and the other
+          :data:`GUESS_MEDIA` intra-country keys, else the fallback; a
+          reveal draw iff the guess was wrong and the true entry is
+          live.  Prefix sums of the draw counts place every draw in the
+          uniform stream.
+        * **Per-entry op chains.**  A wrong guess consumes and refunds
+          a unit, which leaves ``q`` bit-identical (``q - 1`` is exact
+          for ``1 - QUOTA_EPS <= q < 2**53``), so only right guesses and
+          reveals change quotas.  An entry with one live bucket picks
+          it whatever the uniform, and after ``k`` consumes holds ``q -
+          min(k, J)``; the others are walked by :func:`_chain_picks`.
+        * **Rounds.**  Entries only ever empty.  A round replays its
+          calls against the round-start liveness and breaks at the
+          first call that reads an entry emptied earlier in the round
+          (:func:`_replay_round`); the calls before it commit and the
+          breaking call opens the next round.  The first round is the
+          whole table; after a break rounds restart small and double
+          while they commit whole, as in
+          :meth:`_CapacityTracker.admit_table`.
+
+        Quota accounting runs on the snapshot, so do not interleave
+        with scalar :meth:`process` calls on one controller.
         """
         n = len(table)
-        opt_index = _OPTION_INDEX
-        dc_of = _DcInterner(self.scenario.dc_codes)
+        scenario = self.scenario
+        dc_of = _DcInterner(scenario.dc_codes)
         initial_dc = np.zeros(n, dtype=np.int64)
         initial_opt = np.zeros(n, dtype=np.int64)
         final_dc = np.zeros(n, dtype=np.int64)
@@ -817,92 +1150,94 @@ class TitanNextController:
         if self._quota_index is None:
             self._quota_index = QuotaIndex(self.plan)
             self._uniform_stream = _UniformStream(self.rng)
-        index = self._quota_index
-        entry_for = index.entry
-        u_next = self._uniform_stream.next
+        index, stream = self._quota_index, self._uniform_stream
         plan_key = np.asarray(
-            [index.key(self._plan_key(c)) for c in table.configs], dtype=np.int64
+            [index.key(self._plan_key(c)) for c in table.configs], dtype=np.int32
         )
-        codes, country_of_call = _table_countries(table)
-        intra_keys = [
-            [index.key(_intra_country_guess(code, media)) for media in GUESS_MEDIA]
-            for code in codes
-        ]
-        fallback = [
-            (dc_of(dc), opt_index[option])
-            for dc, option in (self._fallback_for_country(code) for code in codes)
-        ]
-        recent = [self._recent_key.get(code, -1) for code in codes]
-        slot_of_day = table.start_slot % self.slots_per_day
-        cfg_idx = table.config_idx
-        calls = dc_migrations = option_migrations = unplanned = 0
+        codes, country = _table_countries(table)
+        country = country.astype(np.int32)
+        intra = np.asarray(
+            [[index.key(_intra_country_guess(code, media)) for media in GUESS_MEDIA]
+             for code in codes],
+            dtype=np.int32,
+        ).reshape(len(codes), len(GUESS_MEDIA))
+        fallback = np.asarray(
+            [(dc_of(dc), _OPTION_INDEX[option])
+             for dc, option in map(self._fallback_for_country, codes)],
+            dtype=np.int64,
+        )
+        true_key = plan_key[table.config_idx]
+        guess, last = _previous_keys(
+            true_key,
+            country,
+            np.asarray([self._recent_key.get(code, -1) for code in codes], dtype=np.int32),
+        )
+        for code, key in zip(codes, last.tolist()):
+            if key >= 0:
+                self._recent_key[code] = key
 
-        for i in range(n):
-            slot = int(slot_of_day[i])
-            c = int(country_of_call[i])
-            g0 = recent[c]
-            chosen = None
-            chosen_pos = -1
-            chosen_key = -1
-            consumed = False
-            if g0 >= 0:
-                entry = entry_for(slot, g0)
-                if entry is not None:
-                    pos = entry.sample(u_next)
-                    if pos is not None:
-                        chosen, chosen_pos, chosen_key = entry, pos, g0
-            if chosen is None:
-                for k in intra_keys[c]:
-                    if k == g0:
-                        continue
-                    entry = entry_for(slot, k)
-                    if entry is None:
-                        continue
-                    pos = entry.sample(u_next)
-                    if pos is None:
-                        continue
-                    chosen, chosen_pos, chosen_key = entry, pos, k
-                    break
-            if chosen is None:
-                unplanned += 1
-                ini_d, ini_o = fallback[c]
-            else:
-                consumed = chosen.consume(chosen_pos)
-                dc_s, opt_s = chosen.keys[chosen_pos]
-                ini_d = dc_of(dc_s)
-                ini_o = opt_index[opt_s]
+        # The (slot, key) entries the table can touch, by dense code
+        # ``slot * n_keys + key``, snapshotted into the rows of one quota
+        # matrix whose last row is an empty sentinel for the rest.
+        n_keys, n_codes = index.key_count, len(codes)
+        slot = (table.start_slot % scenario.slots_per_day).astype(np.int32)
+        touched = np.zeros(scenario.slots_per_day * n_keys, dtype=bool)
+        touched[slot * n_keys + true_key] = True
+        touched[(slot * n_keys + guess)[guess >= 0]] = True
+        pair = slot * n_codes + country
+        seen = np.zeros(scenario.slots_per_day * n_codes, dtype=bool)
+        seen[pair] = True
+        pair_slot, pair_country = np.divmod(np.flatnonzero(seen), n_codes)
+        touched[pair_slot[:, None] * n_keys + intra[pair_country]] = True
+        entries, row_of, quota, bucket_dc, bucket_opt = _snapshot_rows(
+            index, touched, dc_of
+        )
 
-            true_k = int(plan_key[cfg_idx[i]])
-            recent[c] = true_k
-            calls += 1
-            fin_d, fin_o = ini_d, ini_o
-            if chosen_key != true_k:
-                if consumed:
-                    chosen.refund(chosen_pos)
-                entry = entry_for(slot, true_k)
-                pos = entry.sample(u_next) if entry is not None else None
-                if pos is not None:
-                    entry.consume(pos)
-                    dc_s, opt_s = entry.keys[pos]
-                    fin_d = dc_of(dc_s)
-                    fin_o = opt_index[opt_s]
-                    if fin_d != ini_d:
-                        dc_migrations += 1
-                    if fin_o != ini_o:
-                        option_migrations += 1
-            initial_dc[i] = ini_d
-            initial_opt[i] = ini_o
-            final_dc[i] = fin_d
-            final_opt[i] = fin_o
+        # Each call's candidates: the row of its first guess, then
+        # those of its (slot, country) pair's intra-country keys, less
+        # the one equal to the guess (``skip``, -1 for none).
+        first = np.where(guess >= 0, row_of[slot * n_keys + guess], len(entries))
+        skip = np.full(n, -1, dtype=np.int8)
+        for m in range(len(GUESS_MEDIA)):
+            skip[intra[country, m] == guess] = m
+        intra_row = row_of[np.arange(scenario.slots_per_day)[:, None, None] * n_keys + intra]
+        intra_row = intra_row.reshape(-1, len(GUESS_MEDIA))
+        true_entry = row_of[slot * n_keys + true_key]
+        del slot, country, guess, true_key
 
-        for c, code in enumerate(codes):
-            if recent[c] >= 0:
-                self._recent_key[code] = recent[c]
-        self.stats.calls += calls
-        self.stats.dc_migrations += dc_migrations
-        self.stats.option_migrations += option_migrations
+        unplanned = 0
+        pos, size = 0, n
+        while pos < n:
+            cut = min(pos + size, n)
+            done, chosen, planned, initial_pick, revealed, final_pick = _replay_round(
+                first[pos:cut], pair[pos:cut], skip[pos:cut], intra_row, true_entry[pos:cut],
+                quota, stream,
+            )
+            rows = slice(pos, pos + done)
+            flat = chosen.astype(np.intp) * quota.shape[1] + initial_pick
+            np.take(bucket_dc, flat, out=initial_dc[rows], mode="clip")
+            np.take(bucket_opt, flat, out=initial_opt[rows], mode="clip")
+            surge = pos + np.flatnonzero(~planned)
+            initial_dc[surge], initial_opt[surge] = fallback[pair[surge] % n_codes].T
+            final_dc[rows] = initial_dc[rows]
+            final_opt[rows] = initial_opt[rows]
+            moved = np.flatnonzero(revealed)
+            flat = true_entry[pos + moved].astype(np.intp) * quota.shape[1] + final_pick[moved]
+            final_dc[pos + moved] = bucket_dc.reshape(-1)[flat]
+            final_opt[pos + moved] = bucket_opt.reshape(-1)[flat]
+            unplanned += done - int(np.count_nonzero(planned))
+            pos, size = (pos + done, _FIRST_ROUND) if pos + done < cut else (cut, 2 * size)
+
+        for entry, row in zip(entries, quota):
+            entry.quota[:] = row[: len(entry.keys)]
+        dc_codes = _first_use_order(
+            dc_of.codes, len(scenario.dc_codes), initial_dc, final_dc
+        )
+        self.stats.calls += n
+        self.stats.dc_migrations += int(np.count_nonzero(initial_dc != final_dc))
+        self.stats.option_migrations += int(np.count_nonzero(initial_opt != final_opt))
         self.stats.unplanned += unplanned
-        return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_of.codes)
+        return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_codes)
 
 
 class FirstJoinerWrr:

@@ -6,14 +6,16 @@ The online controller consumes quotas with weighted-random selection
 ("we then use all the counts for each assignment ... as weights and use
 weighted random to pick the assignment", §6.4).
 
-Two access paths share one sampling primitive (:func:`weighted_pick`):
+Two access paths read the same quotas:
 
-* :class:`OfflinePlan` — the dict-backed scalar reference the per-call
-  controllers consume;
-* :class:`QuotaIndex` — an indexed quota matrix over the same plan
-  ((slot, interned config) → parallel bucket/quota arrays) built for
-  the batch controllers, whose draws consume the identical uniform
-  stream and therefore pick the identical buckets.
+* :class:`OfflinePlan` — the dict-backed scalar reference: per-call
+  :meth:`OfflinePlan.sample` draws with :func:`weighted_pick`, which the
+  scalar controller path and the tests use;
+* :class:`QuotaIndex` — an indexed snapshot of the same plan
+  ((slot, interned config) → bucket/quota arrays) for the batch
+  controller, whose bulk replay reproduces :func:`weighted_pick`'s float
+  arithmetic on the identical uniform stream and therefore picks the
+  identical buckets.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ QUOTA_EPS = 1e-9
 def weighted_pick(weights: Sequence[float], u: float) -> int:
     """Inverse-CDF draw over ``weights`` from one uniform.
 
-    The shared primitive of the scalar and batch plan paths: both feed
-    it the same (weights, uniform) pairs in the same order, so both
-    pick the same bucket.  ``weights`` must be non-empty and positive;
+    The scalar path's primitive; the batch controller reproduces its
+    float arithmetic (running sums in bucket order, ``target = u *
+    total``, the first ``target < cumulative``, else the last bucket)
+    on the same (weights, uniform) pairs, so both pick the same
+    bucket.  ``weights`` must be non-empty and positive;
     the caller filters exhausted buckets first (and skips the uniform
     entirely when none remain, keeping the stream aligned).
     """
@@ -160,38 +164,17 @@ class QuotaEntry:
 
     ``keys[i]`` is the ``(dc, option)`` of bucket ``i`` (sorted, the
     same canonical order :meth:`PlanEntry.weights` uses) and
-    ``quota[i]`` its remaining quota.  Quotas evolve through the same
-    ``-= 1.0`` / ``+= 1.0`` float updates as the dict path, so the
-    filtered cumulative sums — and hence the picks — match bitwise.
+    ``quota[i]`` its remaining quota.  The batch controller leaves
+    ``quota`` where the dict path's ``- 1.0`` steps would (``k`` such
+    steps are exactly ``- k``), so the quotas — and hence the picks —
+    match bitwise.
     """
 
     __slots__ = ("keys", "quota")
 
     def __init__(self, keys: Sequence[Tuple[str, str]], quota: Sequence[float]) -> None:
         self.keys: List[Tuple[str, str]] = list(keys)
-        self.quota: List[float] = [float(q) for q in quota]
-
-    def sample(self, u_next) -> Optional[int]:
-        """Bucket index drawn from remaining quotas, or None if empty.
-
-        ``u_next`` is a zero-argument callable producing the next
-        uniform; it is invoked only when a positive bucket exists —
-        mirroring :meth:`OfflinePlan.sample`'s conditional draw.
-        """
-        positive = [i for i, q in enumerate(self.quota) if q > QUOTA_EPS]
-        if not positive:
-            return None
-        pick = weighted_pick([self.quota[i] for i in positive], u_next())
-        return positive[pick]
-
-    def consume(self, bucket: int, amount: float = 1.0) -> bool:
-        if self.quota[bucket] < amount - QUOTA_EPS:
-            return False
-        self.quota[bucket] -= amount
-        return True
-
-    def refund(self, bucket: int, amount: float = 1.0) -> None:
-        self.quota[bucket] += amount
+        self.quota: np.ndarray = np.asarray(quota, dtype=np.float64)
 
 
 class QuotaIndex:
@@ -211,6 +194,11 @@ class QuotaIndex:
         self._key_index: Dict[CallConfig, int] = {}
         self._key_configs: List[CallConfig] = []
         self._entries: Dict[Tuple[int, int], Optional[QuotaEntry]] = {}
+
+    @property
+    def key_count(self) -> int:
+        """How many planning configs are interned (keys are ``0..key_count-1``)."""
+        return len(self._key_configs)
 
     def key(self, config: CallConfig) -> int:
         """Intern a planning config, returning its integer key."""

@@ -20,11 +20,16 @@ from repro.core.controller import (
     FirstJoinerTitan,
     FirstJoinerWrr,
     TitanNextController,
+    _chain_picks,
 )
 from repro.core.lp import JointAssignmentLp
-from repro.core.plan import OfflinePlan
+from repro.core.plan import QUOTA_EPS, OfflinePlan, weighted_pick
 from repro.core.scenario import Scenario
-from repro.core.titan_next import oracle_demand_for_day, run_prediction_day
+from repro.core.titan_next import (
+    oracle_demand_for_day,
+    predicted_demand_for_day,
+    run_prediction_day,
+)
 from repro.workload.configs import CallConfig
 from repro.workload.traces import CallTable, TraceGenerator
 
@@ -272,6 +277,178 @@ class TestBulkAdmissionEquivalence:
         )
         scalar = _replay_both(scaled, [table], make)
         assert scalar.tracker._extra_internet
+
+
+def _exhausted_entries(plan, slots):
+    """Plan entries with no bucket above ``QUOTA_EPS`` left."""
+    return sum(
+        all(q <= QUOTA_EPS for q in plan.entry(slot, config).buckets.values())
+        for slot in range(slots)
+        for config in plan.configs_for_slot(slot)
+    )
+
+
+def _titan_next_both(scenario, assignment, tables, reduce_configs=True):
+    """Scalar :meth:`process` over every table vs one ``process_table``
+    per table on a twin controller: equal placements and stats after
+    each table, and DC codes that start with the scenario's.  The last
+    table replays against the carried state (quota snapshot, stream
+    position, recent keys).  Returns the scalar controller."""
+    scalar, batched = (
+        TitanNextController(
+            scenario, OfflinePlan.from_assignment(assignment), seed=7,
+            reduce_configs=reduce_configs,
+        )
+        for _ in range(2)
+    )
+    for table in tables:
+        reference = [scalar.process(call) for call in table.to_calls()]
+        batch = batched.process_table(table)
+        assert _placements(batch) == _placements(reference)
+        assert batched.stats == scalar.stats
+        assert batch.dc_codes[: len(scenario.dc_codes)] == tuple(scenario.dc_codes)
+    return scalar
+
+
+@pytest.fixture(scope="module")
+def forecast_assignment(small_setup):
+    predicted = predicted_demand_for_day(small_setup, day=30)
+    result = JointAssignmentLp(small_setup.scenario, predicted).solve()
+    assert result.is_optimal
+    return result.assignment
+
+
+@pytest.fixture(scope="module")
+def scarce_assignment(plan_assignment):
+    """``floor(0.3 x)`` of the oracle plan: integer quotas that run dry."""
+    return {key: float(np.floor(0.3 * count)) for key, count in plan_assignment.items()}
+
+
+@pytest.fixture(scope="module")
+def full_day(small_setup):
+    generator = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5)
+    return generator.table_for_day(30)
+
+
+@pytest.fixture(scope="module")
+def next_window(small_setup, full_day):
+    """Fresh calls over busy slots of the same day, replayed last."""
+    generator = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=9)
+    return generator.table_for_window(30 * 48 + 16, 4, id_offset=len(full_day))
+
+
+def _split(table, parts):
+    cuts = np.linspace(0, len(table), parts + 1).astype(int)
+    return [
+        CallTable(
+            table.configs,
+            table.config_idx[lo:hi],
+            table.start_slot[lo:hi],
+            table.duration_slots[lo:hi],
+            table.first_joiner_idx[lo:hi],
+            id_offset=table.id_offset + lo,
+        )
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+class TestTitanNextBulkEquivalence:
+    """The Titan-Next bulk replay against the scalar loop, including
+    plans whose entries run dry mid-table (round breaks)."""
+
+    def test_forecast_plan_day(self, small_setup, forecast_assignment, full_day, next_window):
+        scalar = _titan_next_both(
+            small_setup.scenario, forecast_assignment, [full_day, next_window]
+        )
+        # Forecast quotas are fractional: no entry can run dry.
+        assert _exhausted_entries(scalar.plan, small_setup.scenario.slots_per_day) == 0
+
+    def test_scarce_plan_runs_dry(self, small_setup, scarce_assignment, full_day, next_window):
+        scalar = _titan_next_both(
+            small_setup.scenario, scarce_assignment, [full_day, next_window]
+        )
+        assert _exhausted_entries(scalar.plan, small_setup.scenario.slots_per_day) > 0
+        assert scalar.stats.unplanned > 0
+
+    def test_scarce_plan_split_in_three(
+        self, small_setup, scarce_assignment, full_day, next_window
+    ):
+        _titan_next_both(
+            small_setup.scenario, scarce_assignment, _split(full_day, 3) + [next_window]
+        )
+
+    @pytest.mark.parametrize("plan", ["forecast_assignment", "scarce_assignment"])
+    def test_permuted_rows(self, small_setup, full_day, next_window, plan, request):
+        table = _permuted(full_day, seed=11)
+        assert (np.diff(table.start_slot) < 0).any()
+        _titan_next_both(
+            small_setup.scenario, request.getfixturevalue(plan), [table, next_window]
+        )
+
+    def test_raw_configs(self, small_setup, scarce_assignment, full_day, next_window):
+        _titan_next_both(
+            small_setup.scenario, scarce_assignment, [full_day, next_window],
+            reduce_configs=False,
+        )
+
+    def test_plan_dc_outside_scenario(self, small_setup, plan_assignment, day_table):
+        """Plan-only DCs are numbered after the scenario's, in order of
+        first use (initial before final), as a call-by-call loop would."""
+        scenario = small_setup.scenario
+        outside = [dc.code for dc in scenario.world.dcs if dc.code not in scenario.dc_codes]
+        moved = {"ireland": outside[0], "uk-south": outside[1]}
+        assignment = dict(plan_assignment)
+        for (slot, config, dc, option), count in plan_assignment.items():
+            if dc in moved:
+                assignment[(slot, config, moved[dc], option)] = count / 2
+            # A bucket too small to pick: its DC is never used.
+            assignment[(slot, config, outside[2], option)] = QUOTA_EPS / 2
+        scalar = TitanNextController(scenario, OfflinePlan.from_assignment(assignment), seed=7)
+        reference = [scalar.process(call) for call in day_table.to_calls()]
+        _titan_next_both(scenario, assignment, [day_table])
+        batched = TitanNextController(scenario, OfflinePlan.from_assignment(assignment), seed=7)
+        first_use = []
+        for a in reference:
+            for dc in (a.initial_dc, a.final_dc):
+                if dc not in scenario.dc_codes and dc not in first_use:
+                    first_use.append(dc)
+        assert sorted(first_use) == sorted(outside[:2])
+        assert batched.process_table(day_table).dc_codes == tuple(scenario.dc_codes) + tuple(
+            first_use
+        )
+
+    def test_chain_picks_reproduce_weighted_pick(self):
+        """The lockstep walk against :func:`weighted_pick` and the
+        scalar consume, op by op, on quotas that run dry, hold
+        sub-unit remainders or sit at ``QUOTA_EPS``; ``u = 1.0`` takes
+        the no-``target < cumulative`` branch (last positive bucket)."""
+        rng = np.random.default_rng(3)
+        quota = rng.choice([0.0, QUOTA_EPS, 0.4, 1.0, 2.0, 3.7, 5.0], size=(6, 4))
+        quota[:, 0] += 1.0  # every entry starts live
+        n = 400
+        entry = rng.integers(0, 5, n).astype(np.int32)  # row 5 stays untouched
+        call = np.arange(n)
+        u = rng.random(n)
+        u[::37] = 1.0
+        u[::41] = 0.0
+        mutating = rng.random(n) < 0.8
+        dry = np.ones(len(quota), dtype=bool)
+        pick, consumed, emptied = _chain_picks(quota, entry, call, u, mutating, dry)
+
+        rows = [list(row) for row in quota]
+        for i in range(n):
+            row = rows[entry[i]]
+            positive = [b for b, q in enumerate(row) if q > QUOTA_EPS]
+            if not positive:
+                continue  # an emptied entry: the round breaks before this op
+            expected = positive[weighted_pick([row[b] for b in positive], float(u[i]))]
+            assert pick[i] == expected
+            took = bool(mutating[i]) and row[expected] >= 1.0 - QUOTA_EPS
+            assert consumed[i] == took
+            if took:
+                row[expected] -= 1.0
+            assert emptied[i] == (took and all(q <= QUOTA_EPS for q in row))
+        assert emptied.any()
 
 
 class TestAssignmentBatch:

@@ -21,7 +21,7 @@ from repro.core.titan_next import (
 from repro.net.latency import INTERNET, WAN
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, VIDEO
-from repro.workload.traces import Call, TraceGenerator
+from repro.workload.traces import Call, CallTable, TraceGenerator
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,40 @@ class TestControllerStatsRates:
         assert stats.unplanned_rate == 0.0
 
 
+def _one_row(controller, call):
+    """``call`` replayed as a one-row table through ``process_table``."""
+    config = call.config
+    table = CallTable(
+        [config],
+        [0],
+        [call.start_slot],
+        [call.duration_slots],
+        [config.countries.index(call.first_joiner_country)],
+        id_offset=call.call_id,
+    )
+    batch = controller.process_table(table)
+    assert len(batch) == 1
+    return batch[0]
+
+
+#: Each controller test runs through the scalar path and the batch path.
+REPLAY = pytest.mark.parametrize(
+    "replay",
+    [lambda controller, call: controller.process(call), _one_row],
+    ids=["process", "process_table"],
+)
+
+
+def _remaining(controller, slot, config, dc, option):
+    """A bucket's remaining quota: the batch path's snapshot once it
+    exists, else the plan the scalar path consumes."""
+    index = controller._quota_index
+    if index is None:
+        return controller.plan.peek(slot, config, dc, option)
+    entry = index.entry(slot, index.key(config))
+    return float(entry.quota[entry.keys.index((dc, option))])
+
+
 class TestTitanNextController:
     def test_processes_calls_and_counts(self, small_setup, plan):
         controller = TitanNextController(small_setup.scenario, OfflinePlan.from_assignment(plan))
@@ -150,16 +184,18 @@ class TestTitanNextController:
             controller.process(call)
         assert 0.0 <= controller.stats.dc_migration_rate < 0.5
 
-    def test_fallback_on_empty_plan(self, small_setup):
+    @REPLAY
+    def test_fallback_on_empty_plan(self, small_setup, replay):
         controller = TitanNextController(small_setup.scenario, OfflinePlan())
         config = CallConfig.from_counts({"FR": 2}, VIDEO)
         call = Call(0, config, 10, 1, "FR")
-        assignment = controller.process(call)
+        assignment = replay(controller, call)
         # Surge handling: nearest DC over the WAN.
         assert assignment.initial_option == WAN
         assert controller.stats.unplanned == 1
 
-    def test_no_migration_when_plan_matches(self, small_setup):
+    @REPLAY
+    def test_no_migration_when_plan_matches(self, small_setup, replay):
         config = CallConfig.from_counts({"FR": 2}, VIDEO)
         reduced = config.reduced()
         plan = OfflinePlan.from_assignment(
@@ -169,10 +205,11 @@ class TestTitanNextController:
         )
         controller = TitanNextController(small_setup.scenario, plan)
         call = Call(0, config, 10, 1, "FR")
-        assignment = controller.process(call)
+        assignment = replay(controller, call)
         assert not assignment.dc_migrated
 
-    def test_fractional_bucket_not_refunded_into_existence(self, small_setup):
+    @REPLAY
+    def test_fractional_bucket_not_refunded_into_existence(self, small_setup, replay):
         """A sampled-but-fractional bucket consumes nothing, so a wrong
         guess must not refund a full unit into it (that would mint plan
         quota from nothing on every mismatch)."""
@@ -187,12 +224,15 @@ class TestTitanNextController:
         controller = TitanNextController(small_setup.scenario, plan)
         # Guess is video (0.4 quota: sampled, but less than one unit);
         # the true config is audio, so reconciliation follows audio's plan.
-        assignment = controller.process(Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR"))
+        call = Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR")
+        assignment = replay(controller, call)
         assert assignment.initial_dc == "ireland"
         assert assignment.final_dc == "france-central"
-        assert plan.peek(10, video_reduced, "ireland", WAN) == pytest.approx(0.4)
+        assert _remaining(controller, 10, video_reduced, "ireland", WAN) == pytest.approx(0.4)
+        assert _remaining(controller, 10, audio_reduced, "france-central", WAN) == 99.0
 
-    def test_migration_when_plan_differs(self, small_setup):
+    @REPLAY
+    def test_migration_when_plan_differs(self, small_setup, replay):
         video_reduced = CallConfig.from_counts({"FR": 1}, VIDEO)
         audio_reduced = CallConfig.from_counts({"FR": 1}, AUDIO)
         plan = OfflinePlan.from_assignment(
@@ -204,7 +244,7 @@ class TestTitanNextController:
         controller = TitanNextController(small_setup.scenario, plan)
         # First joiner from FR; recent media defaults to video -> ireland.
         call = Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR")
-        assignment = controller.process(call)
+        assignment = replay(controller, call)
         # True config is audio -> planned at france-central: migration.
         assert assignment.initial_dc == "ireland"
         assert assignment.final_dc == "france-central"
