@@ -7,8 +7,8 @@ at least 5x faster than the per-config scalar reference, and the
 end-to-end ``run_prediction_day`` at least 3x faster than the same day
 driven by the scalar forecaster — while producing the same tables,
 plans, and realized assignment statistics.  ``run_prediction_sweep``
-(one cached LP structure, RHS refresh + warm-started HiGHS per day)
-must match freshly built per-day LPs exactly.
+(one cached LP structure loaded in HiGHS, RHS refresh + a solve from
+the slack basis per day) must match freshly built per-day LPs exactly.
 """
 
 import time
@@ -115,8 +115,8 @@ def test_prediction_sweep_matches_fresh_per_day_plans(default_setup):
         fresh = run_prediction_day(setup, day, policies=("titan-next",))["titan-next"]
         per_day_planning += time.perf_counter() - start
         cached = sweep[day]
-        # Identical plans: the warm-started cached LP must reproduce the
-        # fresh optimum, so the controller realizes the same stream.
+        # Identical plans: the cached LP must reproduce the fresh
+        # optimum, so the controller realizes the same stream.
         assert cached.stats == fresh.stats
         assert [
             (a.call.call_id, a.final_dc, a.final_option) for a in cached.assignments

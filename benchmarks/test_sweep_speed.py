@@ -4,8 +4,9 @@ The ISSUE-5 tentpole: on a high-volume multi-day §8 window, fanning the
 per-day forecast and replay phases over 4 process workers must cut
 wall-clock by at least 2x versus the serial loop (``workers=1``, the
 pinned reference path) — while reproducing the serial results exactly.
-Only the hot-started ``PlanCache`` solve loop stays serial, so the
-window is sized so per-day replay dominates planning (Amdahl).
+Only the ``PlanCache`` solve loop (one loaded HiGHS model, each day
+solved from the slack basis) stays serial, so the window is sized so
+per-day replay dominates planning (Amdahl).
 
 The ISSUE-8 tentpole attacks the fan-out's *memory channel*: at
 millions of calls per day the process backend spends its time pickling

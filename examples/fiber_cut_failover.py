@@ -16,7 +16,7 @@ Two production anecdotes, simulated:
 * **A full campaign day**: the same fiber cut as a
   :class:`~repro.core.stress.StressTimeline` event, replayed end to end
   with intraday replanning at the §6.3 cadence — the planner detects
-  the cut at onset, refreshes the hot LP's capacity RHS, and splices a
+  the cut at onset, refreshes the cached LP's capacity RHS, and splices a
   new plan for the remaining slots.
 
 Run:

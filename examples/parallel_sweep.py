@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Parallel sweep: a multi-day §8 window fanned across workers.
 
-Plans a week of Titan-Next days through one hot-started LP (the serial
-phase), then replays and scores every (day, policy) pair on a process
-pool — and verifies the fan-out reproduced the serial loop exactly,
-which the counter-based Philox randomness guarantees by construction.
+Plans a week of Titan-Next days through one cached LP (the serial
+phase: one loaded HiGHS model, each day solved from the slack basis),
+then replays and scores every (day, policy) pair on a process pool —
+and verifies the fan-out reproduced the serial loop exactly, which the
+counter-based Philox randomness guarantees by construction.
 
 Also demonstrates the shared-memory variant (``shared_memory=True``):
 workers map the setup's dense arrays zero-copy out of one shm segment

@@ -93,15 +93,17 @@ class JointLpOptions:
     #: column gets a pseudo-random cost in [0, tie_break_epsilon) keyed
     #: on its identity, so exactly-tied columns (equal latencies, e.g.
     #: symmetric DCs or audio/video twins) no longer span a degenerate
-    #: optimal face.  A unique optimum is what lets a warm-started
-    #: cached plan (``PlanCache``) reproduce a freshly built LP's plan
-    #: bit-for-bit.  Keyed on content, not column index, so it is
-    #: identical across cached and per-day structures.  Sized well
-    #: below the locality term at typical inter-DC latency gaps (1 ms
-    #: of locality outweighs the whole tie-break range) so it decides
-    #: ties and sub-millisecond near-ties only — larger values scatter
-    #: configs to hash-preferred DCs and inflate migrations — while
-    #: staying above the solver's 1e-7 dual tolerance, below which the
+    #: optimal face.  A unique optimum is what lets a cached plan
+    #: (``PlanCache``: a persistent model over the window's config
+    #: union, solved without presolve) reproduce a freshly built LP's
+    #: plan to the solver's tolerance.  Keyed on content, not column
+    #: index, so it is identical across cached and per-day structures.
+    #: Sized well below the locality term at typical inter-DC latency
+    #: gaps (1 ms of locality outweighs the whole tie-break range) so it
+    #: decides ties and sub-millisecond near-ties only — larger values
+    #: scatter configs to hash-preferred DCs and inflate migrations —
+    #: while staying above the solver's dual tolerances (1e-7 for
+    #: one-shot solves, 1e-9 for cached ones), below which the
     #: perturbation would be ignored and the optimum non-unique again.
     tie_break_epsilon: float = 1e-6
 
@@ -124,6 +126,8 @@ class JointLpResult:
     objective: Optional[float]
     assignment: AssignmentTable
     link_peaks: Dict[int, float] = field(default_factory=dict)
+    #: Simplex iterations HiGHS spent on the solve.
+    iterations: int = 0
 
     @property
     def is_optimal(self) -> bool:
@@ -131,6 +135,33 @@ class JointLpResult:
 
     def sum_of_peaks(self) -> float:
         return sum(self.link_peaks.values())
+
+
+class PlanningError(RuntimeError):
+    """A planning LP that did not solve to optimality.
+
+    ``status`` is the solver's status word (``"infeasible"``,
+    ``"unbounded"`` or ``"error"``), also kept in the message.  ``day``
+    and ``slot`` name the planning day and timeslot that failed; either
+    is ``None`` when the LP is not confined to one (a day's plan spans
+    every slot, and a policy's LP does not know its day).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        status: str,
+        day: Optional[int] = None,
+        slot: Optional[int] = None,
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.day = day
+        self.slot = slot
+
+    def __reduce__(self):
+        # Raised inside pool workers too; keep the fields across pickle.
+        return type(self), (self.args[0], self.status, self.day, self.slot)
 
 
 @dataclass
@@ -689,7 +720,12 @@ class JointAssignmentLp:
 def extract_result(solution: Solution, artifacts: LpArtifacts) -> JointLpResult:
     """Index-based extraction of a solved plan (no name round-trips)."""
     if not solution.is_optimal:
-        return JointLpResult(status=solution.status, objective=None, assignment={})
+        return JointLpResult(
+            status=solution.status,
+            objective=None,
+            assignment={},
+            iterations=solution.iterations,
+        )
     x = solution.x
     values = x[: artifacts.n_cols]
     assignment: AssignmentTable = {}
@@ -703,4 +739,5 @@ def extract_result(solution: Solution, artifacts: LpArtifacts) -> JointLpResult:
         objective=solution.objective,
         assignment=assignment,
         link_peaks=link_peaks,
+        iterations=solution.iterations,
     )

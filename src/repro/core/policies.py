@@ -22,7 +22,7 @@ import numpy as np
 
 from ..net.latency import INTERNET, WAN
 from ..workload.configs import CallConfig
-from .lp import AssignmentTable, JointAssignmentLp, JointLpOptions
+from .lp import AssignmentTable, JointAssignmentLp, JointLpOptions, PlanningError
 from .scenario import Scenario
 
 DemandTable = Mapping[Tuple[int, CallConfig], float]
@@ -129,7 +129,9 @@ class LocalityFirstPolicy:
             lp = JointAssignmentLp(self.scenario, slot_demand, options)
             result = lp.solve()
             if not result.is_optimal:
-                raise RuntimeError(f"LF LP failed at slot {t}: {result.status}")
+                raise PlanningError(
+                    f"LF LP failed at slot {t}: {result.status}", status=result.status, slot=t
+                )
             assignment.update(result.assignment)
         return assignment
 
@@ -147,5 +149,5 @@ class TitanNextPolicy:
         lp = JointAssignmentLp(self.scenario, demand, self.options)
         result = lp.solve()
         if not result.is_optimal:
-            raise RuntimeError(f"Titan-Next LP failed: {result.status}")
+            raise PlanningError(f"Titan-Next LP failed: {result.status}", status=result.status)
         return result.assignment

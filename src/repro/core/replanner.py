@@ -18,9 +18,10 @@ Two solve paths share the splice-and-record loop:
   :class:`~repro.core.lp.JointAssignmentLp` per round off the live
   capacity book — correct for arbitrary mid-day book mutations, but it
   pays full model assembly every 30 minutes;
-* the **cached path** (``configs=`` given) keeps one hot
-  :class:`~repro.core.titan_next.PlanCache` across rounds: each replan
-  is a C1/C4 RHS refresh + basis hot-start, and capacity changes reach
+* the **cached path** (``configs=`` given) keeps one
+  :class:`~repro.core.titan_next.PlanCache` across rounds, its model
+  loaded in a persistent HiGHS session: each replan is a C1/C4 RHS
+  refresh + a solve from the slack basis, and capacity changes reach
   the solver through :meth:`PlanCache.refresh_capacity_rhs` (outages
   and cuts are RHS-only edits too).  This is what makes intraday
   replanning affordable inside a stress campaign sweeping many days.
@@ -78,17 +79,16 @@ class RollingPlanner:
         if configs is not None:
             from .titan_next import PlanCache
 
-            # One hot LP structure for every round of the day: a replan
-            # pins past slots' C1 rows to zero demand and re-solves from
-            # the previous round's basis.  Demand keys outside the
-            # given config set are a structural error (KeyError), same
-            # as PlanCache's multi-day contract.
+            # One loaded LP structure for every round of the day: a
+            # replan pins past slots' C1 rows to zero demand and
+            # re-solves.  Demand keys outside the given config set are
+            # a structural error (KeyError), same as PlanCache's
+            # multi-day contract.
             self.plan_cache = PlanCache(
                 scenario,
                 sorted(set(configs), key=str),
                 slots=range(slots_per_day),
                 options=self.options,
-                reuse_basis=True,
             )
 
     def _remaining_demand(

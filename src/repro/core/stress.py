@@ -16,7 +16,7 @@ This module turns those anecdotes into reproducible scenario campaigns:
   bit-identical to the unstressed day;
 * capacity events become right-hand-side factors on the planning LP's
   C2 (compute) and C3 (Internet capacity) rows — refreshed in place on
-  the hot :class:`~repro.core.titan_next.PlanCache` — and are folded
+  the loaded :class:`~repro.core.titan_next.PlanCache` — and are folded
   into the live :class:`~repro.core.capacity.InternetCapacityBook`
   (Titan's reaction: degraded probes pull cleared capacity, §4.2(5));
 * :func:`run_campaign_day` replays the whole day through the batch
@@ -430,7 +430,7 @@ def run_campaign_day(
 
     The loop is the paper's operation: every ``cadence`` slots the
     planner re-estimates demand (expected rates × the multipliers of
-    events *visible* at the round), refreshes the hot LP's capacity
+    events *visible* at the round), refreshes the cached LP's capacity
     RHS for the events' schedules, folds the current capacity state
     into the live book, and re-solves for the remaining slots — keeping
     the stale plan when the round is infeasible.  The realized

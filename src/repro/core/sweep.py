@@ -1,10 +1,11 @@
 """Parallel sweep engine: fan §7/§8 day work across workers.
 
-A multi-day evaluation sweep has exactly one inherently sequential
-piece: the planning loop.  ``PlanCache(reuse_basis=True)`` keeps one
-HiGHS model hot and hot-starts each day's solve from the previous day's
-optimal basis, so day ``d+1``'s solve depends on day ``d`` having run.
-Everything else — Holt-Winters forecasting, trace synthesis, controller
+A multi-day evaluation sweep plans every day through one
+:class:`~repro.core.titan_next.PlanCache`: one HiGHS model, built once
+over the window's config union and kept loaded.  Each day refreshes its
+right-hand side and solves from the slack basis, so no basis carries
+from day to day and a day's plan depends only on its own demand.  The
+rest of the day — Holt-Winters forecasting, trace synthesis, controller
 replay, and §7.1 scoring — is a pure function of ``(setup, day, seed)``
 because every random draw in the pipeline is counter-based Philox keyed
 on ``(seed, config, slot)``: no generator state crosses day boundaries,
@@ -16,7 +17,9 @@ serial loop byte for byte.
 1. **parallel forecast phase** — per-day predicted demand tables fanned
    over the pool;
 2. **serial planning phase** — the shared :class:`PlanCache` loop in
-   the parent process (basis hot-start is the whole point of it);
+   the parent process (one loaded model serves every day; the plans
+   would be the same in any order, so fanning this phase out is
+   possible but not done);
 3. **parallel replay phase** — per-day trace synthesis +
    ``process_table`` controller replay + (optionally)
    ``evaluate_batch`` scoring fanned over the pool.
@@ -78,7 +81,8 @@ replaces both pickle channels with their scale-proof counterparts:
   plan and replay a long window chunk by chunk over one pool and one
   full-window planning structure, so a 52-week sweep holds O(chunk)
   day results in memory while reproducing the monolithic run byte for
-  byte (one hot-start chain, in day order, across chunks).
+  byte (one planning structure over the full window, whatever the
+  chunk).
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ import numpy as np
 from ..workload.configs import CallConfig
 from ..workload.demand import SLOTS_PER_DAY
 from ..workload.traces import TraceGenerator
-from .lp import AssignmentTable, JointLpOptions
+from .lp import AssignmentTable, JointLpOptions, PlanningError
 from .scenario import EVAL_OPTION_ORDER
 from .shm import ShmArena, ShmPayload, map_payload
 
@@ -1050,16 +1054,15 @@ class SweepRunner:
     ) -> Tuple["PlanCache", Callable[[int], float]]:
         """Build the planning loop's cache for a set of day tables.
 
-        Returns one hot-started :class:`~repro.core.titan_next.PlanCache`
-        over the union of the days' configs, plus the per-day E2E bound
-        resolver.
+        Returns one :class:`~repro.core.titan_next.PlanCache` over the
+        union of the days' configs, plus the per-day E2E bound resolver.
         """
         from .titan_next import PlanCache, day_e2e_bound_ms
 
         configs = sorted({c for table in demands.values() for _, c in table}, key=str)
         if not configs:
             raise ValueError("no predicted demand across the requested days")
-        cache = PlanCache(self.setup.scenario, configs, options=lp_options, reuse_basis=True)
+        cache = PlanCache(self.setup.scenario, configs, options=lp_options)
 
         def bound_for(day: int) -> float:
             return lp_options.e2e_bound_ms if lp_options is not None else day_e2e_bound_ms(day)
@@ -1077,7 +1080,11 @@ class SweepRunner:
         """One day's plan through the window's already-built cache."""
         solved = cache.solve_day(demand, e2e_bound_ms=bound_for(day))
         if not solved.is_optimal:
-            raise RuntimeError(f"Titan-Next {label} LP failed for day {day}: {solved.status}")
+            raise PlanningError(
+                f"Titan-Next {label} LP failed for day {day}: {solved.status}",
+                status=solved.status,
+                day=day,
+            )
         return solved.assignment
 
     def replay_days(
@@ -1167,13 +1174,13 @@ class SweepRunner:
         monolithic window for every chunk size.  That holds because
         chunking never splits the planning *structure* — forecasts for
         the whole window are computed up front (demand tables are
-        small), one plan cache is built over the full-window config
-        union, and the day loop walks it in day order across chunk
-        boundaries — so the hot-start chain, and therefore every plan,
-        is the monolithic one.  Only plan-solving, replay fan-out, and
-        result materialization proceed O(chunk) at a time: a 52-week
-        sweep holds one chunk of day results (plus the window's
-        forecast tables) instead of every ``CallTable`` in the window.
+        small) and one plan cache is built over the full-window config
+        union — and each day's solve starts from the slack basis, so
+        every plan is the monolithic one.  Only plan-solving, replay
+        fan-out, and result materialization proceed O(chunk) at a time:
+        a 52-week sweep holds one chunk of day results (plus the
+        window's forecast tables) instead of every ``CallTable`` in the
+        window.
         Chunks of 1 degrade to inline replay, so keep
         ``chunk_days >= workers`` when fan-out matters.
         """
@@ -1264,9 +1271,9 @@ class SweepRunner:
         assignment and all ``evaluate_batch`` scoring fan out per day.
         Identical to a :func:`~repro.core.titan_next.run_oracle_day`
         loop for any worker count and any ``chunk_days``: chunking only
-        bounds how many days are planned and in flight at once — the
-        cached-LP hot-start chain still walks the full window's one
-        cache in day order.
+        bounds how many days are planned and in flight at once — every
+        day is still solved through the full window's one cache, from
+        the slack basis.
         """
         from .titan_next import oracle_demand_for_day
 

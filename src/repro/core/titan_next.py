@@ -41,7 +41,14 @@ from .controller import (
     TitanNextController,
 )
 from .forecast import HoltWinters, forecast_day
-from .lp import AssignmentTable, JointAssignmentLp, JointLpOptions, JointLpResult, extract_result
+from .lp import (
+    AssignmentTable,
+    JointAssignmentLp,
+    JointLpOptions,
+    JointLpResult,
+    PlanningError,
+    extract_result,
+)
 from .plan import OfflinePlan
 from .policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy
 from .scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
@@ -250,9 +257,13 @@ class PlanCache:
     universe, the scenario, and the slot grid — day to day, only the C1
     demand counts and the C4 bound change, and both live purely in the
     right-hand side.  The cache builds the column structure and the
-    assembled HiGHS matrices once, then re-solves each day after an
-    O(rows) RHS refresh — which is what makes week-long oracle sweeps
-    (Fig 14/18) and forecast sweeps affordable at production scale.
+    assembled HiGHS matrices once and loads them into one persistent
+    HiGHS model, then re-solves each day after an O(rows) RHS refresh —
+    which is what makes week-long oracle sweeps (Fig 14/18) and
+    forecast sweeps affordable at production scale.  Every solve starts
+    from the slack basis (no basis is carried from the previous day),
+    so a day's plan depends only on the right-hand sides it is solved
+    with, not on which days the cache solved before it.
 
     Days whose demand covers only a subset of the cached configs are
     fine: C1 pins the missing columns to zero.  ``single_dc_per_config``
@@ -262,9 +273,9 @@ class PlanCache:
     session, and a solve is a mutate-RHS-then-run critical section, so
     :meth:`solve_day` serializes callers behind an internal lock:
     concurrent calls are safe (each sees a consistent RHS and its own
-    result — RHS uniquely determines the optimum through the tie-break
-    perturbation) but never parallel.  Independent planning horizons
-    need *separate* caches.
+    result — a solve starts from the slack basis, so the interleaving
+    cannot change any day's plan) but never parallel.  Independent
+    planning horizons need *separate* caches.
     """
 
     def __init__(
@@ -273,7 +284,6 @@ class PlanCache:
         configs: Sequence[CallConfig],
         slots: Optional[Sequence[int]] = None,
         options: Optional[JointLpOptions] = None,
-        reuse_basis: bool = False,
     ) -> None:
         self.options = options if options is not None else JointLpOptions()
         if self.options.objective != "sum_of_peaks":
@@ -288,10 +298,9 @@ class PlanCache:
         self._group_index = {key: g for g, key in enumerate(self._artifacts.groups)}
         from ..solver.scipy_backend import PreparedHighs
 
-        # reuse_basis keeps the model hot inside a persistent HiGHS
-        # instance: each solve_day hot-starts from the previous day's
-        # optimal basis instead of re-solving from scratch.
-        self._prepared = PreparedHighs(self._lp, reuse_basis=reuse_basis)
+        # The model stays loaded in one HiGHS instance; each solve_day
+        # sends only the changed row bounds and solves from scratch.
+        self._prepared = PreparedHighs(self._lp, persistent=True)
         self._lock = threading.RLock()
         self.solves = 0
         # Build-time capacity RHS, the baseline refresh_capacity_rhs
@@ -349,8 +358,8 @@ class PlanCache:
         refresh — the installed values persist across solves until the
         next call.  The persistent HiGHS session picks the new bounds up
         on its next solve (row bounds are diffed from the live blocks),
-        keeping the basis hot: an outage or a cut is an RHS-only edit,
-        structurally identical to a demand change.
+        keeping the model loaded: an outage or a cut is an RHS-only
+        edit, structurally identical to a demand change.
 
         Factors can only shrink what the built structure can express:
         pairs with zero build-time Internet capacity have no Internet
@@ -490,7 +499,11 @@ def run_oracle_day(
                 )
             solved = plan_cache.solve_day(demand, e2e_bound_ms=lp_options.e2e_bound_ms)
             if not solved.is_optimal:
-                raise RuntimeError(f"Titan-Next cached LP failed: {solved.status}")
+                raise PlanningError(
+                    f"Titan-Next cached LP failed for day {day}: {solved.status}",
+                    status=solved.status,
+                    day=day,
+                )
             assignment = solved.assignment
         else:
             policy = registry[name]()
@@ -670,7 +683,11 @@ def run_prediction_day(
             lp = JointAssignmentLp(setup.scenario, predicted, lp_options)
             solved = lp.solve()
             if not solved.is_optimal:
-                raise RuntimeError(f"Titan-Next planning LP failed: {solved.status}")
+                raise PlanningError(
+                    f"Titan-Next planning LP failed for day {day}: {solved.status}",
+                    status=solved.status,
+                    day=day,
+                )
             plan_assignment = solved.assignment
         results[name] = _prediction_day_result(
             setup, name, trace, seed, reduced, plan_assignment=plan_assignment
@@ -697,10 +714,10 @@ def run_prediction_sweep(
     :func:`run_prediction_day` (same forecasts, same plan optimum, same
     controller stream), but the planning cost is amortized: the
     forecast LP structure is built once over the union of predicted
-    configs, each day only refreshes the C1/C4 right-hand side, and the
-    solver hot-starts from the previous day's optimal basis
-    (``PlanCache(reuse_basis=True)``).  When ``lp_options`` is omitted
-    each day gets the §7.5 weekday/weekend E2E bound.
+    configs and kept loaded in one persistent HiGHS model
+    (:class:`PlanCache`); each day only refreshes the C1/C4 right-hand
+    side and solves from the slack basis.  When ``lp_options`` is
+    omitted each day gets the §7.5 weekday/weekend E2E bound.
 
     ``workers`` fans the per-day forecast and replay phases over a
     :class:`~repro.core.sweep.SweepRunner` pool; the output is
@@ -746,7 +763,7 @@ def run_prediction_window(
 
     ``{day: {policy: PredictionDayResult}}``, each entry identical to
     :func:`run_prediction_day` for that day — but Titan-Next planning
-    is amortized through one hot-started :class:`PlanCache` and the
+    is amortized through one persistent-model :class:`PlanCache` and the
     per-day work fans out across ``workers``.  ``evaluate=True`` also
     scores each result in-pool (``PredictionDayResult.evaluation``).
     ``shared_memory`` / ``chunk_days`` / ``return_tables`` select the

@@ -211,7 +211,7 @@ def run_fig15(
 
     ``days > 1`` extends the experiment over a window starting at
     ``day`` (per-day rows plus window-mean savings), planned through
-    one hot-started plan cache and replayed/scored across ``workers``.
+    one plan cache and replayed/scored across ``workers``.
     ``scenario`` swaps in a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)

@@ -6,9 +6,9 @@ arrays in place, solve, and rely on the next day overwriting them.
 PR 6 fixed the failure mode this rule pins: a solve that *raises*
 between the mutation and the overwrite leaves the cache (and the
 persistent solver session's sent-bounds bookkeeping) describing a day
-it never solved, corrupting every later hot-started solve.  The
-sanctioned shape is mutate, then solve inside ``try`` with the restore
-in the handler/``finally`` (see
+it never solved, corrupting every later solve.  The sanctioned shape
+is mutate, then solve inside ``try`` with the restore in the
+handler/``finally`` (see
 :meth:`repro.core.titan_next.PlanCache.solve_day`).
 
 The rule flags a function that stores into an ``rhs``-named target

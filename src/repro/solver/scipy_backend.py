@@ -11,17 +11,22 @@ while the right-hand sides are re-read from the program on every
 :meth:`PreparedHighs.solve`.  Multi-day planners mutate block ``rhs``
 arrays in place and re-solve without re-paying assembly.
 
-With ``reuse_basis=True`` the prepared program is additionally kept hot
-inside a persistent HiGHS instance (SciPy's vendored ``highspy``
+With ``persistent=True`` the prepared program is additionally loaded
+once into a persistent HiGHS instance (SciPy's vendored ``highspy``
 bindings): RHS refreshes become in-place row-bound updates on the live
-model, and each re-solve hot-starts the dual simplex from the previous
-optimal basis instead of solving from scratch — the warm-start path the
-multi-day plan caches use.  When the bindings are unavailable the flag
-degrades gracefully to the plain ``linprog`` path.
+model, and each solve clears the previous solve's basis and runs the
+dual simplex from the slack basis with presolve off.  No basis crosses
+solves, so a solve's result depends only on the program's current
+right-hand sides, never on which solves came before it.  This is the
+path the multi-day plan caches use.  When the bindings are unavailable
+the flag degrades to the plain ``linprog`` path; when the session
+raises, it degrades the same way for good and says so in a
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,6 +34,16 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .model import EQ, GE, LE, ConstraintBlock, LinearProgram, Solution
+
+
+#: HiGHS options a persistent session sets once, when it opens.  Every
+#: solve starts from the slack basis, where presolve costs more than it
+#: saves (on the global top-200 cached LP it takes 1.2 s to strip only
+#: the zero-demand groups' columns).  Without presolve, HiGHS's default
+#: 1e-7 feasibility tolerances can stop the dual simplex on a vertex
+#: next to the presolved one; 1e-9 lands on the presolved vertex.
+SESSION_PRESOLVE = "off"
+SESSION_FEASIBILITY_TOLERANCE = 1e-9
 
 
 def _highs_core():
@@ -43,12 +58,12 @@ def _highs_core():
 class PreparedHighs:
     """A :class:`LinearProgram` assembled for repeated HiGHS solves."""
 
-    def __init__(self, lp: LinearProgram, reuse_basis: bool = False) -> None:
+    def __init__(self, lp: LinearProgram, persistent: bool = False) -> None:
         self.lp = lp
         #: Solve through a persistent HiGHS instance that keeps the
-        #: previous optimal basis (falls back to linprog when the
+        #: loaded model between solves (falls back to linprog when the
         #: bindings are missing).
-        self.reuse_basis = reuse_basis
+        self.persistent = persistent
         self._session = None
         n = lp.num_variables
         self.c = lp.objective_vector()
@@ -139,7 +154,7 @@ class PreparedHighs:
                 target[offset] = sign * source.rhs
         return b_ub, b_eq
 
-    # -- persistent (warm-started) solving ---------------------------------
+    # -- persistent-model solving ------------------------------------------
 
     def _row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(row_lower, row_upper) for the stacked [A_ub; A_eq] rows."""
@@ -179,17 +194,27 @@ class PreparedHighs:
             a.value_ = matrix.data.astype(np.float64)
             model.a_matrix_ = a
         highs = core._Highs()
-        highs.setOptionValue("output_flag", False)
+        for name, value in (
+            ("output_flag", False),
+            ("presolve", SESSION_PRESOLVE),
+            ("primal_feasibility_tolerance", SESSION_FEASIBILITY_TOLERANCE),
+            ("dual_feasibility_tolerance", SESSION_FEASIBILITY_TOLERANCE),
+        ):
+            if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
         if highs.passModel(model) != core.HighsStatus.kOk:
             raise RuntimeError("HiGHS rejected the prepared model")
         self._session = (highs, row_lower, row_upper)
 
     def _solve_persistent(self, core) -> Solution:
-        """Refresh row bounds on the live model and hot-start the solve.
+        """Refresh row bounds on the live model and solve it afresh.
 
-        HiGHS keeps the incumbent basis across ``changeRowBounds``
-        calls, so a re-solve after an RHS refresh starts the dual
-        simplex from the previous day's optimal basis.
+        HiGHS would keep the incumbent basis across ``changeRowBounds``
+        calls; ``clearSolver`` drops it, so every solve starts the dual
+        simplex from the slack basis.  On the plan caches' LPs a hot
+        start from another day's optimum halves the iterations but
+        makes each several times dearer, and it ties a day's plan to
+        the days solved before it.
         """
         if self._session is None:
             self._open_session(core)
@@ -206,6 +231,7 @@ class PreparedHighs:
                 highs.changeRowBounds(int(row), float(row_lower[row]), float(row_upper[row]))
             self._session = (highs, row_lower, row_upper)
         highs = self._session[0]
+        highs.clearSolver()
         highs.run()
         status = highs.getModelStatus()
         iterations = int(highs.getInfo().simplex_iteration_count)
@@ -227,16 +253,23 @@ class PreparedHighs:
     def solve(self) -> Solution:
         """Solve with current RHS values (matrix structure reused)."""
         lp = self.lp
-        if self.reuse_basis and lp.num_variables:
+        if self.persistent and lp.num_variables:
             core = _highs_core()
             if core is not None:
                 try:
                     return self._solve_persistent(core)
-                except Exception:
+                except Exception as exc:
                     # The vendored bindings are a private API; if their
                     # surface drifted, degrade to linprog permanently
-                    # rather than failing the solve.
-                    self.reuse_basis = False
+                    # rather than failing the solve.  Say so: linprog
+                    # brings back presolve and its own tolerances.
+                    warnings.warn(
+                        f"persistent HiGHS session failed ({type(exc).__name__}: {exc}); "
+                        "solving this program through linprog from now on",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    self.persistent = False
                     self._session = None
         b_ub, b_eq = self._rhs_vectors()
         result = linprog(

@@ -92,7 +92,7 @@ class TestPipelineHelpers:
 
 class TestPredictionSweep:
     def test_sweep_day_equals_fresh_prediction_day(self, small_setup):
-        """The cached, warm-started sweep replays run_prediction_day."""
+        """The cached sweep replays run_prediction_day."""
         sweep = run_prediction_sweep(small_setup, [30])
         fresh = run_prediction_day(small_setup, 30, policies=("titan-next",))["titan-next"]
         cached = sweep[30]
@@ -169,6 +169,50 @@ class TestOracleDayGuards:
             run_oracle_day(
                 small_setup, day=2, policies=("titan-next",), plan_cache=cache, demand=demand
             )
+
+
+class TestPlanningError:
+    def test_infeasible_window_day_names_the_day(self, small_setup):
+        from repro.core import PlanningError
+        from repro.core.lp import JointLpOptions
+        from repro.core.sweep import SweepRunner
+
+        with pytest.raises(PlanningError, match="infeasible") as raised:
+            SweepRunner(small_setup).run_prediction_window(
+                [30], policies=("titan-next",), lp_options=JointLpOptions(e2e_bound_ms=1e-3)
+            )
+        assert (raised.value.status, raised.value.day, raised.value.slot) == (
+            "infeasible",
+            30,
+            None,
+        )
+
+    def test_policy_failures_name_the_slot(self, small_setup, monkeypatch):
+        from repro.core import PlanningError
+        from repro.core.lp import JointAssignmentLp, JointLpResult
+        from repro.core.policies import LocalityFirstPolicy, TitanNextPolicy
+
+        monkeypatch.setattr(
+            JointAssignmentLp, "solve", lambda self: JointLpResult("infeasible", None, {})
+        )
+        demand = oracle_demand_for_day(small_setup, 2)
+        first_slot = min(t for (t, _), n in demand.items() if n > 0)
+        with pytest.raises(PlanningError, match="infeasible") as lf:
+            LocalityFirstPolicy(small_setup.scenario).assign(demand)
+        assert (lf.value.day, lf.value.slot) == (None, first_slot)
+        with pytest.raises(PlanningError, match="infeasible") as titan_next:
+            TitanNextPolicy(small_setup.scenario).assign(demand)
+        assert (titan_next.value.day, titan_next.value.slot) == (None, None)
+
+    def test_fields_survive_pickle(self):
+        """Policy LPs also fail inside pool workers, whose errors pickle."""
+        import pickle
+
+        from repro.core import PlanningError
+
+        error = PlanningError("LF LP failed at slot 7: error", status="error", slot=7)
+        copy = pickle.loads(pickle.dumps(error))
+        assert (str(copy), copy.status, copy.day, copy.slot) == (str(error), "error", None, 7)
 
 
 class TestRealizedTableFallback:

@@ -1,11 +1,15 @@
 """PlanCache: the one planning path every multi-day sweep runs.
 
-Pins two contracts of the hot-started cache:
+A cache keeps one HiGHS model loaded and solves each day from the slack
+basis, with presolve off.  Pins three contracts:
 
-* hot start ≡ fresh solve — across the scenario zoo, each day's plan
-  from one ``PlanCache(reuse_basis=True)`` walked in day order equals
-  a fresh per-day ``JointAssignmentLp`` solve, because the tie-break
-  perturbation makes every day's optimum a unique vertex;
+* cached ≡ fresh solve — across the scenario zoo, each day's plan from
+  one ``PlanCache`` walked in day order equals a fresh per-day
+  ``JointAssignmentLp`` solve (``linprog`` with presolve), because the
+  tie-break perturbation makes every day's optimum a unique vertex;
+* solve order does not matter — no basis crosses solves, so a cache
+  walked forward and one walked backward return identical plans,
+  objectives and iteration counts;
 * ``PlanCache.solve_day`` is exception-safe (no stale RHS after a
   failed solve) and serialized (safe under concurrent callers).
 """
@@ -52,7 +56,7 @@ class TestHotStartMatchesFreshSolves:
     def test_zoo_plans_match_fresh_lps(self, name):
         setup = build_scenario(name, daily_calls=5_000, top_n_configs=40)
         demand = {day: predicted_demand_for_day(setup, day) for day in DAYS}
-        cache = PlanCache(setup.scenario, window_configs(demand), reuse_basis=True)
+        cache = PlanCache(setup.scenario, window_configs(demand))
         for day in DAYS:
             bound = day_e2e_bound_ms(day)
             hot = cache.solve_day(demand[day], e2e_bound_ms=bound)
@@ -62,18 +66,40 @@ class TestHotStartMatchesFreshSolves:
 
     def test_infeasible_day_reports_infeasible(self, small_setup, predictions, planning_configs):
         """An impossible E2E bound comes back as a status, not an
-        exception, and the next hot-started day still lands on the
-        fresh optimum."""
-        cache = PlanCache(small_setup.scenario, planning_configs, reuse_basis=True)
+        exception, and the next day still lands on the fresh optimum."""
+        cache = PlanCache(small_setup.scenario, planning_configs)
         assert not cache.solve_day(predictions[30], e2e_bound_ms=1e-3).is_optimal
         bound = day_e2e_bound_ms(31)
         hot = cache.solve_day(predictions[31], e2e_bound_ms=bound)
         assert_matches_fresh_solve(small_setup.scenario, hot, predictions[31], bound)
 
 
+class TestSolveOrderIndependence:
+    @pytest.mark.parametrize("name", ["emea", "global"])
+    def test_forward_and_reversed_walks_agree(self, name):
+        setup = build_scenario(name, daily_calls=5_000, top_n_configs=40)
+        demand = {day: predicted_demand_for_day(setup, day) for day in DAYS}
+
+        def walk(order):
+            cache = PlanCache(setup.scenario, window_configs(demand))
+            return {
+                day: cache.solve_day(demand[day], e2e_bound_ms=day_e2e_bound_ms(day))
+                for day in order
+            }
+
+        forward = walk(DAYS)
+        backward = walk(list(reversed(DAYS)))
+        for day in DAYS:
+            assert forward[day].is_optimal
+            assert forward[day].iterations > 0
+            assert forward[day].assignment == backward[day].assignment
+            assert forward[day].objective == backward[day].objective
+            assert forward[day].iterations == backward[day].iterations
+
+
 class TestSolveDaySafety:
     def test_rhs_restored_when_solve_raises(self, small_setup, predictions, planning_configs):
-        cache = PlanCache(small_setup.scenario, planning_configs, reuse_basis=True)
+        cache = PlanCache(small_setup.scenario, planning_configs)
         healthy = cache.solve_day(predictions[30], e2e_bound_ms=day_e2e_bound_ms(30))
         c1_before = cache._artifacts.c1_block.rhs.copy()
         c4_before = float(cache._artifacts.c4_block.rhs[0])
@@ -104,7 +130,7 @@ class TestSolveDaySafety:
             )
             for day in DAYS
         }
-        cache = PlanCache(small_setup.scenario, planning_configs, reuse_basis=True)
+        cache = PlanCache(small_setup.scenario, planning_configs)
         results = {}
         errors = []
 

@@ -173,7 +173,7 @@ class TestSolving:
 
 
 class TestPersistentHighs:
-    """PreparedHighs(reuse_basis=True): hot model + basis reuse."""
+    """PreparedHighs(persistent=True): loaded model, slack-basis solves."""
 
     def _program(self):
         """Mixed senses, a block, bounds, and an objective constant."""
@@ -202,11 +202,11 @@ class TestPersistentHighs:
 
         lp, _ = self._program()
         cold = PreparedHighs(lp).solve()
-        persistent = PreparedHighs(lp, reuse_basis=True)
+        persistent = PreparedHighs(lp, persistent=True)
         warm = persistent.solve()
         if _highs_core() is not None:
             # The persistent session must actually engage — otherwise
-            # the warm-start path silently regresses to the fallback.
+            # the cached path silently regresses to the fallback.
             assert persistent._session is not None
         assert cold.status == warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
@@ -217,7 +217,7 @@ class TestPersistentHighs:
         from repro.solver.scipy_backend import PreparedHighs, _highs_core
 
         lp, block = self._program()
-        prepared = PreparedHighs(lp, reuse_basis=True)
+        prepared = PreparedHighs(lp, persistent=True)
         first = prepared.solve()
         assert first.is_optimal
         if _highs_core() is not None:
@@ -246,16 +246,40 @@ class TestPersistentHighs:
         lp.add_constraint(a <= 1)
         lp.add_constraint(a >= 2)
         lp.set_objective(a._expr())
-        assert PreparedHighs(lp, reuse_basis=True).solve().status == "infeasible"
+        assert PreparedHighs(lp, persistent=True).solve().status == "infeasible"
 
     def test_falls_back_without_bindings(self, monkeypatch):
         import repro.solver.scipy_backend as backend
 
         monkeypatch.setattr(backend, "_highs_core", lambda: None)
         lp, _ = self._program()
-        solution = backend.PreparedHighs(lp, reuse_basis=True).solve()
+        solution = backend.PreparedHighs(lp, persistent=True).solve()
         assert solution.is_optimal
         assert solution.objective == pytest.approx(backend.PreparedHighs(lp).solve().objective)
+
+    def test_session_failure_warns_and_falls_back(self, monkeypatch):
+        import warnings
+
+        from repro.solver.scipy_backend import PreparedHighs
+
+        def broken(self, core):
+            raise AttributeError("'_Highs' object has no attribute 'clearSolver'")
+
+        monkeypatch.setattr(PreparedHighs, "_solve_persistent", broken)
+        lp, _ = self._program()
+        prepared = PreparedHighs(lp, persistent=True)
+        with pytest.warns(RuntimeWarning, match="AttributeError"):
+            solution = prepared.solve()
+        reference = PreparedHighs(lp).solve()
+        assert solution.is_optimal
+        assert solution.objective == reference.objective
+        np.testing.assert_array_equal(solution.x, reference.x)
+        # The fallback is permanent and warns once: the next solve goes
+        # straight to linprog.
+        assert not prepared.persistent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prepared.solve().objective == reference.objective
 
 
 @settings(max_examples=25, deadline=None)

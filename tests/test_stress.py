@@ -2,9 +2,10 @@
 
 Pins the contracts the stress layer is built on: demand multipliers
 scale Poisson rates without disturbing unstressed draws, capacity
-factors reach the hot LP's RHS and the live capacity book, plan splice
-rewrites only the future, infeasible replan rounds degrade gracefully,
-and the quota-overflow metric accounts for the §6.4 surge load.
+factors reach the cached LP's RHS and the live capacity book, plan
+splice rewrites only the future, infeasible replan rounds degrade
+gracefully, and the quota-overflow metric accounts for the §6.4 surge
+load.
 """
 
 import numpy as np
