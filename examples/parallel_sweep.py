@@ -7,11 +7,11 @@ then replays and scores every (day, policy) pair on a process pool —
 and verifies the fan-out reproduced the serial loop exactly, which the
 counter-based Philox randomness guarantees by construction.
 
-Also demonstrates the shared-memory variant (``shared_memory=True``):
-workers map the setup's dense arrays zero-copy out of one shm segment
-and ship compact day summaries back, and the streaming form
-(``iter_days`` with ``chunk_days``) that keeps only one chunk of
-results alive at a time — both byte-identical to the serial loop.
+Also demonstrates the compact result channel (``return_tables=False``):
+workers ship distinct-row day summaries back instead of full per-call
+tables, and the streaming form (``iter_days`` with ``chunk_days``) that
+keeps only one chunk of results alive at a time — both byte-identical
+to the serial loop.  Exits with status 1 if any result differs.
 
 Run:
     python examples/parallel_sweep.py
@@ -55,16 +55,15 @@ def main() -> None:
             f"{normalized['titan']:>6.3f} {normalized['titan-next']:>11.3f}"
         )
 
-    shm = SweepRunner(setup, workers=workers, shared_memory=True)
     start = time.perf_counter()
-    mapped = shm.run_prediction_window(days, evaluate=True)
-    t_shm = time.perf_counter() - start
-    print(f"\nshared-memory sweep : {t_shm:.2f} s (zero-copy state, compact summaries)")
+    compact = parallel.run_prediction_window(days, evaluate=True, return_tables=False)
+    t_compact = time.perf_counter() - start
+    print(f"\ncompact results : {t_compact:.2f} s (distinct-row day summaries)")
 
     print("streaming (chunk_days=2):", end=" ")
     streamed_days = []
-    for day, _results in SweepRunner(setup, workers=workers, shared_memory=True).iter_days(
-        days, evaluate=True, chunk_days=2
+    for day, _results in parallel.iter_days(
+        days, evaluate=True, chunk_days=2, return_tables=False
     ):
         streamed_days.append(day)  # only ~one chunk of results is ever alive
     print(f"days arrived in order {streamed_days}")
@@ -72,17 +71,21 @@ def main() -> None:
     mismatches = 0
     for day in days:
         for name, ref in reference[day].items():
-            for result in (fanned[day][name], mapped[day][name]):
+            for result in (fanned[day][name], compact[day][name]):
                 if (
                     result.stats != ref.stats
                     or result.realized_table() != ref.realized_table()
                     or result.evaluation.sum_of_peaks_gbps != ref.evaluation.sum_of_peaks_gbps
                 ):
                     mismatches += 1
+    if streamed_days != days:
+        mismatches += 1
     print(
         f"\nDeterminism check: {2 * len(days) * len(fanned[days[0]])} (day, policy) results "
-        f"across both backends, {mismatches} mismatches vs the serial loop."
+        f"across both result channels, {mismatches} mismatches vs the serial loop."
     )
+    if mismatches:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -185,34 +185,6 @@ class Scenario:
             self._eval_tables[key] = tables
         return tables
 
-    def install_eval_tables(self, tables: ScenarioEvalTables) -> None:
-        """Pre-warm the cache with externally built tables.
-
-        The shared-memory sweep path: a worker receives the parent's
-        already-built coefficient blocks (zero-copy views of the shm
-        segment) in the same pickle graph as its setup — so
-        ``tables.configs`` are the worker's own universe objects and
-        keying by their (new) ids is valid.  Installation follows the
-        same FIFO eviction as :meth:`eval_tables`, and the installed
-        entry keeps the config tuple alive exactly like a built one.
-        """
-        # Worker-local ids of the worker's own universe objects; the
-        # installed entry pins tables.configs just like a built one.
-        key = tuple(map(id, tables.configs))  # reprolint: disable=REP002
-        if key not in self._eval_tables:
-            while len(self._eval_tables) >= self.EVAL_TABLE_CACHE_SIZE:
-                self._eval_tables.pop(next(iter(self._eval_tables)))
-        self._eval_tables[key] = tables
-
-    def install_link_csr(self, ptr: np.ndarray, flat: np.ndarray) -> None:
-        """Adopt an externally built link-incidence CSR (shm path).
-
-        The arrays must follow :meth:`link_incidence_csr`'s layout for
-        *this* scenario's country/DC order; they are only ever indexed,
-        so read-only shared views are fine.
-        """
-        self._link_csr = (ptr, flat)
-
     def _build_eval_tables(self, configs: Tuple[CallConfig, ...]) -> ScenarioEvalTables:
         e2e = np.empty((len(configs), len(self.dc_codes), len(EVAL_OPTION_ORDER)))
         ptr = np.zeros(len(configs) + 1, dtype=np.int64)

@@ -24,13 +24,13 @@ serial loop byte for byte.
    ``process_table`` controller replay + (optionally)
    ``evaluate_batch`` scoring fanned over the pool.
 
-Workers are process-backed by default (``backend="process"``); each
-worker rebuilds its :class:`EuropeSetup` from one pickled payload in
-the pool initializer, so ``Scenario.eval_tables`` / trace-generator
-caches are worker-local (the id-keyed evaluation cache must never
-travel between processes — :class:`~repro.core.scenario.Scenario`
-drops it on pickle).  ``workers=1`` runs inline and *is* the pinned
-serial reference path.
+``workers`` alone picks the path: ``workers=1`` runs inline and *is*
+the pinned serial reference path; ``workers > 1`` runs a process pool
+whose workers each rebuild their :class:`EuropeSetup` from one pickled
+payload in the pool initializer, so ``Scenario.eval_tables`` /
+trace-generator caches are worker-local (the id-keyed evaluation cache
+must never travel between processes —
+:class:`~repro.core.scenario.Scenario` drops it on pickle).
 
 **Fault tolerance.** Long sweeps die to the environment, not the math:
 a worker OOM-killed mid-replay collapses the whole
@@ -42,7 +42,11 @@ results through a supervision loop governed by :class:`FaultPolicy`:
 * a task that *raises* is retried in place with exponential backoff,
   up to ``max_retries`` — retries are safe because per-day work is a
   pure function of the task tuple (the Philox counter-keying
-  contract), so a retried day is byte-identical to a first-try day;
+  contract), so a retried day is byte-identical to a first-try day.
+  The exception is a ``ValueError`` or
+  :class:`~repro.core.lp.PlanningError`: those come from the task's
+  own inputs, a retry would repeat them byte for byte, so the pool is
+  killed and the error re-raised as the serial path raises it;
 * a task that exceeds ``timeout_s`` has its pool killed and rebuilt,
   and every incomplete task is resubmitted (only the hung task's
   attempt counter advances);
@@ -58,31 +62,21 @@ before every pooled task — the deterministic chaos hook the recovery
 tests drive.  The inline ``workers=1`` path never injects and never
 retries: it *is* the reference the recovered runs are compared to.
 
-**Shared memory.** ``backend="process+shm"`` (or ``shared_memory=True``)
-replaces both pickle channels with their scale-proof counterparts:
+**Result channel.** ``return_tables=False`` (per call, on
+:meth:`SweepRunner.replay_days` and the windows built on it) makes
+per-day replay tasks return a SoA :class:`DaySummary` (realized-table
+rows + ``ControllerStats`` + the optional in-pool
+``EvaluationResult``) instead of the full ``CallTable`` /
+``AssignmentBatch``; the caller gets a :class:`SummaryDayResult`,
+which reconstructs the full tables on demand by re-running the day
+(exact by the Philox counter-keying contract).  The default
+``return_tables=True`` ships full results and stays the pinned
+byte-equivalence reference.
 
-* *zero-copy worker state* — the pool payload becomes a
-  :class:`~repro.core.shm.ShmArena` holding every large array of the
-  setup (plus the pre-warmed ``Scenario.eval_tables`` coefficient
-  blocks and the ``link_incidence_csr``) in one named shared-memory
-  segment; the pool initializer maps read-only ``np.ndarray`` views
-  instead of rebuilding the setup from a pickle, and a
-  :class:`FaultPolicy` pool rebuild re-maps the same segment rather
-  than re-allocating it;
-* *compact day summaries* — per-day replay tasks return a SoA
-  :class:`DaySummary` (realized-table rows + ``ControllerStats`` +
-  the optional in-pool ``EvaluationResult``) instead of the full
-  ``CallTable``/``AssignmentBatch``; the parent wraps each in a
-  :class:`SummaryDayResult`, which reconstructs the full tables on
-  demand by re-running the day (exact by the Philox counter-keying
-  contract).  ``return_tables=True`` keeps today's full-result
-  behaviour and stays the pinned byte-equivalence reference;
-* *streaming sweeps* — :meth:`SweepRunner.iter_days` / ``chunk_days=``
-  plan and replay a long window chunk by chunk over one pool and one
-  full-window planning structure, so a 52-week sweep holds O(chunk)
-  day results in memory while reproducing the monolithic run byte for
-  byte (one planning structure over the full window, whatever the
-  chunk).
+**Streaming.** :meth:`SweepRunner.iter_days` / ``chunk_days=`` plan
+and replay a long window chunk by chunk over one pool and one
+full-window planning structure, so a 52-week sweep holds O(chunk) day
+results in memory while reproducing the monolithic run byte for byte.
 """
 
 from __future__ import annotations
@@ -97,7 +91,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     Iterator,
@@ -114,13 +107,10 @@ from ..workload.demand import SLOTS_PER_DAY
 from ..workload.traces import TraceGenerator
 from .lp import AssignmentTable, JointLpOptions, PlanningError
 from .scenario import EVAL_OPTION_ORDER
-from .shm import ShmArena, ShmPayload, map_payload
 
 if TYPE_CHECKING:
-    from multiprocessing.shared_memory import SharedMemory
-
     from ..analysis.metrics import EvaluationResult
-    from .scenario import Scenario, ScenarioEvalTables
+    from .scenario import Scenario
     from .titan_next import EuropeSetup, PlanCache, PredictionDayResult
 
 #: Demand/forecast table: ``(slot of day, config) -> call count``.
@@ -295,10 +285,6 @@ class _WorkerState:
     def __init__(self, setup: "EuropeSetup") -> None:
         self.setup = setup
         self._generators: Dict[int, TraceGenerator] = {}
-        #: The shared-memory attachment whose pages back this worker's
-        #: mapped arrays (``process+shm`` backend); pinned here so the
-        #: mapping outlives every view for the life of the worker.
-        self.attachment: Optional["SharedMemory"] = None
 
     def trace_generator(self, seed: int) -> TraceGenerator:
         generator = self._generators.get(seed)
@@ -314,31 +300,15 @@ class _WorkerState:
 _WORKER_STATE: Optional[_WorkerState] = None
 
 
-def _init_worker(payload: "ShmPayload | bytes") -> None:
+def _init_worker(payload: bytes) -> None:
     """Pool initializer: build this worker's setup from the payload.
 
-    Run once per worker process.  ``payload`` is either the pickled
-    setup bytes (classic ``process`` backend — unpickling rather than
-    inheriting a forked reference guarantees the worker owns fresh
-    ``Scenario`` caches regardless of the multiprocessing start method)
-    or a :class:`~repro.core.shm.ShmPayload` (``process+shm``), in
-    which case every large array comes back as a read-only zero-copy
-    view of the shared segment, the parent's pre-warmed evaluation
-    tables and link CSR are installed on the worker's scenario (they
-    travel in the same pickle graph as the setup, so their config
-    identities match the worker's universe and the id-keyed cache
-    lookup stays valid), and the segment attachment is pinned on the
-    worker state so the mapping outlives the views.
+    Run once per worker process.  Unpickling the setup bytes rather
+    than inheriting a forked reference guarantees the worker owns fresh
+    ``Scenario`` caches regardless of the multiprocessing start method.
     """
     global _WORKER_STATE
-    if isinstance(payload, ShmPayload):
-        (setup, warm_tables, link_csr), attachment = map_payload(payload)
-        setup.scenario.install_eval_tables(warm_tables)
-        setup.scenario.install_link_csr(*link_csr)
-        _WORKER_STATE = _WorkerState(setup)
-        _WORKER_STATE.attachment = attachment
-    else:
-        _WORKER_STATE = _WorkerState(pickle.loads(payload))
+    _WORKER_STATE = _WorkerState(pickle.loads(payload))
 
 
 def _state_or_worker(state: Optional[_WorkerState]) -> _WorkerState:
@@ -433,7 +403,7 @@ def _guarded_task(payload: Tuple[Callable, str, object, int, Optional[Callable]]
     ``payload`` is ``(fn, kind, task, attempt, inject)``: the injector
     (if any) fires first — it may kill the worker, hang, or raise —
     then the real task function runs.  Keeping the shim module-level
-    keeps the submission picklable for the process backend.
+    keeps the submission picklable for the pool.
     """
     fn, kind, task, attempt, inject = payload
     if inject is not None:
@@ -442,7 +412,7 @@ def _guarded_task(payload: Tuple[Callable, str, object, int, Optional[Callable]]
 
 
 # ---------------------------------------------------------------------------
-# Compact day summaries (the process+shm result channel)
+# Compact day summaries (the ``return_tables=False`` result channel)
 # ---------------------------------------------------------------------------
 
 
@@ -631,35 +601,21 @@ class SummaryDayResult:
 class _PoolHandle:
     """A rebuildable executor: what :meth:`SweepRunner.worker_pool` yields.
 
-    Owns the live executor plus everything needed to respawn it (the
-    pickled setup payload for process pools; the shared-memory arena
-    for ``process+shm``), so the supervision loop can kill a
-    broken/hung pool and carry on with the same handle.  A rebuild
-    re-submits the *same* payload — for the shm backend that means the
-    respawned workers re-map the existing segment; the arena is never
-    re-allocated, and it is disposed exactly once, by :meth:`shutdown`
-    (idempotent), after the last pool that maps it is gone.  Callers
-    treat the handle as an executor — ``submit`` is the whole surface.
+    Owns the live executor plus the pickled setup payload needed to
+    respawn it, so the supervision loop can kill a broken/hung pool and
+    carry on with the same handle.  Callers treat the handle as an
+    executor — ``submit`` is the whole surface.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mp_context: Any,
-        payload: "bytes | ShmPayload",
-        arena: Optional[ShmArena] = None,
-    ) -> None:
+    def __init__(self, workers: int, payload: bytes) -> None:
         self.workers = workers
-        self.mp_context = mp_context
         self._payload = payload
-        self.arena = arena
         self.rebuilds = 0
         self._pool: Optional[ProcessPoolExecutor] = self._spawn()
 
     def _spawn(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=self.mp_context,
             initializer=_init_worker,
             initargs=(self._payload,),
         )
@@ -695,26 +651,18 @@ class _PoolHandle:
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
-        if self.arena is not None:
-            # After the workers are gone; dispose() is idempotent, so a
-            # double shutdown (or an error-path unwind that already
-            # disposed) cannot double-unlink the segment.
-            self.arena.dispose()
 
 
 class SweepRunner:
     """Multi-day §7/§8 sweeps with a worker pool over the per-day phase.
 
     ``workers=1`` (the default) runs everything inline — that *is* the
-    serial reference; any higher worker count must reproduce it byte
-    for byte, which the counter-based randomness guarantees and
-    ``tests/test_sweep_parallel.py`` pins.
-
-    ``backend`` is ``"process"`` (default for ``workers > 1``),
-    ``"process+shm"``, or ``"serial"``; ``workers="auto"`` uses the
-    CPUs the process is allowed to run on.  The runner itself is cheap
-    — it owns no pool between calls, so it can be kept around or
-    rebuilt freely.
+    serial reference; any higher worker count runs a process pool and
+    must reproduce it byte for byte, which the counter-based randomness
+    guarantees and ``tests/test_sweep_parallel.py`` pins.
+    ``workers="auto"`` uses the CPUs the process is allowed to run on.
+    The runner itself is cheap — it owns no pool between calls, so it
+    can be kept around or rebuilt freely.
 
     ``fault_policy`` governs the pooled phases' supervision loop
     (retries, hang timeout, pool rebuilds; see :class:`FaultPolicy`)
@@ -724,63 +672,31 @@ class SweepRunner:
     functions of their tuples, a sweep that survives a killed or hung
     worker still reproduces the serial reference byte for byte.
 
-    ``shared_memory=True`` (equivalently ``backend="process+shm"``)
-    ships worker state through a :class:`~repro.core.shm.ShmArena`
-    instead of per-worker pickles: workers map the setup's dense
-    arrays read-only and zero-copy.  Under that backend, per-day
-    results default to compact :class:`DaySummary` payloads wrapped in
-    :class:`SummaryDayResult` — ``return_tables=True`` restores full
-    ``PredictionDayResult`` shipping (the pinned byte-equivalence
-    reference), ``return_tables=False`` forces summaries on any
-    backend.  ``chunk_days`` bounds how many days are planned, in
-    flight, and held in memory at once (see :meth:`iter_days`) without
-    changing any result byte.
+    ``chunk_days`` bounds how many days are planned, in flight, and
+    held in memory at once (see :meth:`iter_days`) without changing
+    any result byte.
     """
 
     def __init__(
         self,
         setup: "EuropeSetup",
         workers: int | str = 1,
-        backend: Optional[str] = None,
-        mp_context: Any = None,
         fault_policy: Optional[FaultPolicy] = None,
         inject_fault: Optional[Callable] = None,
-        shared_memory: Optional[bool] = None,
-        return_tables: Optional[bool] = None,
         chunk_days: Optional[int] = None,
     ) -> None:
         self.setup = setup
         self.workers = _resolve_workers(workers)
-        if backend is None:
-            backend = "process" if self.workers > 1 else "serial"
-        if shared_memory:
-            if backend in ("process", "process+shm"):
-                backend = "process+shm"
-            elif not (backend == "serial" and self.workers == 1):
-                # A single worker degrades to the serial reference path
-                # (nothing to share); a serial backend over several
-                # workers is a contradiction worth refusing.
-                raise ValueError("shared_memory=True requires the process backend")
-        if backend not in ("serial", "process", "process+shm"):
-            raise ValueError(f"unknown sweep backend {backend!r}")
-        if self.workers == 1:
-            backend = "serial"
         if chunk_days is not None and chunk_days < 1:
             raise ValueError("chunk_days must be >= 1 (or None)")
-        self.backend = backend
-        #: ``None`` defers to the backend default (summaries only under
-        #: ``process+shm``); ``True``/``False`` forces full results /
-        #: compact summaries everywhere.
-        self.return_tables = return_tables
         #: Default streaming chunk for :meth:`iter_days` and the
         #: ``run_*`` windows; ``None`` = monolithic.
         self.chunk_days = chunk_days
-        self.mp_context = mp_context
         #: Supervision knobs for pooled phases; the serial path ignores
         #: them (no pool, no retries — it is the pinned reference).
         self.fault_policy = fault_policy if fault_policy is not None else FaultPolicy()
         #: Worker-side chaos hook ``(kind, task, attempt) -> None``;
-        #: must pickle for the process backend.  Never fires inline.
+        #: must pickle to reach the pool.  Never fires inline.
         self.inject_fault = inject_fault
         #: Structured reports of every recovered incident this runner
         #: has seen (successful retries included), newest last.
@@ -800,50 +716,18 @@ class SweepRunner:
         fan-out) should spawn its process workers — and unpickle the
         setup payload in each — once per sweep, not once per phase;
         pass the yielded :class:`_PoolHandle` to each phase.  Yields
-        ``None`` (inline execution) for serial runners or single-task
-        hints.
+        ``None`` (inline execution) for single-worker runners or
+        single-task hints.
         """
-        if self.backend == "serial" or tasks_hint <= 1:
+        if self.workers == 1 or tasks_hint <= 1:
             yield None
             return
-        workers = min(self.workers, tasks_hint)
-        arena = None
-        payload: "bytes | ShmPayload"
-        if self.backend == "process+shm":
-            arena = ShmArena(self._shm_state_payload())
-            payload = arena.payload()
-        else:
-            payload = pickle.dumps(self.setup, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            handle = _PoolHandle(workers, self.mp_context, payload, arena=arena)
-        except BaseException:
-            if arena is not None:
-                arena.dispose()
-            raise
+        payload = pickle.dumps(self.setup, protocol=pickle.HIGHEST_PROTOCOL)
+        handle = _PoolHandle(min(self.workers, tasks_hint), payload)
         try:
             yield handle
         finally:
             handle.shutdown()
-
-    def _shm_state_payload(
-        self,
-    ) -> Tuple["EuropeSetup", "ScenarioEvalTables", Tuple[np.ndarray, np.ndarray]]:
-        """The object graph an shm pool ships: setup + warmed caches.
-
-        The pre-built :class:`ScenarioEvalTables` for the canonical
-        config universe and the link-incidence CSR ride in the *same*
-        pickle graph as the setup — ``Scenario.__getstate__`` drops
-        both from the scenario itself (its cache is id-keyed), but
-        shipping them alongside preserves object identity through one
-        ``pickle.loads``: the warm tables' config tuple arrives as the
-        very objects of the worker's universe, so re-installing them
-        under their new ids is valid and the worker never rebuilds the
-        coefficient blocks.
-        """
-        configs = self._canonical_configs()
-        warm_tables = self.setup.scenario.eval_tables(configs)
-        link_csr = self.setup.scenario.link_incidence_csr()
-        return (self.setup, warm_tables, link_csr)
 
     def _canonical_configs(self) -> Tuple[CallConfig, ...]:
         """The interned config universe (``CallTable.configs`` order)."""
@@ -853,25 +737,17 @@ class SweepRunner:
             )
         return self._configs_cache
 
-    def _compact(self, return_tables: Optional[bool] = None) -> bool:
-        """Resolve whether replay results travel as summaries."""
-        choice = return_tables if return_tables is not None else self.return_tables
-        if choice is None:
-            choice = self.backend != "process+shm"
-        return not choice
-
-    def _wrap_results(self, day: int, results: Dict, plans: Dict) -> Dict:
-        """Wrap a day's worker-side summaries for the caller."""
-        wrapped: Dict[str, object] = {}
-        for name, value in results.items():
-            if isinstance(value, DaySummary):
-                plan = plans.get(day) if name == "titan-next" else None
-                wrapped[name] = SummaryDayResult(
-                    value, self._state, self._canonical_configs(), plan_assignment=plan
-                )
-            else:
-                wrapped[name] = value
-        return wrapped
+    def _wrap_summaries(self, day: int, summaries: Dict, plans: Dict) -> Dict:
+        """Wrap a day's worker-side :class:`DaySummary` values for the caller."""
+        return {
+            name: SummaryDayResult(
+                summary,
+                self._state,
+                self._canonical_configs(),
+                plan_assignment=plans.get(day) if name == "titan-next" else None,
+            )
+            for name, summary in summaries.items()
+        }
 
     def map_days(
         self, fn: Callable, tasks: Sequence, pool: Optional[_PoolHandle] = None
@@ -881,18 +757,18 @@ class SweepRunner:
         Tasks must be independent (the per-day §7/§8 work is, by the
         Philox counter-keying contract) — which is also what makes the
         fault path sound: a retried or resubmitted task reproduces its
-        first-attempt result bit for bit.  A single task — or a serial
-        runner — executes inline with no supervision; ``pool`` reuses
-        a handle from :meth:`worker_pool` instead of opening one per
-        call.
+        first-attempt result bit for bit.  A single task — or a
+        single-worker runner — executes inline with no supervision;
+        ``pool`` reuses a handle from :meth:`worker_pool` instead of
+        opening one per call.
         """
         tasks = list(tasks)
-        if self.backend == "serial" or len(tasks) <= 1:
+        if self.workers == 1 or len(tasks) <= 1:
             return [fn(task, state=self._state) for task in tasks]
         if pool is not None:
             return self._gather(fn, tasks, pool)
         with self.worker_pool(len(tasks)) as opened:
-            assert opened is not None  # serial/single-task handled above
+            assert opened is not None  # single worker/task handled above
             return self._gather(fn, tasks, opened)
 
     # -- supervision --------------------------------------------------------
@@ -966,10 +842,13 @@ class SweepRunner:
         """The supervision loop: gather pooled results, surviving faults.
 
         Results are collected in task order.  A task exception retries
-        in place with backoff; a hang (``FaultPolicy.timeout_s``) or a
-        broken pool kills and rebuilds the executor and resubmits the
-        incomplete tail; tasks out of retries are reported together on
-        a :class:`SweepError` once everything else has finished.
+        in place with backoff — except a ``ValueError`` or
+        :class:`PlanningError`, which comes from the task's own inputs
+        and kills the pool and propagates as raised, like the serial
+        path; a hang (``FaultPolicy.timeout_s``) or a broken pool kills
+        and rebuilds the executor and resubmits the incomplete tail;
+        tasks out of retries are reported together on a
+        :class:`SweepError` once everything else has finished.
         """
         policy = self.fault_policy
         n = len(tasks)
@@ -1020,6 +899,10 @@ class SweepRunner:
                 resubmit_incomplete()
             except BrokenExecutor as exc:
                 recover_broken_pool(index, exc)
+            except (ValueError, PlanningError):
+                # A retry would repeat the same input error byte for byte.
+                handle.kill()
+                raise
             except Exception as exc:
                 attempts[index] += 1
                 if attempts[index] > policy.max_retries:
@@ -1096,7 +979,7 @@ class SweepRunner:
         reduced: bool = True,
         evaluate: bool = False,
         pool: Optional[_PoolHandle] = None,
-        return_tables: Optional[bool] = None,
+        return_tables: bool = True,
     ) -> Dict[int, Dict[str, "PredictionDayResult"]]:
         """Parallel phase 3: per-day trace synthesis + controller replay.
 
@@ -1105,19 +988,19 @@ class SweepRunner:
         every requested controller's ``process_table``.  With
         ``evaluate=True`` the worker also scores each result through
         ``evaluate_batch`` (worker-local ``Scenario.eval_tables``) and
-        attaches it as ``PredictionDayResult.evaluation``.  In compact
-        mode (see ``return_tables`` / the runner default) workers ship
-        :class:`DaySummary` rows instead of full batches and the
-        returned values are :class:`SummaryDayResult` wrappers.
+        attaches it as ``PredictionDayResult.evaluation``.  With
+        ``return_tables=False`` workers ship :class:`DaySummary` rows
+        instead of full batches and the returned values are
+        :class:`SummaryDayResult` wrappers.
         """
         plans = plans if plans is not None else {}
         chosen = tuple(policies)
-        compact = self._compact(return_tables)
+        compact = not return_tables
         tasks = [(day, plans.get(day), chosen, seed, reduced, evaluate, compact) for day in days]
         gathered = dict(self.map_days(_replay_day_task, tasks, pool=pool))
         if not compact:
             return gathered
-        return {day: self._wrap_results(day, results, plans) for day, results in gathered.items()}
+        return {day: self._wrap_summaries(day, results, plans) for day, results in gathered.items()}
 
     def run_prediction_window(
         self,
@@ -1129,14 +1012,14 @@ class SweepRunner:
         seed: int = 71,
         evaluate: bool = False,
         chunk_days: Optional[int] = None,
-        return_tables: Optional[bool] = None,
+        return_tables: bool = True,
     ) -> Dict[int, Dict[str, "PredictionDayResult"]]:
         """The §8 experiment for every (day, policy) in a window.
 
         Per (day, policy) the output is identical to
         :func:`~repro.core.titan_next.run_prediction_day` — same trace,
         same seeds, same plan optimum — for any worker count, any
-        ``chunk_days``, and either result mode.  This is
+        ``chunk_days``, and either result channel.  This is
         :meth:`iter_days` drained into a dict; pass ``chunk_days`` (or
         set it on the runner) to bound in-flight work, or iterate
         :meth:`iter_days` directly to also bound *held* results.
@@ -1165,7 +1048,7 @@ class SweepRunner:
         seed: int = 71,
         evaluate: bool = False,
         chunk_days: Optional[int] = None,
-        return_tables: Optional[bool] = None,
+        return_tables: bool = True,
     ) -> Iterator[Tuple[int, Dict[str, "PredictionDayResult"]]]:
         """Stream the §8 window as ``(day, {policy: result})`` pairs,
         in day order, ``chunk_days`` days at a time.
@@ -1186,38 +1069,25 @@ class SweepRunner:
         """
         day_list = list(days)
         chosen = tuple(policies) if policies is not None else PREDICTION_POLICIES
-        chunk = chunk_days if chunk_days is not None else self.chunk_days
-        chunk = chunk if chunk is not None else (len(day_list) or 1)
-        if chunk < 1:
-            raise ValueError("chunk_days must be >= 1 (or None)")
+        chunk = self._chunk(chunk_days, len(day_list))
         # One pool spans every phase and chunk: workers spawn (and
         # build their state) once, idling only through the short serial
         # planning stretches in between.
         with self.worker_pool(len(day_list)) as pool:
-            if "titan-next" not in chosen:
-                for start in range(0, len(day_list), chunk):
-                    block = day_list[start : start + chunk]
-                    results = self.replay_days(
-                        block,
-                        policies=chosen,
-                        seed=seed,
-                        reduced=reduced,
-                        evaluate=evaluate,
-                        pool=pool,
-                        return_tables=return_tables,
-                    )
-                    yield from ((day, results[day]) for day in block)
-                return
-            predictions = self.forecast_days(
-                day_list, history_weeks, reduced=reduced, pool=pool
-            )
-            cache, bound_for = self._plan_backend(predictions, lp_options)
+            planned = "titan-next" in chosen
+            if planned:
+                predictions = self.forecast_days(
+                    day_list, history_weeks, reduced=reduced, pool=pool
+                )
+                cache, bound_for = self._plan_backend(predictions, lp_options)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
-                plans = {
-                    day: self._solve_plan(cache, bound_for, predictions[day], day)
-                    for day in block
-                }
+                plans: Optional[Dict[int, AssignmentTable]] = None
+                if planned:
+                    plans = {
+                        day: self._solve_plan(cache, bound_for, predictions[day], day)
+                        for day in block
+                    }
                 results = self.replay_days(
                     block,
                     plans=plans,
@@ -1230,6 +1100,14 @@ class SweepRunner:
                 )
                 yield from ((day, results[day]) for day in block)
 
+    def _chunk(self, chunk_days: Optional[int], n_days: int) -> int:
+        """Resolve a call's chunk size against the runner default."""
+        chunk = chunk_days if chunk_days is not None else self.chunk_days
+        chunk = chunk if chunk is not None else (n_days or 1)
+        if chunk < 1:
+            raise ValueError("chunk_days must be >= 1 (or None)")
+        return chunk
+
     def run_prediction_sweep(
         self,
         days: Sequence[int],
@@ -1239,7 +1117,7 @@ class SweepRunner:
         seed: int = 71,
         evaluate: bool = False,
         chunk_days: Optional[int] = None,
-        return_tables: Optional[bool] = None,
+        return_tables: bool = True,
     ) -> Dict[int, "PredictionDayResult"]:
         """Titan-Next only over a run of days (the classic §8 sweep)."""
         window = self.run_prediction_window(
@@ -1268,36 +1146,37 @@ class SweepRunner:
 
         Demand sampling and (with ``use_plan_cache``) the Titan-Next
         cached-LP solves run serially in the parent; baseline policy
-        assignment and all ``evaluate_batch`` scoring fan out per day.
-        Identical to a :func:`~repro.core.titan_next.run_oracle_day`
-        loop for any worker count and any ``chunk_days``: chunking only
-        bounds how many days are planned and in flight at once — every
-        day is still solved through the full window's one cache, from
-        the slack basis.
+        assignment, the uncached Titan-Next LPs, and all
+        ``evaluate_batch`` scoring fan out per day.  Identical to a
+        :func:`~repro.core.titan_next.run_oracle_day` loop for any
+        worker count and any ``chunk_days``: chunking only bounds how
+        many days are planned and in flight at once — every cached day
+        is still solved through the full window's one cache, from the
+        slack basis.
         """
         from .titan_next import oracle_demand_for_day
 
         day_list = list(days)
         chosen = tuple(policies) if policies is not None else ("wrr", "titan", "lf", "titan-next")
-        chunk = chunk_days if chunk_days is not None else self.chunk_days
-        chunk = chunk if chunk is not None else (len(day_list) or 1)
-        if chunk < 1:
-            raise ValueError("chunk_days must be >= 1 (or None)")
+        chunk = self._chunk(chunk_days, len(day_list))
         demands = {day: oracle_demand_for_day(self.setup, day) for day in day_list}
-        if not (use_plan_cache and "titan-next" in chosen and day_list):
-            tasks: List[OracleTask] = [(day, demands[day], None, chosen) for day in day_list]
-            return dict(self.map_days(_oracle_day_task, tasks))
+        cached = use_plan_cache and "titan-next" in chosen and bool(day_list)
 
         # One pool spans every chunk's scoring: workers spawn once.
         out: Dict[int, Dict[str, "EvaluationResult"]] = {}
         with self.worker_pool(len(day_list)) as pool:
-            cache, bound_for = self._plan_backend(demands, None)
+            if cached:
+                cache, bound_for = self._plan_backend(demands, None)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
-                tn_plans = {
-                    day: self._solve_plan(cache, bound_for, demands[day], day, label="cached")
-                    for day in block
-                }
-                tasks = [(day, demands[day], tn_plans.get(day), chosen) for day in block]
-                out.update(dict(self.map_days(_oracle_day_task, tasks, pool=pool)))
+                tn_plans: Dict[int, AssignmentTable] = {}
+                if cached:
+                    tn_plans = {
+                        day: self._solve_plan(cache, bound_for, demands[day], day, label="cached")
+                        for day in block
+                    }
+                tasks: List[OracleTask] = [
+                    (day, demands[day], tn_plans.get(day), chosen) for day in block
+                ]
+                out.update(self.map_days(_oracle_day_task, tasks, pool=pool))
         return out

@@ -175,6 +175,23 @@ def oracle_demand_for_day(
     return _table_from_matrix(counts, configs, reduced)
 
 
+class InsufficientHistory(ValueError):
+    """A forecast day that does not leave enough demand history.
+
+    ``day`` is the day asked for and ``history_weeks`` the history the
+    Holt-Winters fit needs before it; the message names both.
+    """
+
+    def __init__(self, day: int, history_weeks: int) -> None:
+        super().__init__(f"day {day} does not leave {history_weeks} weeks of history")
+        self.day = day
+        self.history_weeks = history_weeks
+
+    def __reduce__(self):
+        # Raised inside pool workers too; keep the fields across pickle.
+        return type(self), (self.day, self.history_weeks)
+
+
 def predicted_demand_for_day(
     setup: EuropeSetup,
     day: int,
@@ -193,7 +210,7 @@ def predicted_demand_for_day(
     history_slots = history_weeks * 7 * SLOTS_PER_DAY
     start = day * SLOTS_PER_DAY - history_slots
     if start < 0:
-        raise ValueError(f"day {day} does not leave {history_weeks} weeks of history")
+        raise InsufficientHistory(day, history_weeks)
     items = setup.universe.top(setup.top_n_configs)
     history = setup.demand.counts_matrix(start, history_slots, top_n=setup.top_n_configs)
     keep = np.nonzero(history.max(axis=1) > 0)[0]
@@ -221,7 +238,7 @@ def predicted_demand_for_day_reference(
     history_slots = history_weeks * 7 * SLOTS_PER_DAY
     start = day * SLOTS_PER_DAY - history_slots
     if start < 0:
-        raise ValueError(f"day {day} does not leave {history_weeks} weeks of history")
+        raise InsufficientHistory(day, history_weeks)
     raw: Dict[Tuple[int, CallConfig], float] = {}
     for item in setup.universe.top(setup.top_n_configs):
         history = np.asarray(
@@ -519,8 +536,6 @@ def run_oracle_week(
     policies: Optional[Sequence[str]] = None,
     use_plan_cache: bool = True,
     workers: int = 1,
-    backend: Optional[str] = None,
-    shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
 ):
     """The Fig 14 experiment: one week, all policies, per-day results.
@@ -529,14 +544,13 @@ def run_oracle_week(
     With ``use_plan_cache`` (the default) the Titan-Next LP structure is
     built once for the whole week and only its RHS changes per day.
     ``workers`` fans the per-day baseline assignment + scoring over a
-    :class:`~repro.core.sweep.SweepRunner` pool; ``shared_memory`` maps
-    worker state zero-copy and ``chunk_days`` bounds in-flight days.
-    Results are identical for any worker count, backend, and chunk
-    size.
+    :class:`~repro.core.sweep.SweepRunner` pool and ``chunk_days``
+    bounds in-flight days.  Results are identical for any worker count
+    and chunk size.
     """
     from .sweep import SweepRunner
 
-    runner = SweepRunner(setup, workers=workers, backend=backend, shared_memory=shared_memory)
+    runner = SweepRunner(setup, workers=workers)
     return runner.run_oracle_days(
         range(start_day, start_day + days),
         policies=policies,
@@ -703,10 +717,8 @@ def run_prediction_sweep(
     reduced: bool = True,
     seed: int = 71,
     workers: int = 1,
-    backend: Optional[str] = None,
-    shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
-    return_tables: Optional[bool] = None,
+    return_tables: bool = True,
 ) -> Dict[int, PredictionDayResult]:
     """The §8 Titan-Next pipeline over a run of days, with one cached LP.
 
@@ -720,19 +732,15 @@ def run_prediction_sweep(
     omitted each day gets the §7.5 weekday/weekend E2E bound.
 
     ``workers`` fans the per-day forecast and replay phases over a
-    :class:`~repro.core.sweep.SweepRunner` pool; the output is
-    byte-identical for every worker count.
-
-    ``shared_memory=True`` maps worker state zero-copy through one
-    shm segment and (by default) ships compact
-    :class:`~repro.core.sweep.DaySummary` results; ``chunk_days``
-    bounds how many days are planned and in flight at once;
-    ``return_tables`` overrides the result mode — none of the three
-    changes any result byte.
+    :class:`~repro.core.sweep.SweepRunner` pool; ``chunk_days`` bounds
+    how many days are planned and in flight at once;
+    ``return_tables=False`` ships compact
+    :class:`~repro.core.sweep.DaySummary` results instead of full
+    tables.  None of the three changes any result byte.
     """
     from .sweep import SweepRunner
 
-    runner = SweepRunner(setup, workers=workers, backend=backend, shared_memory=shared_memory)
+    runner = SweepRunner(setup, workers=workers)
     return runner.run_prediction_sweep(
         days,
         history_weeks=history_weeks,
@@ -753,11 +761,9 @@ def run_prediction_window(
     reduced: bool = True,
     seed: int = 71,
     workers: int = 1,
-    backend: Optional[str] = None,
     evaluate: bool = False,
-    shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
-    return_tables: Optional[bool] = None,
+    return_tables: bool = True,
 ) -> Dict[int, Dict[str, PredictionDayResult]]:
     """All controllers over a multi-day §8 window (Fig 15 over days).
 
@@ -766,14 +772,13 @@ def run_prediction_window(
     is amortized through one persistent-model :class:`PlanCache` and the
     per-day work fans out across ``workers``.  ``evaluate=True`` also
     scores each result in-pool (``PredictionDayResult.evaluation``).
-    ``shared_memory`` / ``chunk_days`` / ``return_tables`` select the
-    zero-copy worker state, streaming chunk size, and compact result
-    mode (see :class:`~repro.core.sweep.SweepRunner`) without changing
-    any result byte.
+    ``chunk_days`` / ``return_tables`` select the streaming chunk size
+    and the result channel (see :class:`~repro.core.sweep.SweepRunner`)
+    without changing any result byte.
     """
     from .sweep import SweepRunner
 
-    runner = SweepRunner(setup, workers=workers, backend=backend, shared_memory=shared_memory)
+    runner = SweepRunner(setup, workers=workers)
     return runner.run_prediction_window(
         days,
         policies=policies,

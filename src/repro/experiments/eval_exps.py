@@ -88,27 +88,19 @@ def run_fig14(
     setup: Optional[EuropeSetup] = None,
     days: int = 7,
     workers: int = 1,
-    shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     scenario: Optional[str] = None,
 ) -> ExperimentResult:
     """Fig 14 — oracle sum-of-peaks per day, normalized to WRR.
 
     ``workers`` fans the per-day assignment + scoring across a sweep
-    pool; ``shared_memory`` maps worker state zero-copy and
-    ``chunk_days`` bounds in-flight days; the measured rows are
-    identical for any worker count.
+    pool and ``chunk_days`` bounds in-flight days; the measured rows
+    are identical for any worker count.
     ``scenario`` swaps the Europe box for a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
     measured = fig14_measured(
-        run_oracle_week(
-            setup,
-            days=days,
-            workers=workers,
-            shared_memory=shared_memory,
-            chunk_days=chunk_days,
-        )
+        run_oracle_week(setup, days=days, workers=workers, chunk_days=chunk_days)
     )
     return ExperimentResult(
         experiment_id="fig14",
@@ -203,7 +195,6 @@ def run_fig15(
     day: int = 30,
     days: int = 1,
     workers: int = 1,
-    shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     scenario: Optional[str] = None,
 ) -> ExperimentResult:
@@ -211,7 +202,9 @@ def run_fig15(
 
     ``days > 1`` extends the experiment over a window starting at
     ``day`` (per-day rows plus window-mean savings), planned through
-    one plan cache and replayed/scored across ``workers``.
+    one plan cache and replayed/scored across ``workers``.  Only the
+    in-pool scores and stats are read, so days travel as compact
+    summaries (``return_tables=False``).
     ``scenario`` swaps in a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
@@ -220,8 +213,8 @@ def run_fig15(
         range(day, day + days),
         workers=workers,
         evaluate=True,
-        shared_memory=shared_memory,
         chunk_days=chunk_days,
+        return_tables=False,
     )
     measured = fig15_measured(window, setup.scenario)
     return ExperimentResult(
@@ -240,7 +233,6 @@ def run_fig18_sweep(
     start_day: int = 28,
     days: int = 14,
     workers: int = 1,
-    shared_memory: Optional[bool] = None,
     chunk_days: Optional[int] = None,
     scenario: Optional[str] = None,
 ) -> ExperimentResult:
@@ -253,25 +245,24 @@ def run_fig18_sweep(
     score per day), aggregated like Fig 15 but reporting the per-day
     savings spread alongside the window mean.
 
-    The measured rows are identical for any worker count.  With
-    ``chunk_days`` set the window *streams*: days flow straight from
-    the sweep into the aggregator and only one chunk of results is
-    alive at a time, so the horizon can grow without the resident set
-    growing with it.
+    The measured rows are identical for any worker count.  Days travel
+    as compact summaries (``return_tables=False``: only scores and
+    stats are read).  With ``chunk_days`` set the window *streams*:
+    days flow straight from the sweep into the aggregator and only one
+    chunk of results is alive at a time, so the horizon can grow
+    without the resident set growing with it.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
     day_range = range(start_day, start_day + days)
     if chunk_days is not None:
-        runner = SweepRunner(setup, workers=workers, shared_memory=shared_memory)
-        stream = runner.iter_days(day_range, evaluate=True, chunk_days=chunk_days)
+        runner = SweepRunner(setup, workers=workers)
+        stream = runner.iter_days(
+            day_range, evaluate=True, chunk_days=chunk_days, return_tables=False
+        )
         measured = fig15_measured(stream, setup.scenario)
     else:
         window = run_prediction_window(
-            setup,
-            day_range,
-            workers=workers,
-            evaluate=True,
-            shared_memory=shared_memory,
+            setup, day_range, workers=workers, evaluate=True, return_tables=False
         )
         measured = fig15_measured(window, setup.scenario)
     per_day = [1 - row["titan-next"] for row in measured["normalized_peaks_by_day"].values()]

@@ -5,8 +5,7 @@ One experiment per registered scenario (``scenario-americas``,
 RTT-calibrated setup, run a §7 oracle day and a §8 prediction day, and
 report the normalized sum-of-peaks plus the controller's migration
 stats — the same quantities Figs 14/15 report for the Europe box, now
-per topology.  ``workers=`` fans the oracle day over a sweep pool like
-every other runner.
+per topology.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The sweep engine's performance layers rest on repo-specific invariants
 (counter-keyed Philox randomness, picklable pool payloads, read-only
-shared-memory views, restore-after-mutate solver discipline) that no
+worker state, restore-after-mutate solver discipline) that no
 generic linter knows about.  Each invariant is enforced by one
 :class:`Rule` — an AST pass registered here — and the runner applies
 every registered rule to every scanned file, filtering findings through

@@ -6,5 +6,5 @@ from . import (  # noqa: F401
     rhs_restore,
     rng,
     set_iteration,
-    shm_discipline,
+    worker_state,
 )

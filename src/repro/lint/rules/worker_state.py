@@ -1,26 +1,26 @@
-"""REP004 shm-readonly: worker-side code never writes through mapped
-shared-memory state.
+"""REP004 worker-state-readonly: worker-side code never writes through
+worker state.
 
-Under ``backend="process+shm"`` every large array a worker sees is a
-zero-copy *read-only* view of one shared segment
-(:func:`repro.core.shm.map_payload` maps spans ``.toreadonly()``), so
-an in-place write would corrupt — or, thanks to the read-only flag,
-crash — every sibling worker.  The runtime guard catches the write at
-execution time; this rule catches it at review time, including paths
-tests never execute.
+A pool worker's state (its unpickled setup and trace generators) is
+shared by every task that worker runs, and inline it *is* the caller's
+own setup — so an in-place write from one day's task leaks into every
+later day, breaking the contract that per-day work is a pure function
+of ``(setup, day, seed)`` and that ``workers=1`` reproduces any pool
+byte for byte.  This rule catches such writes at review time,
+including paths tests never execute.
 
 **Worker scope.** A function is worker-side when its name ends in
 ``_task`` or is ``_init_worker``, or when its body resolves worker
-state via ``_state_or_worker(...)`` / ``map_payload(...)``.
+state via ``_state_or_worker(...)``.
 
 **Taint.** Within a worker-scope function, the state object (parameters
-named ``state``, values returned by ``_state_or_worker`` /
-``map_payload``, and anything reached from those through plain
-attribute/subscript aliasing) is tainted; method-call *results* are
-not (they are new objects).  Flagged mutations of tainted values:
-subscript stores, augmented assigns, mutating methods (``.fill``,
-``.sort``, ``.partition``, ``.put``, ``.itemset``), ``out=`` keyword
-targets, and ``np.<ufunc>.at`` scatter updates.
+named ``state``, values returned by ``_state_or_worker``, and anything
+reached from those through plain attribute/subscript aliasing) is
+tainted; method-call *results* are not (they are new objects).
+Flagged mutations of tainted values: subscript stores, augmented
+assigns, mutating methods (``.fill``, ``.sort``, ``.partition``,
+``.put``, ``.itemset``), ``out=`` keyword targets, and
+``np.<ufunc>.at`` scatter updates.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..engine import (
     root_name,
 )
 
-_STATE_SOURCES = {"_state_or_worker", "map_payload"}
+_STATE_SOURCES = {"_state_or_worker"}
 _STATE_PARAMS = {"state"}
 _MUTATING_METHODS = {"fill", "sort", "partition", "put", "itemset", "byteswap"}
 
@@ -93,10 +93,10 @@ def _tainted_names(func: ast.AST) -> Set[str]:
 
 
 @register
-class ShmReadOnlyRule(Rule):
+class WorkerStateReadOnlyRule(Rule):
     id = "REP004"
-    name = "shm-readonly"
-    summary = "worker-side code must not mutate arrays reached from mapped shm state"
+    name = "worker-state-readonly"
+    summary = "worker-side code must not mutate state shared by the worker's tasks"
     packages = ("core", "workload")
 
     def run(self, tree: ast.AST, ctx: FileContext) -> Iterator[Finding]:
@@ -117,7 +117,7 @@ class ShmReadOnlyRule(Rule):
                             ctx,
                             node,
                             f"subscript write through worker state "
-                            f"'{root_name(target)}' — mapped shm views are read-only",
+                            f"'{root_name(target)}' — it is shared by every task on the worker",
                         )
             elif isinstance(node, ast.AugAssign):
                 if root_name(node.target) in tainted and not isinstance(node.target, ast.Name):
@@ -125,7 +125,7 @@ class ShmReadOnlyRule(Rule):
                         ctx,
                         node,
                         f"in-place update through worker state '{root_name(node.target)}' "
-                        "— mapped shm views are read-only",
+                        "— it is shared by every task on the worker",
                     )
             elif isinstance(node, ast.Call):
                 yield from self._check_call(node, ctx, tainted)
@@ -138,20 +138,20 @@ class ShmReadOnlyRule(Rule):
                     ctx,
                     node,
                     f".{func.attr}() on worker state '{root_name(func.value)}' mutates "
-                    "a mapped shm view",
+                    "state shared by every task on the worker",
                 )
             if func.attr == "at" and node.args and root_name(node.args[0]) in tainted:
                 yield self.finding(
                     ctx,
                     node,
                     f"ufunc .at() scatter into worker state '{root_name(node.args[0])}' "
-                    "mutates a mapped shm view",
+                    "mutates state shared by every task on the worker",
                 )
         for keyword in node.keywords:
             if keyword.arg == "out" and root_name(keyword.value) in tainted:
                 yield self.finding(
                     ctx,
                     node,
-                    f"out= targets worker state '{root_name(keyword.value)}' — mapped "
-                    "shm views are read-only",
+                    f"out= targets worker state '{root_name(keyword.value)}' — it is "
+                    "shared by every task on the worker",
                 )

@@ -92,7 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="AST contract checker for the repo's determinism, pickle-safety, "
-        "and shared-memory invariants.",
+        "and worker-state invariants.",
     )
     parser.add_argument("paths", nargs="*", help="files/directories to scan (default: src)")
     parser.add_argument("--format", choices=("text", "json"), default="text")

@@ -12,8 +12,8 @@ Four contracts pinned here:
   bundle) and its capacity books are stable under the disabled set
   (the stream regression ``build_europe_setup`` shipped a fix for);
 * every registered scenario survives the process boundary: pickle
-  round-trip, and a ``backend="process+shm"`` sweep reproducing the
-  serial loop byte for byte.
+  round-trip, and a pooled sweep with compact results
+  (``return_tables=False``) reproducing the serial loop byte for byte.
 """
 
 import pickle
@@ -234,15 +234,14 @@ class TestScenarioSweeps:
     """Every registered setup through the process boundary, fast form."""
 
     @pytest.mark.parametrize("name", list(SCENARIO_SPECS))
-    def test_shm_sweep_reproduces_serial(self, zoo, name):
+    def test_pooled_sweep_reproduces_serial(self, zoo, name):
         from repro.core.sweep import SweepRunner
 
         setup = zoo[name]
         days = [30]
         serial = SweepRunner(setup, workers=1).run_prediction_sweep(days, evaluate=True)
-        runner = SweepRunner(setup, workers=2, shared_memory=True)
-        assert runner.backend == "process+shm"
-        parallel = runner.run_prediction_sweep(days, evaluate=True)
+        runner = SweepRunner(setup, workers=2)
+        parallel = runner.run_prediction_sweep(days, evaluate=True, return_tables=False)
         for day in days:
             assert_same_day_result(parallel[day], serial[day])
             assert_same_evaluation(parallel[day].evaluation, serial[day].evaluation)
@@ -265,17 +264,15 @@ class TestScenarioSmoke:
 @pytest.mark.slow
 class TestScenarioEndToEnd:
     """The acceptance sweep: §7 oracle day + §8 prediction day through
-    ``SweepRunner`` on every scenario, serial ≡ parallel (workers=4,
-    ``process+shm``) byte for byte."""
+    ``SweepRunner`` on every scenario, serial ≡ parallel (workers=4)
+    byte for byte."""
 
     @pytest.mark.parametrize("name", list(SCENARIO_SPECS))
     def test_oracle_and_prediction_day_serial_equals_parallel(self, zoo, name):
         setup = zoo[name]
 
         oracle_serial = run_oracle_week(setup, start_day=2, days=1, workers=1)
-        oracle_parallel = run_oracle_week(
-            setup, start_day=2, days=1, workers=4, shared_memory=True
-        )
+        oracle_parallel = run_oracle_week(setup, start_day=2, days=1, workers=4)
         assert set(oracle_parallel) == set(oracle_serial)
         for day, results in oracle_serial.items():
             assert set(oracle_parallel[day]) == set(results)
@@ -284,9 +281,7 @@ class TestScenarioEndToEnd:
 
         days = [30]
         pred_serial = run_prediction_window(setup, days, workers=1, evaluate=True)
-        pred_parallel = run_prediction_window(
-            setup, days, workers=4, shared_memory=True, evaluate=True
-        )
+        pred_parallel = run_prediction_window(setup, days, workers=4, evaluate=True)
         for day in days:
             assert set(pred_parallel[day]) == set(pred_serial[day])
             for policy in pred_serial[day]:

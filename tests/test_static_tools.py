@@ -17,9 +17,8 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: The strict-subset modules mypy.ini fully annotates (process-boundary
-#: code: shm lifecycle, pool supervision).
+#: code: pool supervision).
 MYPY_TARGETS = [
-    "src/repro/core/shm.py",
     "src/repro/core/sweep.py",
 ]
 

@@ -11,11 +11,13 @@ spawns process pools.
 
 import pytest
 
+from repro.core.lp import PlanningError
 from repro.core.sweep import (
     FaultPolicy,
     FlakyTaskFault,
     HangFault,
     KillWorkerFault,
+    SummaryDayResult,
     SweepError,
     SweepRunner,
 )
@@ -46,6 +48,15 @@ class TestKillRecovery:
         and the sweep completes identical to serial."""
         runner = SweepRunner(small_setup, workers=2, inject_fault=KillWorkerFault(day=31))
         results = runner.run_prediction_sweep(DAYS, evaluate=True)
+        assert_matches_reference(results, serial_reference)
+        assert any(f.error_type == "BrokenPool" for f in runner.fault_log)
+
+    def test_killed_worker_recovers_on_the_compact_channel(self, small_setup, serial_reference):
+        """The same kill with ``return_tables=False``: the resubmitted
+        day's summary reproduces the serial result exactly."""
+        runner = SweepRunner(small_setup, workers=2, inject_fault=KillWorkerFault(day=31))
+        results = runner.run_prediction_sweep(DAYS, evaluate=True, return_tables=False)
+        assert all(isinstance(results[day], SummaryDayResult) for day in DAYS)
         assert_matches_reference(results, serial_reference)
         assert any(f.error_type == "BrokenPool" for f in runner.fault_log)
 
@@ -101,6 +112,28 @@ class TestRetry:
         assert failures[0].label == "replay:day=31"
         assert failures[0].attempts == 2  # first try + one retry
         assert failures[0].error_type == "RuntimeError"
+
+
+    def test_planning_error_is_raised_not_retried(self, small_setup):
+        """An input error (here a PlanningError) would fail every retry
+        identically: the pool is killed and the error raised as is."""
+        runner = SweepRunner(small_setup, workers=2, inject_fault=_PlanningFails(day=31))
+        with pytest.raises(PlanningError) as excinfo:
+            runner.run_prediction_sweep(DAYS)
+        assert excinfo.value.day == 31
+        assert excinfo.value.status == "infeasible"
+        assert runner.fault_log == []
+
+
+class _PlanningFails:
+    """Injector that raises an infeasible-plan error for a day's replay."""
+
+    def __init__(self, day):
+        self.day = day
+
+    def __call__(self, kind, task, attempt):
+        if kind == "replay" and task[0] == self.day:
+            raise PlanningError("injected infeasible plan", status="infeasible", day=self.day)
 
 
 class _AlwaysFails:

@@ -5,8 +5,8 @@ is counter-based Philox keyed on ``(seed, config, slot)``, per-day work
 is a pure function of ``(setup, day, seed)`` — so a
 :class:`~repro.core.sweep.SweepRunner` must reproduce the serial loop
 *exactly* (same realized tables, same stats, same scores) for any
-worker count, any backend, and any day order.  This file pins that
-contract; ``benchmarks/test_sweep_speed.py`` pins the speedup.
+worker count and any day order.  This file pins that contract;
+``benchmarks/test_sweep_speed.py`` pins the speedup.
 """
 
 import pickle
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.metrics import evaluate_batch
+from repro.core import InsufficientHistory
 from repro.core.sweep import SweepRunner, available_workers
 from repro.core.titan_next import (
     oracle_demand_for_day,
@@ -57,9 +58,9 @@ def serial_sweep(small_setup):
 
 
 class TestPredictionSweepEquivalence:
-    @pytest.mark.parametrize("workers,backend", [(2, "process"), (4, "process")])
-    def test_process_workers_reproduce_serial(self, small_setup, serial_sweep, workers, backend):
-        parallel = run_prediction_sweep(small_setup, DAYS, workers=workers, backend=backend)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_process_workers_reproduce_serial(self, small_setup, serial_sweep, workers):
+        parallel = run_prediction_sweep(small_setup, DAYS, workers=workers)
         assert set(parallel) == set(serial_sweep)
         for day in DAYS:
             assert_same_day_result(parallel[day], serial_sweep[day])
@@ -175,17 +176,30 @@ class TestRunnerKnobs:
         with pytest.raises(ValueError):
             SweepRunner(small_setup, workers=0)
 
-    def test_rejects_unknown_backend(self, small_setup):
-        with pytest.raises(ValueError):
-            SweepRunner(small_setup, workers=2, backend="greenlet")
-
     def test_auto_workers_resolves_to_cpus(self, small_setup):
         runner = SweepRunner(small_setup, workers="auto")
         assert runner.workers == available_workers()
         assert runner.workers >= 1
 
-    def test_single_worker_forces_serial_backend(self, small_setup):
-        assert SweepRunner(small_setup, workers=1, backend="process").backend == "serial"
+
+class TestInputErrors:
+    """A pooled sweep raises the serial path's typed input errors as is."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_insufficient_history_is_raised_not_retried(self, small_setup, workers):
+        runner = SweepRunner(small_setup, workers=workers)
+        with pytest.raises(InsufficientHistory) as excinfo:
+            runner.run_prediction_window([10, 11], policies=("titan-next",))
+        assert excinfo.value.day == 10
+        assert excinfo.value.history_weeks == 4
+        assert runner.fault_log == []
+
+    def test_insufficient_history_pickles_with_its_fields(self):
+        error = pickle.loads(pickle.dumps(InsufficientHistory(10, 4)))
+        assert isinstance(error, InsufficientHistory)
+        assert isinstance(error, ValueError)
+        assert (error.day, error.history_weeks) == (10, 4)
+        assert str(error) == "day 10 does not leave 4 weeks of history"
 
 
 class TestSetupPickling:
