@@ -6,9 +6,15 @@ the batched forecast pipeline (``counts_matrix`` history window +
 at least 5x faster than the per-config scalar reference, and the
 end-to-end ``run_prediction_day`` at least 3x faster than the same day
 driven by the scalar forecaster — while producing the same tables,
-plans, and realized assignment statistics.  ``run_prediction_sweep``
-(one cached LP structure loaded in HiGHS, RHS refresh + a solve from
-the slack basis per day) must match freshly built per-day LPs exactly.
+plans, and realized assignment statistics.  A Titan-Next window through
+``SweepRunner`` (one cached LP structure loaded in HiGHS, RHS refresh +
+a solve from the slack basis per day) must match freshly built per-day
+LPs exactly on this default Europe setup (150 configs, 40k calls/day,
+days 30-32).  That exactness is a property of the setup, not a
+guarantee: on larger LPs the cached solve (presolve off) and the
+one-shot solve can stop on different near-tie vertices — on the global
+top-200 setup at 50k calls/day, day 30 places 5 of ~33k calls
+differently with equal stats.
 """
 
 import time
@@ -17,15 +23,16 @@ import pytest
 
 from repro.core.lp import JointAssignmentLp, JointLpOptions
 from repro.core.plan import OfflinePlan
+from repro.core.sweep import SweepRunner
 from repro.core.titan_next import (
     build_europe_setup,
     predicted_demand_for_day,
     predicted_demand_for_day_reference,
     run_prediction_day,
-    run_prediction_sweep,
 )
 from repro.core.controller import TitanNextController
 from repro.workload.traces import TraceGenerator
+from tests.test_sweep_parallel import titan_next_days
 
 pytestmark = pytest.mark.slow
 
@@ -107,7 +114,7 @@ def test_prediction_day_is_3x_faster_end_to_end(default_setup):
 def test_prediction_sweep_matches_fresh_per_day_plans(default_setup):
     setup = default_setup
     days = [30, 31, 32]
-    t_sweep, sweep = _best_of(lambda: run_prediction_sweep(setup, days), rounds=1)
+    t_sweep, sweep = _best_of(lambda: titan_next_days(SweepRunner(setup), days), rounds=1)
 
     per_day_planning = 0.0
     for day in days:

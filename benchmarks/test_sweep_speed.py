@@ -37,7 +37,8 @@ from repro.core.sweep import (
     available_workers,
     summarize_day_result,
 )
-from repro.core.titan_next import build_europe_setup, run_prediction_sweep
+from repro.core.titan_next import build_europe_setup
+from tests.test_sweep_parallel import titan_next_days
 
 pytestmark = pytest.mark.slow
 
@@ -67,11 +68,11 @@ def sweep_setup():
 )
 def test_parallel_sweep_is_2x_faster(sweep_setup, record_bench):
     start = time.perf_counter()
-    serial = run_prediction_sweep(sweep_setup, DAYS, workers=1)
+    serial = titan_next_days(SweepRunner(sweep_setup, workers=1), DAYS)
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_prediction_sweep(sweep_setup, DAYS, workers=WORKERS)
+    parallel = titan_next_days(SweepRunner(sweep_setup, workers=WORKERS), DAYS)
     t_parallel = time.perf_counter() - start
 
     # Byte-identical results first — a fast wrong answer pins nothing.
@@ -109,8 +110,8 @@ def test_compact_summary_ipc_reduction(sweep_setup, record_bench):
     summarizes — measured on the same day, and checked equivalent
     before the size pin."""
     day = DAYS[0]
-    full = run_prediction_sweep(sweep_setup, [day], workers=1)[day]
-    summary = summarize_day_result(sweep_setup.scenario, full, day, 71, True)
+    full = titan_next_days(SweepRunner(sweep_setup, workers=1), [day])[day]
+    summary = summarize_day_result(sweep_setup.scenario, full, day, 71)
 
     full_bytes = len(pickle.dumps(full, protocol=pickle.HIGHEST_PROTOCOL))
     compact_bytes = len(pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL))
@@ -146,8 +147,8 @@ def test_parallel_sweep_reproduces_serial_results(sweep_setup):
     small setup.
     """
     days = DAYS[:3]
-    serial = run_prediction_sweep(sweep_setup, days, workers=1)
-    parallel = run_prediction_sweep(sweep_setup, days, workers=2)
+    serial = titan_next_days(SweepRunner(sweep_setup, workers=1), days)
+    parallel = titan_next_days(SweepRunner(sweep_setup, workers=2), days)
     for day in days:
         assert parallel[day].stats == serial[day].stats
         assert parallel[day].realized_table() == serial[day].realized_table()
@@ -162,12 +163,11 @@ def test_worker_pool_overhead_is_bounded(sweep_setup):
     shipping (the payload is pickled once per pool, not per day).
     """
     start = time.perf_counter()
-    run_prediction_sweep(sweep_setup, DAYS, workers=1)
+    titan_next_days(SweepRunner(sweep_setup, workers=1), DAYS)
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    runner = SweepRunner(sweep_setup, workers=2)
-    runner.run_prediction_sweep(DAYS)
+    titan_next_days(SweepRunner(sweep_setup, workers=2), DAYS)
     t_parallel = time.perf_counter() - start
 
     print(f"\noverhead check: serial {t_serial:.2f} s, 2 workers {t_parallel:.2f} s")

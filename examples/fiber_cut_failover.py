@@ -19,11 +19,13 @@ Two production anecdotes, simulated:
   the cut at onset, refreshes the cached LP's capacity RHS, and splices a
   new plan for the remaining slots.
 
+Exits with status 1 if the campaign day leaves a replan round unsolved
+or fails to move Internet load back onto the WAN.
+
 Run:
     python examples/fiber_cut_failover.py
 """
 
-from repro.core.capacity import InternetCapacityBook
 from repro.core.stress import StressTimeline, campaign_scenarios, run_campaign_day
 from repro.core.titan_next import build_europe_setup
 from repro.geo.world import default_world
@@ -52,7 +54,7 @@ def fiber_cut_story() -> None:
         except ValueError:
             continue
     assert cut is not None
-    model._base_cache.clear()  # paths changed; recompute
+    # The topology's version moved, so the model drops its stale WAN RTTs.
     after_km = topology.wan_path_km(country, dc)
     after_rtt = model.base_rtt_ms(country, dc, WAN)
     print(f"Fiber cut on {sorted(cut.key)}:")
@@ -115,6 +117,12 @@ def campaign_day_story() -> None:
           f"quota overdraft: {result.overflow_rate:.2%}")
     print("  the replans move the cut corridor's Internet load back onto the WAN "
           "for the cut window, then restore it once the repair lands")
+    if result.infeasible_rounds or not (
+        result.evaluation.internet_share < baseline.evaluation.internet_share
+    ):
+        print("FAILED: the fiber-cut day must solve every replan round and carry "
+              "a smaller Internet share than the clean day")
+        raise SystemExit(1)
 
 
 def main() -> None:

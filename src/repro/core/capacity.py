@@ -83,9 +83,10 @@ class InternetCapacityBook:
     def snapshot(self) -> Dict[Tuple[str, str], Tuple[float, float, bool]]:
         """The full (fraction, gbps, disabled) state, for later restore.
 
-        A stress campaign folds event capacity factors into the live
-        book (so replans see them) and restores the pre-campaign state
-        afterwards; snapshot/restore is that bracket.
+        A caller that mutates the book for an experiment takes a
+        snapshot first and hands it to :meth:`restore` afterwards.
+        Stress campaigns do not need this bracket: they apply capacity
+        events to the planning LP's right-hand sides, never to the book.
         """
         return {
             key: (pair.fraction, pair.gbps, pair.disabled)

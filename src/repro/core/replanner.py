@@ -5,41 +5,34 @@ assignments for the next 24 hours ... by running every 30 min, it
 adapts the assignments to fresh information about the fraction of
 traffic on Internet calculated by Titan."
 
-:class:`RollingPlanner` simulates that loop: at every slot it re-solves
-the Fig 13 LP for the remaining horizon using the *current* capacity
-book (which Titan may have changed — e.g. an emergency brake zeroing a
-pair mid-day) and splices the fresh plan into the controller's quota
-table for future slots only.  Past slots are never rewritten: calls
-already assigned stay assigned.
+:class:`RollingPlanner` is one round of that loop: it re-solves the
+Fig 13 LP for the remaining horizon and splices the fresh plan into the
+controller's quota table for future slots only.  Past slots are never
+rewritten: calls already assigned stay assigned.  The caller owns the
+cadence (:func:`~repro.core.stress.run_campaign_day` replans every
+``cadence`` slots).
 
-Two solve paths share the splice-and-record loop:
+Every round solves through one :class:`~repro.core.titan_next.PlanCache`
+whose model stays loaded in a persistent HiGHS session: a replan is a
+C1/C4 RHS refresh plus a solve from the slack basis, and capacity
+changes (Titan's fresh Internet fractions, an outage, a cut) reach the
+solver through :meth:`PlanCache.refresh_capacity_rhs` as RHS-only
+edits too.  This is what makes intraday replanning affordable inside a
+stress campaign sweeping many days.
 
-* the **fresh-LP path** (default) builds a new
-  :class:`~repro.core.lp.JointAssignmentLp` per round off the live
-  capacity book — correct for arbitrary mid-day book mutations, but it
-  pays full model assembly every 30 minutes;
-* the **cached path** (``configs=`` given) keeps one
-  :class:`~repro.core.titan_next.PlanCache` across rounds, its model
-  loaded in a persistent HiGHS session: each replan is a C1/C4 RHS
-  refresh + a solve from the slack basis, and capacity changes reach
-  the solver through :meth:`PlanCache.refresh_capacity_rhs` (outages
-  and cuts are RHS-only edits too).  This is what makes intraday
-  replanning affordable inside a stress campaign sweeping many days.
-
-An infeasible round is not an error on either path: the previous plan
-is kept for the remaining slots and the §6.4 surge path absorbs the
-calls the stale plan cannot place (visible as
-``ControllerStats.unplanned_rate`` after replay).
+An infeasible round is not an error: the previous plan is kept for the
+remaining slots and the §6.4 surge path absorbs the calls the stale
+plan cannot place (visible as ``ControllerStats.unplanned_rate`` after
+replay).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..workload.configs import CallConfig
-from .capacity import InternetCapacityBook
-from .lp import JointAssignmentLp, JointLpOptions
+from .lp import JointLpOptions
 from .plan import OfflinePlan
 from .scenario import Scenario
 
@@ -57,39 +50,28 @@ class ReplanEvent:
 
 
 class RollingPlanner:
-    """Re-solves the joint LP every ``cadence`` slots over a day."""
+    """Re-solves the joint LP for the rest of the day, one round at a time.
+
+    ``configs`` fixes the cached LP structure (every slot of the
+    scenario's day × these configs); a demand key outside it is a
+    structural error (``KeyError``), the same as ``PlanCache``'s
+    multi-day contract.
+    """
 
     def __init__(
         self,
         scenario: Scenario,
+        configs: Sequence[CallConfig],
         options: Optional[JointLpOptions] = None,
-        cadence: int = 1,
-        slots_per_day: int = 48,
-        configs: Optional[Sequence[CallConfig]] = None,
     ) -> None:
-        if cadence < 1:
-            raise ValueError("cadence must be >= 1 slot")
+        from .titan_next import PlanCache
+
         self.scenario = scenario
-        self.options = options if options is not None else JointLpOptions()
-        self.cadence = cadence
-        self.slots_per_day = slots_per_day
         self.plan = OfflinePlan()
         self.events: List[ReplanEvent] = []
-        self.plan_cache = None
-        if configs is not None:
-            from .titan_next import PlanCache
-
-            # One loaded LP structure for every round of the day: a
-            # replan pins past slots' C1 rows to zero demand and
-            # re-solves.  Demand keys outside the given config set are
-            # a structural error (KeyError), same as PlanCache's
-            # multi-day contract.
-            self.plan_cache = PlanCache(
-                scenario,
-                sorted(set(configs), key=str),
-                slots=range(slots_per_day),
-                options=self.options,
-            )
+        # One loaded LP structure for every round of the day: a replan
+        # pins past slots' C1 rows to zero demand and re-solves.
+        self.plan_cache = PlanCache(scenario, sorted(set(configs), key=str), options=options)
 
     def _remaining_demand(
         self, demand: DemandTable, from_slot: int
@@ -100,17 +82,14 @@ class RollingPlanner:
         """Re-solve for slots ≥ ``from_slot`` and splice into the plan.
 
         Returns False (and keeps the previous plan for those slots) if
-        the LP is infeasible under the fresh capacities — the §6.4 surge
-        path then handles calls the stale plan cannot place.
+        the LP is infeasible under the current capacities — the §6.4
+        surge path then handles calls the stale plan cannot place.
         """
         remaining = self._remaining_demand(demand, from_slot)
         if not remaining:
             self.events.append(ReplanEvent(from_slot, True, 0.0, 0))
             return True
-        if self.plan_cache is not None:
-            result = self.plan_cache.solve_day(remaining)
-        else:
-            result = JointAssignmentLp(self.scenario, remaining, self.options).solve()
+        result = self.plan_cache.solve_day(remaining)
         if not result.is_optimal:
             self.events.append(ReplanEvent(from_slot, False, None, 0))
             return False
@@ -119,27 +98,6 @@ class RollingPlanner:
             ReplanEvent(from_slot, True, result.sum_of_peaks(), len(result.assignment))
         )
         return True
-
-    def run_day(
-        self,
-        demand_provider: Callable[[int], DemandTable],
-        capacity_update: Optional[Callable[[int, InternetCapacityBook], None]] = None,
-    ) -> OfflinePlan:
-        """Simulate a day of 30-minute re-planning rounds.
-
-        ``demand_provider(slot)`` returns the freshest demand forecast
-        for the whole day at that slot (the paper refreshes estimates
-        each round); ``capacity_update(slot, book)`` lets the caller
-        mutate the capacity book mid-day, as Titan would.  On the
-        cached path the book feeds only fresh-LP rebuilds — push
-        capacity changes to :attr:`plan_cache` via
-        ``refresh_capacity_rhs`` (the stress campaign runner does).
-        """
-        for slot in range(0, self.slots_per_day, self.cadence):
-            if capacity_update is not None:
-                capacity_update(slot, self.scenario.capacity_book)
-            self.replan(demand_provider(slot), from_slot=slot)
-        return self.plan
 
     @property
     def infeasible_rounds(self) -> int:

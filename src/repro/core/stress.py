@@ -15,10 +15,11 @@ This module turns those anecdotes into reproducible scenario campaigns:
   stressed trace is deterministic and unstressed slots stay
   bit-identical to the unstressed day;
 * capacity events become right-hand-side factors on the planning LP's
-  C2 (compute) and C3 (Internet capacity) rows — refreshed in place on
-  the loaded :class:`~repro.core.titan_next.PlanCache` — and are folded
-  into the live :class:`~repro.core.capacity.InternetCapacityBook`
-  (Titan's reaction: degraded probes pull cleared capacity, §4.2(5));
+  C2 (compute) and C3 (Internet capacity) rows, refreshed in place on
+  the loaded :class:`~repro.core.titan_next.PlanCache` (Titan's
+  reaction: degraded probes pull cleared capacity, §4.2(5)); the
+  shared :class:`~repro.core.capacity.InternetCapacityBook` is never
+  written;
 * :func:`run_campaign_day` replays the whole day through the batch
   ``process_table`` controller path with intraday replanning at the
   paper's cadence, degrading gracefully on infeasible rounds (the
@@ -288,30 +289,6 @@ class StressTimeline:
 
         return internet_factor, compute_factor
 
-    def fold_into_book(
-        self,
-        book,
-        scenario: Scenario,
-        at_slot: int,
-        baseline: Dict[Tuple[str, str], Tuple[float, float, bool]],
-        visible_from: Optional[int] = None,
-    ) -> None:
-        """Write the slot's capacity state into the live capacity book.
-
-        Sets every pair's Gbps to ``baseline × factor(at_slot)`` — the
-        book is "current world state", which is what Titan consumers
-        and the fresh-LP replanning path read.  ``baseline`` is a
-        :meth:`InternetCapacityBook.snapshot` taken before the campaign;
-        restore it when the campaign ends.
-        """
-        internet_factor, _ = self.capacity_factor_fns(scenario, visible_from)
-        for (country_code, dc_code), (fraction, gbps, disabled) in baseline.items():
-            factor = internet_factor(at_slot, country_code, dc_code)
-            pair = book.pair(country_code, dc_code)
-            pair.fraction = fraction
-            pair.gbps = gbps * factor
-            pair.disabled = disabled
-
     def event_schedule(self, scenario: Scenario):
         """The WAN-side :class:`~repro.net.events.EventSchedule` view.
 
@@ -431,17 +408,16 @@ def run_campaign_day(
     The loop is the paper's operation: every ``cadence`` slots the
     planner re-estimates demand (expected rates × the multipliers of
     events *visible* at the round), refreshes the cached LP's capacity
-    RHS for the events' schedules, folds the current capacity state
-    into the live book, and re-solves for the remaining slots — keeping
-    the stale plan when the round is infeasible.  The realized
-    (ground-truth) stressed trace then replays through
+    RHS for the events' schedules, and re-solves for the remaining
+    slots — keeping the stale plan when the round is infeasible.  The
+    realized (ground-truth) stressed trace then replays through
     ``TitanNextController.process_table`` against the final spliced
     plan, which is faithful in time: replan rounds never rewrite past
     slots, so slot *t*'s quotas are exactly what the last round at or
     before *t* produced.  Scored with ``evaluate_batch``.
 
-    The capacity book is restored to its pre-campaign snapshot before
-    returning, even on error.
+    The scenario's capacity book is only read (when the cache is
+    built), never written.
     """
     from ..analysis.metrics import evaluate_batch
     from ..workload.traces import TraceGenerator
@@ -450,6 +426,8 @@ def run_campaign_day(
     from .replanner import RollingPlanner
     from .titan_next import _table_from_matrix, day_e2e_bound_ms
 
+    if cadence < 1:
+        raise ValueError("cadence must be >= 1 slot")
     scenario = setup.scenario
     slots = scenario.slots_per_day
     start_slot = day * slots
@@ -465,34 +443,20 @@ def run_campaign_day(
     base_expected = setup.demand.expected_matrix(start_slot, slots, top_n=setup.top_n_configs)
     configs = sorted({c for _, c in _table_from_matrix(base_expected, raw_configs, True)}, key=str)
     options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
-    planner = RollingPlanner(
-        scenario, options, cadence=cadence, slots_per_day=slots, configs=configs
-    )
+    planner = RollingPlanner(scenario, configs, options)
 
-    book = scenario.capacity_book
-    baseline = book.snapshot()
-    try:
-        for round_slot in range(0, slots, cadence):
-            internet_fn, compute_fn = timeline.capacity_factor_fns(
-                scenario, visible_from=round_slot
-            )
-            planner.plan_cache.refresh_capacity_rhs(
-                internet_factor=internet_fn, compute_factor=compute_fn
-            )
-            timeline.fold_into_book(
-                book, scenario, at_slot=round_slot, baseline=baseline, visible_from=round_slot
-            )
-            visible_multipliers = timeline.demand_multipliers(
-                raw_configs, slots, visible_from=round_slot
-            )
-            estimate = setup.demand.expected_matrix(
-                start_slot, slots, top_n=setup.top_n_configs, multipliers=visible_multipliers
-            )
-            planner.replan(
-                _table_from_matrix(estimate, raw_configs, True), from_slot=round_slot
-            )
-    finally:
-        book.restore(baseline)
+    for round_slot in range(0, slots, cadence):
+        internet_fn, compute_fn = timeline.capacity_factor_fns(scenario, visible_from=round_slot)
+        planner.plan_cache.refresh_capacity_rhs(
+            internet_factor=internet_fn, compute_factor=compute_fn
+        )
+        visible_multipliers = timeline.demand_multipliers(
+            raw_configs, slots, visible_from=round_slot
+        )
+        estimate = setup.demand.expected_matrix(
+            start_slot, slots, top_n=setup.top_n_configs, multipliers=visible_multipliers
+        )
+        planner.replan(_table_from_matrix(estimate, raw_configs, True), from_slot=round_slot)
 
     controller = TitanNextController(scenario, planner.plan, seed=seed + 1, reduce_configs=True)
     batch = controller.process_table(trace)

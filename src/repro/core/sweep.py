@@ -105,7 +105,7 @@ import numpy as np
 from ..workload.configs import CallConfig
 from ..workload.demand import SLOTS_PER_DAY
 from ..workload.traces import TraceGenerator
-from .lp import AssignmentTable, JointLpOptions, PlanningError
+from .lp import AssignmentTable, PlanningError
 from .scenario import EVAL_OPTION_ORDER
 
 if TYPE_CHECKING:
@@ -319,44 +319,45 @@ def _state_or_worker(state: Optional[_WorkerState]) -> _WorkerState:
 
 
 def _forecast_day_task(
-    task: Tuple[int, int, bool], state: Optional[_WorkerState] = None
+    task: Tuple[int], state: Optional[_WorkerState] = None
 ) -> Tuple[int, DemandTable]:
-    """(day, history_weeks, reduced) -> (day, predicted demand table)."""
+    """(day,) -> (day, predicted demand table)."""
     from .titan_next import predicted_demand_for_day
 
-    day, history_weeks, reduced = task
+    (day,) = task
     worker = _state_or_worker(state)
-    return day, predicted_demand_for_day(worker.setup, day, history_weeks, reduced=reduced)
+    return day, predicted_demand_for_day(worker.setup, day)
 
 
 def _replay_day_task(
-    task: Tuple[int, Optional[AssignmentTable], Tuple[str, ...], int, bool, bool, bool],
+    task: Tuple[int, Optional[AssignmentTable], Tuple[str, ...], int, bool, bool],
     state: Optional[_WorkerState] = None,
 ) -> Tuple[int, Dict[str, object]]:
     """Replay one §8 day: synthesize the trace once, run each policy.
 
-    ``task`` is ``(day, plan_assignment, policies, seed, reduced,
-    evaluate, compact)``; returns ``(day, {policy: result})`` where each
-    result is a full ``PredictionDayResult`` — identical to what
-    :func:`~repro.core.titan_next.run_prediction_day` produces for the
-    same day and seed — or, with ``compact``, a :class:`DaySummary`
+    ``task`` is ``(day, plan_assignment, policies, seed, evaluate,
+    compact)``; returns ``(day, {policy: result})`` where each result is
+    a full ``PredictionDayResult`` — on the same trace and seeds as
+    :func:`~repro.core.titan_next.run_prediction_day` for that day, and
+    for Titan-Next on a plan equal to a fresh per-day LP's to the
+    solver's tolerance — or, with ``compact``, a :class:`DaySummary`
     holding only the realized-table rows, stats, and (optional) score:
     the worker→parent payload drops from the full ``CallTable`` /
     ``AssignmentBatch`` columns to a few distinct-row arrays.
     """
     from .titan_next import _prediction_day_result
 
-    day, plan_assignment, policies, seed, reduced, evaluate, compact = task
+    day, plan_assignment, policies, seed, evaluate, compact = task
     worker = _state_or_worker(state)
     table = worker.trace_generator(seed).table_for_day(day)
     results: Dict[str, object] = {}
     for name in policies:
         result = _prediction_day_result(
-            worker.setup, name, table, seed, reduced, plan_assignment=plan_assignment
+            worker.setup, name, table, seed, plan_assignment=plan_assignment
         )
         if compact:
             results[name] = summarize_day_result(
-                worker.setup.scenario, result, day, seed, reduced, evaluate=evaluate
+                worker.setup.scenario, result, day, seed, evaluate=evaluate
             )
         else:
             if evaluate:
@@ -373,8 +374,7 @@ def _oracle_day_task(
 
     ``task`` is ``(day, demand, titan_next_assignment, policies)``;
     ``titan_next_assignment`` carries the serial planning phase's
-    cached-LP optimum (``None`` lets the worker solve a fresh LP, the
-    ``use_plan_cache=False`` path).
+    cached-LP optimum (``None`` when the policies leave Titan-Next out).
     """
     from .titan_next import run_oracle_day
 
@@ -442,7 +442,6 @@ class DaySummary:
     policy: str
     day: int
     seed: int
-    reduced: bool
     slots_per_day: int
     row_slot: np.ndarray
     row_cfg: np.ndarray
@@ -459,7 +458,6 @@ def summarize_day_result(
     result: "PredictionDayResult",
     day: int,
     seed: int,
-    reduced: bool,
     evaluate: bool = False,
 ) -> DaySummary:
     """Collapse one ``PredictionDayResult`` into a :class:`DaySummary`.
@@ -484,7 +482,6 @@ def summarize_day_result(
         policy=result.policy,
         day=day,
         seed=seed,
-        reduced=reduced,
         slots_per_day=SLOTS_PER_DAY,
         row_slot=slot,
         row_cfg=cfg,
@@ -547,12 +544,7 @@ class SummaryDayResult:
             s = self.summary
             table = self._state.trace_generator(s.seed).table_for_day(s.day)
             full = _prediction_day_result(
-                self._state.setup,
-                s.policy,
-                table,
-                s.seed,
-                s.reduced,
-                plan_assignment=self._plan_assignment,
+                self._state.setup, s.policy, table, s.seed, plan_assignment=self._plan_assignment
             )
             full.evaluation = self.evaluation
             self._full = full
@@ -671,10 +663,6 @@ class SweepRunner:
     raise :class:`SweepError`.  Because per-day tasks are pure
     functions of their tuples, a sweep that survives a killed or hung
     worker still reproduces the serial reference byte for byte.
-
-    ``chunk_days`` bounds how many days are planned, in flight, and
-    held in memory at once (see :meth:`iter_days`) without changing
-    any result byte.
     """
 
     def __init__(
@@ -683,15 +671,9 @@ class SweepRunner:
         workers: int | str = 1,
         fault_policy: Optional[FaultPolicy] = None,
         inject_fault: Optional[Callable] = None,
-        chunk_days: Optional[int] = None,
     ) -> None:
         self.setup = setup
         self.workers = _resolve_workers(workers)
-        if chunk_days is not None and chunk_days < 1:
-            raise ValueError("chunk_days must be >= 1 (or None)")
-        #: Default streaming chunk for :meth:`iter_days` and the
-        #: ``run_*`` windows; ``None`` = monolithic.
-        self.chunk_days = chunk_days
         #: Supervision knobs for pooled phases; the serial path ignores
         #: them (no pool, no retries — it is the pinned reference).
         self.fault_policy = fault_policy if fault_policy is not None else FaultPolicy()
@@ -922,49 +904,31 @@ class SweepRunner:
     # -- §8 prediction sweeps ----------------------------------------------
 
     def forecast_days(
-        self,
-        days: Sequence[int],
-        history_weeks: int = 4,
-        reduced: bool = True,
-        pool: Optional[_PoolHandle] = None,
+        self, days: Sequence[int], pool: Optional[_PoolHandle] = None
     ) -> Dict[int, DemandTable]:
         """Parallel phase 1: per-day Holt-Winters forecast tables."""
-        tasks = [(day, history_weeks, reduced) for day in days]
+        tasks = [(day,) for day in days]
         return dict(self.map_days(_forecast_day_task, tasks, pool=pool))
 
-    def _plan_backend(
-        self, demands: Dict[int, DemandTable], lp_options: Optional[JointLpOptions]
-    ) -> Tuple["PlanCache", Callable[[int], float]]:
-        """Build the planning loop's cache for a set of day tables.
-
-        Returns one :class:`~repro.core.titan_next.PlanCache` over the
-        union of the days' configs, plus the per-day E2E bound resolver.
-        """
-        from .titan_next import PlanCache, day_e2e_bound_ms
+    def _plan_cache(self, demands: Dict[int, DemandTable]) -> "PlanCache":
+        """One :class:`~repro.core.titan_next.PlanCache` over the union
+        of the days' configs: the planning loop's only LP structure."""
+        from .titan_next import PlanCache
 
         configs = sorted({c for table in demands.values() for _, c in table}, key=str)
         if not configs:
             raise ValueError("no predicted demand across the requested days")
-        cache = PlanCache(self.setup.scenario, configs, options=lp_options)
-
-        def bound_for(day: int) -> float:
-            return lp_options.e2e_bound_ms if lp_options is not None else day_e2e_bound_ms(day)
-
-        return cache, bound_for
+        return PlanCache(self.setup.scenario, configs)
 
     @staticmethod
-    def _solve_plan(
-        cache: "PlanCache",
-        bound_for: Callable[[int], float],
-        demand: DemandTable,
-        day: int,
-        label: str = "planning",
-    ) -> AssignmentTable:
-        """One day's plan through the window's already-built cache."""
-        solved = cache.solve_day(demand, e2e_bound_ms=bound_for(day))
+    def _solve_plan(cache: "PlanCache", demand: DemandTable, day: int) -> AssignmentTable:
+        """One day's plan through the window's cache, under its §7.5 E2E bound."""
+        from .titan_next import day_e2e_bound_ms
+
+        solved = cache.solve_day(demand, e2e_bound_ms=day_e2e_bound_ms(day))
         if not solved.is_optimal:
             raise PlanningError(
-                f"Titan-Next {label} LP failed for day {day}: {solved.status}",
+                f"Titan-Next planning LP failed for day {day}: {solved.status}",
                 status=solved.status,
                 day=day,
             )
@@ -976,7 +940,6 @@ class SweepRunner:
         plans: Optional[Dict[int, AssignmentTable]] = None,
         policies: Sequence[str] = ("titan-next",),
         seed: int = 71,
-        reduced: bool = True,
         evaluate: bool = False,
         pool: Optional[_PoolHandle] = None,
         return_tables: bool = True,
@@ -996,7 +959,7 @@ class SweepRunner:
         plans = plans if plans is not None else {}
         chosen = tuple(policies)
         compact = not return_tables
-        tasks = [(day, plans.get(day), chosen, seed, reduced, evaluate, compact) for day in days]
+        tasks = [(day, plans.get(day), chosen, seed, evaluate, compact) for day in days]
         gathered = dict(self.map_days(_replay_day_task, tasks, pool=pool))
         if not compact:
             return gathered
@@ -1006,9 +969,6 @@ class SweepRunner:
         self,
         days: Sequence[int],
         policies: Optional[Sequence[str]] = None,
-        history_weeks: int = 4,
-        lp_options: Optional[JointLpOptions] = None,
-        reduced: bool = True,
         seed: int = 71,
         evaluate: bool = False,
         chunk_days: Optional[int] = None,
@@ -1016,21 +976,19 @@ class SweepRunner:
     ) -> Dict[int, Dict[str, "PredictionDayResult"]]:
         """The §8 experiment for every (day, policy) in a window.
 
-        Per (day, policy) the output is identical to
-        :func:`~repro.core.titan_next.run_prediction_day` — same trace,
-        same seeds, same plan optimum — for any worker count, any
-        ``chunk_days``, and either result channel.  This is
-        :meth:`iter_days` drained into a dict; pass ``chunk_days`` (or
-        set it on the runner) to bound in-flight work, or iterate
+        Per (day, policy) the output runs on the same trace and seeds as
+        :func:`~repro.core.titan_next.run_prediction_day`; Titan-Next
+        replays the window cache's plan, equal to a fresh per-day LP's
+        to the solver's tolerance.  The output is byte-identical for
+        any worker count, any ``chunk_days``, and either result
+        channel.  This is :meth:`iter_days` drained into a dict; pass
+        ``chunk_days`` to bound in-flight work, or iterate
         :meth:`iter_days` directly to also bound *held* results.
         """
         return dict(
             self.iter_days(
                 days,
                 policies=policies,
-                history_weeks=history_weeks,
-                lp_options=lp_options,
-                reduced=reduced,
                 seed=seed,
                 evaluate=evaluate,
                 chunk_days=chunk_days,
@@ -1042,16 +1000,14 @@ class SweepRunner:
         self,
         days: Sequence[int],
         policies: Optional[Sequence[str]] = None,
-        history_weeks: int = 4,
-        lp_options: Optional[JointLpOptions] = None,
-        reduced: bool = True,
         seed: int = 71,
         evaluate: bool = False,
         chunk_days: Optional[int] = None,
         return_tables: bool = True,
     ) -> Iterator[Tuple[int, Dict[str, "PredictionDayResult"]]]:
         """Stream the §8 window as ``(day, {policy: result})`` pairs,
-        in day order, ``chunk_days`` days at a time.
+        in day order, ``chunk_days`` days at a time (``None``: the
+        whole window as one chunk).
 
         The streaming contract: results are byte-identical to the
         monolithic window for every chunk size.  That holds because
@@ -1076,62 +1032,31 @@ class SweepRunner:
         with self.worker_pool(len(day_list)) as pool:
             planned = "titan-next" in chosen
             if planned:
-                predictions = self.forecast_days(
-                    day_list, history_weeks, reduced=reduced, pool=pool
-                )
-                cache, bound_for = self._plan_backend(predictions, lp_options)
+                predictions = self.forecast_days(day_list, pool=pool)
+                cache = self._plan_cache(predictions)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
                 plans: Optional[Dict[int, AssignmentTable]] = None
                 if planned:
-                    plans = {
-                        day: self._solve_plan(cache, bound_for, predictions[day], day)
-                        for day in block
-                    }
+                    plans = {day: self._solve_plan(cache, predictions[day], day) for day in block}
                 results = self.replay_days(
                     block,
                     plans=plans,
                     policies=chosen,
                     seed=seed,
-                    reduced=reduced,
                     evaluate=evaluate,
                     pool=pool,
                     return_tables=return_tables,
                 )
                 yield from ((day, results[day]) for day in block)
 
-    def _chunk(self, chunk_days: Optional[int], n_days: int) -> int:
-        """Resolve a call's chunk size against the runner default."""
-        chunk = chunk_days if chunk_days is not None else self.chunk_days
-        chunk = chunk if chunk is not None else (n_days or 1)
+    @staticmethod
+    def _chunk(chunk_days: Optional[int], n_days: int) -> int:
+        """A call's chunk size; ``None`` runs the window as one chunk."""
+        chunk = chunk_days if chunk_days is not None else (n_days or 1)
         if chunk < 1:
             raise ValueError("chunk_days must be >= 1 (or None)")
         return chunk
-
-    def run_prediction_sweep(
-        self,
-        days: Sequence[int],
-        history_weeks: int = 4,
-        lp_options: Optional[JointLpOptions] = None,
-        reduced: bool = True,
-        seed: int = 71,
-        evaluate: bool = False,
-        chunk_days: Optional[int] = None,
-        return_tables: bool = True,
-    ) -> Dict[int, "PredictionDayResult"]:
-        """Titan-Next only over a run of days (the classic §8 sweep)."""
-        window = self.run_prediction_window(
-            days,
-            policies=("titan-next",),
-            history_weeks=history_weeks,
-            lp_options=lp_options,
-            reduced=reduced,
-            seed=seed,
-            evaluate=evaluate,
-            chunk_days=chunk_days,
-            return_tables=return_tables,
-        )
-        return {day: results["titan-next"] for day, results in window.items()}
 
     # -- §7 oracle sweeps ----------------------------------------------------
 
@@ -1139,20 +1064,17 @@ class SweepRunner:
         self,
         days: Sequence[int],
         policies: Optional[Sequence[str]] = None,
-        use_plan_cache: bool = True,
         chunk_days: Optional[int] = None,
     ) -> Dict[int, Dict[str, "EvaluationResult"]]:
         """The §7 oracle comparison over a run of days.
 
-        Demand sampling and (with ``use_plan_cache``) the Titan-Next
-        cached-LP solves run serially in the parent; baseline policy
-        assignment, the uncached Titan-Next LPs, and all
-        ``evaluate_batch`` scoring fan out per day.  Identical to a
-        :func:`~repro.core.titan_next.run_oracle_day` loop for any
-        worker count and any ``chunk_days``: chunking only bounds how
-        many days are planned and in flight at once — every cached day
-        is still solved through the full window's one cache, from the
-        slack basis.
+        Demand sampling and the Titan-Next solves through the window's
+        one plan cache run serially in the parent; baseline policy
+        assignment and all ``evaluate_batch`` scoring fan out per day.
+        Byte-identical for any worker count and any ``chunk_days``:
+        chunking only bounds how many days are planned and in flight at
+        once — every day is still solved through the full window's one
+        cache, from the slack basis.
         """
         from .titan_next import oracle_demand_for_day
 
@@ -1160,21 +1082,18 @@ class SweepRunner:
         chosen = tuple(policies) if policies is not None else ("wrr", "titan", "lf", "titan-next")
         chunk = self._chunk(chunk_days, len(day_list))
         demands = {day: oracle_demand_for_day(self.setup, day) for day in day_list}
-        cached = use_plan_cache and "titan-next" in chosen and bool(day_list)
+        planned = "titan-next" in chosen and bool(day_list)
 
         # One pool spans every chunk's scoring: workers spawn once.
         out: Dict[int, Dict[str, "EvaluationResult"]] = {}
         with self.worker_pool(len(day_list)) as pool:
-            if cached:
-                cache, bound_for = self._plan_backend(demands, None)
+            if planned:
+                cache = self._plan_cache(demands)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
                 tn_plans: Dict[int, AssignmentTable] = {}
-                if cached:
-                    tn_plans = {
-                        day: self._solve_plan(cache, bound_for, demands[day], day, label="cached")
-                        for day in block
-                    }
+                if planned:
+                    tn_plans = {day: self._solve_plan(cache, demands[day], day) for day in block}
                 tasks: List[OracleTask] = [
                     (day, demands[day], tn_plans.get(day), chosen) for day in block
                 ]

@@ -12,15 +12,19 @@ Building blocks, wired exactly as in the paper:
 
 Two evaluation harnesses mirror the paper's two modes:
 
-* :func:`run_oracle_week` (§7) — policies see the true demand;
+* :func:`run_oracle_day` (§7) — policies see the true demand;
 * :func:`run_prediction_day` (§8) — Titan-Next plans on forecasts and
   assigns per call; baselines see only the first joiner.
+
+Multi-day windows of either mode run through
+:class:`~repro.core.sweep.SweepRunner`, which plans every day of the
+window through one :class:`PlanCache`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -175,6 +179,10 @@ def oracle_demand_for_day(
     return _table_from_matrix(counts, configs, reduced)
 
 
+#: Weeks of demand history the Holt-Winters forecast fits on (§6.1(2)).
+HISTORY_WEEKS = 4
+
+
 class InsufficientHistory(ValueError):
     """A forecast day that does not leave enough demand history.
 
@@ -193,10 +201,7 @@ class InsufficientHistory(ValueError):
 
 
 def predicted_demand_for_day(
-    setup: EuropeSetup,
-    day: int,
-    history_weeks: int = 4,
-    reduced: bool = True,
+    setup: EuropeSetup, day: int, reduced: bool = True
 ) -> Dict[Tuple[int, CallConfig], float]:
     """Holt-Winters forecast of one day's demand (§6.1(2)).
 
@@ -207,10 +212,10 @@ def predicted_demand_for_day(
     Holt-Winters states together, one matrix forecast.  The scalar
     rendition is kept as :func:`predicted_demand_for_day_reference`.
     """
-    history_slots = history_weeks * 7 * SLOTS_PER_DAY
+    history_slots = HISTORY_WEEKS * 7 * SLOTS_PER_DAY
     start = day * SLOTS_PER_DAY - history_slots
     if start < 0:
-        raise InsufficientHistory(day, history_weeks)
+        raise InsufficientHistory(day, HISTORY_WEEKS)
     items = setup.universe.top(setup.top_n_configs)
     history = setup.demand.counts_matrix(start, history_slots, top_n=setup.top_n_configs)
     keep = np.nonzero(history.max(axis=1) > 0)[0]
@@ -223,10 +228,7 @@ def predicted_demand_for_day(
 
 
 def predicted_demand_for_day_reference(
-    setup: EuropeSetup,
-    day: int,
-    history_weeks: int = 4,
-    reduced: bool = True,
+    setup: EuropeSetup, day: int, reduced: bool = True
 ) -> Dict[Tuple[int, CallConfig], float]:
     """Scalar ground truth for :func:`predicted_demand_for_day`.
 
@@ -235,10 +237,10 @@ def predicted_demand_for_day_reference(
     pre-batching pipeline, kept (like ``JointAssignmentLp.build_reference``)
     to validate and benchmark the batched path against.
     """
-    history_slots = history_weeks * 7 * SLOTS_PER_DAY
+    history_slots = HISTORY_WEEKS * 7 * SLOTS_PER_DAY
     start = day * SLOTS_PER_DAY - history_slots
     if start < 0:
-        raise InsufficientHistory(day, history_weeks)
+        raise InsufficientHistory(day, HISTORY_WEEKS)
     raw: Dict[Tuple[int, CallConfig], float] = {}
     for item in setup.universe.top(setup.top_n_configs):
         history = np.asarray(
@@ -276,11 +278,12 @@ class PlanCache:
     right-hand side.  The cache builds the column structure and the
     assembled HiGHS matrices once and loads them into one persistent
     HiGHS model, then re-solves each day after an O(rows) RHS refresh —
-    which is what makes week-long oracle sweeps (Fig 14/18) and
-    forecast sweeps affordable at production scale.  Every solve starts
-    from the slack basis (no basis is carried from the previous day),
-    so a day's plan depends only on the right-hand sides it is solved
-    with, not on which days the cache solved before it.
+    which is what makes week-long oracle sweeps (Fig 14) and forecast
+    sweeps (Fig 15, the Fig 18-style sweep) affordable at production
+    scale.  Every solve starts from the slack basis (no basis is
+    carried from the previous day), so a day's plan depends only on the
+    right-hand sides it is solved with, not on which days the cache
+    solved before it.
 
     Days whose demand covers only a subset of the cached configs are
     fine: C1 pins the missing columns to zero.  ``single_dc_per_config``
@@ -460,23 +463,16 @@ def run_oracle_day(
     setup: EuropeSetup,
     day: int,
     policies: Optional[Sequence[str]] = None,
-    lp_options: Optional[JointLpOptions] = None,
-    plan_cache: Optional[PlanCache] = None,
     demand: Optional[Dict[Tuple[int, CallConfig], float]] = None,
-    trace: Optional[CallTable] = None,
     titan_next_assignment: Optional[AssignmentTable] = None,
 ):
     """Run the §7 oracle comparison for one day.
 
-    Returns ``{policy name: EvaluationResult}``.  When ``plan_cache`` is
-    given, Titan-Next re-solves the cached LP structure (RHS refresh
-    only) instead of rebuilding the model from scratch;
-    ``titan_next_assignment`` goes one step further and supplies the
-    already-solved plan (how a :class:`~repro.core.sweep.SweepRunner`
-    worker consumes the serial planning phase's optimum).  ``trace``
-    lets the oracle run consume the exact call realization of a §8
-    controller run: the :class:`CallTable` is aggregated back into the
-    per-(slot, reduced config) demand table the policies plan on.
+    Returns ``{policy name: EvaluationResult}``.  Titan-Next solves a
+    fresh LP under the day's §7.5 E2E bound unless
+    ``titan_next_assignment`` supplies the already-solved plan (how a
+    :class:`~repro.core.sweep.SweepRunner` worker consumes the planning
+    phase's cached-LP optimum).
 
     Scoring runs through the vectorized
     :func:`~repro.analysis.metrics.evaluate_batch` path (the scalar
@@ -485,78 +481,24 @@ def run_oracle_day(
     from ..analysis.metrics import evaluate_batch
 
     if demand is None:
-        if trace is not None:
-            demand = trace.demand_table(reduced=True, slots_per_day=SLOTS_PER_DAY)
-        else:
-            demand = oracle_demand_for_day(setup, day)
-    if lp_options is None:
-        lp_options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
+        demand = oracle_demand_for_day(setup, day)
+    options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
     registry = {
         "wrr": lambda: WrrPolicy(setup.scenario),
         "titan": lambda: TitanPolicy(setup.scenario),
         "lf": lambda: LocalityFirstPolicy(setup.scenario),
         "lf-e2e": lambda: LocalityFirstPolicy(setup.scenario, objective="total_e2e"),
-        "titan-next": lambda: TitanNextPolicy(setup.scenario, lp_options),
+        "titan-next": lambda: TitanNextPolicy(setup.scenario, options),
     }
     chosen = policies if policies is not None else ("wrr", "titan", "lf", "titan-next")
     results = {}
     for name in chosen:
         if name == "titan-next" and titan_next_assignment is not None:
             assignment = titan_next_assignment
-        elif name == "titan-next" and plan_cache is not None:
-            # Only the (per-day) E2E bound may differ from the cached
-            # options — every other field is baked into the cached
-            # structure and silently diverging would return plans that
-            # violate the caller's request.
-            aligned = replace(lp_options, e2e_bound_ms=plan_cache.options.e2e_bound_ms)
-            if aligned != plan_cache.options:
-                raise ValueError(
-                    "lp_options differ from the PlanCache's options in more than "
-                    "e2e_bound_ms; rebuild the cache with the desired options"
-                )
-            solved = plan_cache.solve_day(demand, e2e_bound_ms=lp_options.e2e_bound_ms)
-            if not solved.is_optimal:
-                raise PlanningError(
-                    f"Titan-Next cached LP failed for day {day}: {solved.status}",
-                    status=solved.status,
-                    day=day,
-                )
-            assignment = solved.assignment
         else:
-            policy = registry[name]()
-            assignment = policy.assign(demand)
+            assignment = registry[name]().assign(demand)
         results[name] = evaluate_batch(setup.scenario, assignment, name)
     return results
-
-
-def run_oracle_week(
-    setup: EuropeSetup,
-    start_day: int = 2,
-    days: int = 7,
-    policies: Optional[Sequence[str]] = None,
-    use_plan_cache: bool = True,
-    workers: int = 1,
-    chunk_days: Optional[int] = None,
-):
-    """The Fig 14 experiment: one week, all policies, per-day results.
-
-    ``start_day=2`` makes the week start on Wednesday like Fig 14.
-    With ``use_plan_cache`` (the default) the Titan-Next LP structure is
-    built once for the whole week and only its RHS changes per day.
-    ``workers`` fans the per-day baseline assignment + scoring over a
-    :class:`~repro.core.sweep.SweepRunner` pool and ``chunk_days``
-    bounds in-flight days.  Results are identical for any worker count
-    and chunk size.
-    """
-    from .sweep import SweepRunner
-
-    runner = SweepRunner(setup, workers=workers)
-    return runner.run_oracle_days(
-        range(start_day, start_day + days),
-        policies=policies,
-        use_plan_cache=use_plan_cache,
-        chunk_days=chunk_days,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +514,8 @@ class PredictionDayResult:
     :class:`CallAssignment` or an :class:`AssignmentBatch` (the batch
     controllers' structure-of-arrays output); both iterate as
     :class:`CallAssignment` views.  ``evaluation`` holds the §7.1
-    score when it was computed where the result was produced (a
-    ``SweepRunner(evaluate=True)`` worker scores in-pool, against the
+    score when it was computed where the result was produced (a sweep
+    run with ``evaluate=True`` scores in-pool, against the
     sweep setup's scenario, so the metric work parallelizes too);
     consumers that want the pooled score read it directly —
     :meth:`evaluate` always re-scores against the scenario it is
@@ -635,7 +577,7 @@ def _prediction_day_result(
     name: str,
     table: CallTable,
     seed: int,
-    reduced: bool,
+    reduced: bool = True,
     plan_assignment: Optional[AssignmentTable] = None,
 ) -> PredictionDayResult:
     """One policy's §8 day off an already-synthesized trace.
@@ -660,19 +602,18 @@ def _prediction_day_result(
 def run_prediction_day(
     setup: EuropeSetup,
     day: int,
-    history_weeks: int = 4,
     policies: Optional[Sequence[str]] = None,
-    lp_options: Optional[JointLpOptions] = None,
     reduced: bool = True,
     seed: int = 71,
     trace: Optional[CallTable] = None,
 ) -> Dict[str, PredictionDayResult]:
     """The §8 experiment for one day.
 
-    Titan-Next plans on Holt-Winters forecasts and assigns per call via
-    the online controller; WRR / LF / Titan assign per call from the
-    first joiner's country.  ``reduced=False`` feeds raw call configs to
-    the LP (the Table 4 ablation, which inflates migrations).
+    Titan-Next plans on Holt-Winters forecasts, with one fresh LP under
+    the day's §7.5 E2E bound, and assigns per call via the online
+    controller; WRR / LF / Titan assign per call from the first
+    joiner's country.  ``reduced=False`` feeds raw call configs to the
+    LP (the Table 4 ablation, which inflates migrations).
 
     The day's trace is synthesized once as a :class:`CallTable` and
     every controller consumes it through its batch ``process_table``
@@ -681,8 +622,6 @@ def run_prediction_day(
     :func:`migration_comparison` arms, which share one seed) skip the
     synthesis entirely.
     """
-    if lp_options is None:
-        lp_options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
     chosen = policies if policies is not None else ("wrr", "lf", "titan", "titan-next")
 
     if trace is None:
@@ -693,9 +632,9 @@ def run_prediction_day(
     for name in chosen:
         plan_assignment: Optional[AssignmentTable] = None
         if name == "titan-next":
-            predicted = predicted_demand_for_day(setup, day, history_weeks, reduced=reduced)
-            lp = JointAssignmentLp(setup.scenario, predicted, lp_options)
-            solved = lp.solve()
+            predicted = predicted_demand_for_day(setup, day, reduced=reduced)
+            options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
+            solved = JointAssignmentLp(setup.scenario, predicted, options).solve()
             if not solved.is_optimal:
                 raise PlanningError(
                     f"Titan-Next planning LP failed for day {day}: {solved.status}",
@@ -709,93 +648,9 @@ def run_prediction_day(
     return results
 
 
-def run_prediction_sweep(
-    setup: EuropeSetup,
-    days: Sequence[int],
-    history_weeks: int = 4,
-    lp_options: Optional[JointLpOptions] = None,
-    reduced: bool = True,
-    seed: int = 71,
-    workers: int = 1,
-    chunk_days: Optional[int] = None,
-    return_tables: bool = True,
-) -> Dict[int, PredictionDayResult]:
-    """The §8 Titan-Next pipeline over a run of days, with one cached LP.
-
-    Per-day output is identical to the ``titan-next`` entry of
-    :func:`run_prediction_day` (same forecasts, same plan optimum, same
-    controller stream), but the planning cost is amortized: the
-    forecast LP structure is built once over the union of predicted
-    configs and kept loaded in one persistent HiGHS model
-    (:class:`PlanCache`); each day only refreshes the C1/C4 right-hand
-    side and solves from the slack basis.  When ``lp_options`` is
-    omitted each day gets the §7.5 weekday/weekend E2E bound.
-
-    ``workers`` fans the per-day forecast and replay phases over a
-    :class:`~repro.core.sweep.SweepRunner` pool; ``chunk_days`` bounds
-    how many days are planned and in flight at once;
-    ``return_tables=False`` ships compact
-    :class:`~repro.core.sweep.DaySummary` results instead of full
-    tables.  None of the three changes any result byte.
-    """
-    from .sweep import SweepRunner
-
-    runner = SweepRunner(setup, workers=workers)
-    return runner.run_prediction_sweep(
-        days,
-        history_weeks=history_weeks,
-        lp_options=lp_options,
-        reduced=reduced,
-        seed=seed,
-        chunk_days=chunk_days,
-        return_tables=return_tables,
-    )
-
-
-def run_prediction_window(
-    setup: EuropeSetup,
-    days: Sequence[int],
-    policies: Optional[Sequence[str]] = None,
-    history_weeks: int = 4,
-    lp_options: Optional[JointLpOptions] = None,
-    reduced: bool = True,
-    seed: int = 71,
-    workers: int = 1,
-    evaluate: bool = False,
-    chunk_days: Optional[int] = None,
-    return_tables: bool = True,
-) -> Dict[int, Dict[str, PredictionDayResult]]:
-    """All controllers over a multi-day §8 window (Fig 15 over days).
-
-    ``{day: {policy: PredictionDayResult}}``, each entry identical to
-    :func:`run_prediction_day` for that day — but Titan-Next planning
-    is amortized through one persistent-model :class:`PlanCache` and the
-    per-day work fans out across ``workers``.  ``evaluate=True`` also
-    scores each result in-pool (``PredictionDayResult.evaluation``).
-    ``chunk_days`` / ``return_tables`` select the streaming chunk size
-    and the result channel (see :class:`~repro.core.sweep.SweepRunner`)
-    without changing any result byte.
-    """
-    from .sweep import SweepRunner
-
-    runner = SweepRunner(setup, workers=workers)
-    return runner.run_prediction_window(
-        days,
-        policies=policies,
-        history_weeks=history_weeks,
-        lp_options=lp_options,
-        reduced=reduced,
-        seed=seed,
-        evaluate=evaluate,
-        chunk_days=chunk_days,
-        return_tables=return_tables,
-    )
-
-
 def migration_comparison(
     setup: EuropeSetup,
     day: int,
-    history_weeks: int = 4,
     seed: int = 73,
 ) -> Dict[str, Dict[str, float]]:
     """Table 4: migration behaviour with vs without reduced call configs.
@@ -815,7 +670,6 @@ def migration_comparison(
         result = run_prediction_day(
             setup,
             day,
-            history_weeks,
             policies=("titan-next",),
             reduced=reduced,
             seed=seed,

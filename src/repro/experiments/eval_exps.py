@@ -20,8 +20,6 @@ from ..core.titan_next import (
     migration_comparison,
     oracle_demand_for_day,
     run_oracle_day,
-    run_oracle_week,
-    run_prediction_window,
 )
 from ..workload.demand import SLOTS_PER_DAY
 from .base import ExperimentResult
@@ -61,7 +59,7 @@ def default_setup_for(
 
 
 def fig14_measured(week) -> Dict[str, object]:
-    """Aggregate a ``run_oracle_week`` result into the Fig 14 rows.
+    """Aggregate a ``SweepRunner.run_oracle_days`` result into the Fig 14 rows.
 
     Rows are labeled by each day's actual weekday (``day % 7``) and
     every simulated day is included — no truncation or mislabeling
@@ -93,15 +91,17 @@ def run_fig14(
 ) -> ExperimentResult:
     """Fig 14 — oracle sum-of-peaks per day, normalized to WRR.
 
+    The window starts on day 2, a Wednesday like Fig 14's week.
     ``workers`` fans the per-day assignment + scoring across a sweep
     pool and ``chunk_days`` bounds in-flight days; the measured rows
     are identical for any worker count.
     ``scenario`` swaps the Europe box for a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
-    measured = fig14_measured(
-        run_oracle_week(setup, days=days, workers=workers, chunk_days=chunk_days)
+    week = SweepRunner(setup, workers=workers).run_oracle_days(
+        range(2, 2 + days), chunk_days=chunk_days
     )
+    measured = fig14_measured(week)
     return ExperimentResult(
         experiment_id="fig14",
         title="Oracle: sum of peak WAN bandwidth per day",
@@ -208,13 +208,8 @@ def run_fig15(
     ``scenario`` swaps in a named zoo topology.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
-    window = run_prediction_window(
-        setup,
-        range(day, day + days),
-        workers=workers,
-        evaluate=True,
-        chunk_days=chunk_days,
-        return_tables=False,
+    window = SweepRunner(setup, workers=workers).run_prediction_window(
+        range(day, day + days), evaluate=True, chunk_days=chunk_days, return_tables=False
     )
     measured = fig15_measured(window, setup.scenario)
     return ExperimentResult(
@@ -245,26 +240,21 @@ def run_fig18_sweep(
     score per day), aggregated like Fig 15 but reporting the per-day
     savings spread alongside the window mean.
 
-    The measured rows are identical for any worker count.  Days travel
-    as compact summaries (``return_tables=False``: only scores and
-    stats are read).  With ``chunk_days`` set the window *streams*:
-    days flow straight from the sweep into the aggregator and only one
-    chunk of results is alive at a time, so the horizon can grow
-    without the resident set growing with it.
+    The measured rows are identical for any worker count and chunk
+    size.  Days travel as compact summaries (``return_tables=False``:
+    only scores and stats are read) and *stream*: they flow straight
+    from the sweep into the aggregator, and with ``chunk_days`` set
+    only one chunk of results is alive at a time, so the horizon can
+    grow without the resident set growing with it.
     """
     setup = setup if setup is not None else default_setup_for(scenario)
-    day_range = range(start_day, start_day + days)
-    if chunk_days is not None:
-        runner = SweepRunner(setup, workers=workers)
-        stream = runner.iter_days(
-            day_range, evaluate=True, chunk_days=chunk_days, return_tables=False
-        )
-        measured = fig15_measured(stream, setup.scenario)
-    else:
-        window = run_prediction_window(
-            setup, day_range, workers=workers, evaluate=True, return_tables=False
-        )
-        measured = fig15_measured(window, setup.scenario)
+    stream = SweepRunner(setup, workers=workers).iter_days(
+        range(start_day, start_day + days),
+        evaluate=True,
+        chunk_days=chunk_days,
+        return_tables=False,
+    )
+    measured = fig15_measured(stream, setup.scenario)
     per_day = [1 - row["titan-next"] for row in measured["normalized_peaks_by_day"].values()]
     measured["tn_savings_vs_wrr_min_day"] = round(min(per_day), 3)
     measured["tn_savings_vs_wrr_max_day"] = round(max(per_day), 3)

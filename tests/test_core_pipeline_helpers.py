@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.ecs import ArmMetrics, QualityGates, Scorecard
+from repro.core.sweep import SweepRunner
 from repro.core.titan_next import (
     EUROPE_EVAL_DCS,
     oracle_demand_for_day,
     run_oracle_day,
     run_prediction_day,
-    run_prediction_sweep,
 )
 from repro.geo.world import default_world
+from tests.test_sweep_parallel import titan_next_days
 
 
 class TestMosGate:
@@ -93,7 +94,7 @@ class TestPipelineHelpers:
 class TestPredictionSweep:
     def test_sweep_day_equals_fresh_prediction_day(self, small_setup):
         """The cached sweep replays run_prediction_day."""
-        sweep = run_prediction_sweep(small_setup, [30])
+        sweep = titan_next_days(SweepRunner(small_setup), [30])
         fresh = run_prediction_day(small_setup, 30, policies=("titan-next",))["titan-next"]
         cached = sweep[30]
         assert cached.stats == fresh.stats
@@ -104,83 +105,41 @@ class TestPredictionSweep:
     def test_sweep_covers_weekend_bound(self, small_setup):
         # Day 33 is a Saturday: the sweep must apply the relaxed bound
         # and still produce a plan for every requested day.
-        results = run_prediction_sweep(small_setup, [32, 33])
+        results = titan_next_days(SweepRunner(small_setup), [32, 33])
         assert set(results) == {32, 33}
         for result in results.values():
             assert result.stats is not None and result.stats.calls > 0
 
     def test_sweep_needs_days(self, small_setup):
         with pytest.raises(ValueError):
-            run_prediction_sweep(small_setup, [])
+            titan_next_days(SweepRunner(small_setup), [])
 
 
 class TestOracleDayGuards:
-    """run_oracle_day's PlanCache guard paths (cache/options contract)."""
-
-    def _cache_for_day(self, setup, day=2):
-        from repro.core.titan_next import plan_cache_for_days
-
-        cache, demands = plan_cache_for_days(setup, [day])
-        return cache, demands[day]
-
-    def test_mismatched_lp_options_raise_value_error(self, small_setup):
-        from repro.core.lp import JointLpOptions
-
-        cache, demand = self._cache_for_day(small_setup)
-        # allow_internet is baked into the cached structure: silently
-        # solving would return a plan violating the caller's request.
-        mismatched = JointLpOptions(e2e_bound_ms=75.0, allow_internet=False)
-        with pytest.raises(ValueError, match="e2e_bound_ms"):
-            run_oracle_day(
-                small_setup,
-                day=2,
-                policies=("titan-next",),
-                plan_cache=cache,
-                demand=demand,
-                lp_options=mismatched,
-            )
-
-    def test_only_the_e2e_bound_may_differ(self, small_setup):
-        from repro.core.lp import JointLpOptions
-
-        cache, demand = self._cache_for_day(small_setup)
-        relaxed = JointLpOptions(e2e_bound_ms=80.0)
-        results = run_oracle_day(
-            small_setup,
-            day=2,
-            policies=("titan-next",),
-            plan_cache=cache,
-            demand=demand,
-            lp_options=relaxed,
-        )
-        assert results["titan-next"].total_calls > 0
+    """The oracle window's guard on a cached solve that is not optimal."""
 
     def test_non_optimal_cached_solve_raises_runtime_error(self, small_setup, monkeypatch):
         from repro.core.lp import JointLpResult
         from repro.core.titan_next import PlanCache
 
-        cache, demand = self._cache_for_day(small_setup)
         monkeypatch.setattr(
             PlanCache,
             "solve_day",
             lambda self, demand, e2e_bound_ms=None: JointLpResult("infeasible", None, {}),
         )
-        with pytest.raises(RuntimeError, match="infeasible"):
-            run_oracle_day(
-                small_setup, day=2, policies=("titan-next",), plan_cache=cache, demand=demand
-            )
+        with pytest.raises(RuntimeError, match="infeasible") as raised:
+            SweepRunner(small_setup).run_oracle_days([2], policies=("titan-next",))
+        assert raised.value.day == 2
 
 
 class TestPlanningError:
-    def test_infeasible_window_day_names_the_day(self, small_setup):
-        from repro.core import PlanningError
-        from repro.core.lp import JointLpOptions
-        from repro.core.sweep import SweepRunner
+    def test_infeasible_window_day_names_the_day(self, small_setup, monkeypatch):
+        from repro.core import PlanningError, titan_next
 
+        # No plan meets a 1 µs E2E bound.
+        monkeypatch.setattr(titan_next, "day_e2e_bound_ms", lambda day: 1e-3)
         with pytest.raises(PlanningError, match="infeasible") as raised:
-            SweepRunner(small_setup).run_prediction_window(
-                [30], policies=("titan-next",), lp_options=JointLpOptions(e2e_bound_ms=1e-3)
-            )
+            SweepRunner(small_setup).run_prediction_window([30], policies=("titan-next",))
         assert (raised.value.status, raised.value.day, raised.value.slot) == (
             "infeasible",
             30,

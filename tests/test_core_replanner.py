@@ -1,12 +1,10 @@
 """Tests for the 30-minute rolling re-planner (§6.3)."""
 
-import numpy as np
 import pytest
 
-from repro.core.lp import JointLpOptions
 from repro.core.replanner import RollingPlanner
 from repro.core.titan_next import oracle_demand_for_day
-from repro.net.latency import INTERNET, WAN
+from repro.net.latency import INTERNET
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO
 
@@ -16,13 +14,14 @@ def day_demand(small_setup):
     return oracle_demand_for_day(small_setup, day=2)
 
 
-class TestRollingPlanner:
-    def test_validation(self, small_setup):
-        with pytest.raises(ValueError):
-            RollingPlanner(small_setup.scenario, cadence=0)
+@pytest.fixture(scope="module")
+def day_configs(day_demand):
+    return sorted({c for _, c in day_demand}, key=str)
 
-    def test_single_replan_builds_full_plan(self, small_setup, day_demand):
-        planner = RollingPlanner(small_setup.scenario)
+
+class TestRollingPlanner:
+    def test_single_replan_builds_full_plan(self, small_setup, day_demand, day_configs):
+        planner = RollingPlanner(small_setup.scenario, day_configs)
         assert planner.replan(day_demand, from_slot=0)
         # Quotas cover the whole day's demand.
         total_quota = sum(
@@ -30,8 +29,8 @@ class TestRollingPlanner:
         )
         assert total_quota == pytest.approx(sum(day_demand.values()), rel=1e-6)
 
-    def test_replan_preserves_past_slots(self, small_setup, day_demand):
-        planner = RollingPlanner(small_setup.scenario)
+    def test_replan_preserves_past_slots(self, small_setup, day_demand, day_configs):
+        planner = RollingPlanner(small_setup.scenario, day_configs)
         planner.replan(day_demand, from_slot=0)
         before = {
             (t, c): dict(entry.buckets)
@@ -46,9 +45,11 @@ class TestRollingPlanner:
         }
         assert before == after
 
-    def test_capacity_change_mid_day_shifts_future_plan(self, small_setup, day_demand):
+    def test_capacity_change_mid_day_shifts_future_plan(
+        self, small_setup, day_demand, day_configs
+    ):
         """An emergency brake mid-day must drain future Internet quotas."""
-        planner = RollingPlanner(small_setup.scenario)
+        planner = RollingPlanner(small_setup.scenario, day_configs)
         planner.replan(day_demand, from_slot=0)
 
         def internet_quota(from_slot):
@@ -62,42 +63,25 @@ class TestRollingPlanner:
 
         before = internet_quota(24)
         # Titan pulls the brake on every pair at slot 24.
-        book = small_setup.scenario.capacity_book
-        saved = [(p.country_code, p.dc_code, p.fraction, p.gbps, p.disabled) for p in book.pairs()]
-        for pair in book.pairs():
-            book.disable(pair.country_code, pair.dc_code)
-        try:
-            planner.replan(day_demand, from_slot=24)
-            after = internet_quota(24)
-            assert after == 0.0
-            assert before > 0.0
-        finally:
-            for country, dc, fraction, gbps, disabled in saved:
-                pair = book.pair(country, dc)
-                pair.fraction = fraction
-                pair.gbps = gbps
-                pair.disabled = disabled
+        planner.plan_cache.refresh_capacity_rhs(internet_factor=lambda *_: 0.0)
+        planner.replan(day_demand, from_slot=24)
+        assert internet_quota(24) == 0.0
+        assert before > 0.0
 
-    def test_run_day_cadence(self, small_setup, day_demand):
-        planner = RollingPlanner(small_setup.scenario, cadence=12)
-        plan = planner.run_day(lambda slot: day_demand)
-        assert len(planner.events) == 4  # 48 / 12
-        assert planner.infeasible_rounds == 0
-        assert plan is planner.plan
-
-    def test_infeasible_round_keeps_previous_plan(self, small_setup, day_demand):
-        planner = RollingPlanner(small_setup.scenario)
+    def test_infeasible_round_keeps_previous_plan(self, small_setup, day_demand, day_configs):
+        planner = RollingPlanner(small_setup.scenario, day_configs)
         planner.replan(day_demand, from_slot=0)
         entries_before = len(planner.plan._entries)
         # An impossible demand spike: 100x the day's calls in one slot.
         config = CallConfig.from_counts({"FR": 1}, AUDIO)
+        assert config in day_configs
         impossible = dict(day_demand)
         impossible[(30, config)] = 100.0 * sum(day_demand.values())
         assert not planner.replan(impossible, from_slot=30)
         assert planner.infeasible_rounds == 1
         assert len(planner.plan._entries) == entries_before
 
-    def test_empty_remaining_demand_is_trivial_success(self, small_setup):
-        planner = RollingPlanner(small_setup.scenario)
+    def test_empty_remaining_demand_is_trivial_success(self, small_setup, day_configs):
+        planner = RollingPlanner(small_setup.scenario, day_configs)
         assert planner.replan({}, from_slot=47)
         assert planner.events[-1].solved

@@ -155,31 +155,6 @@ class TestPlanCache:
         with pytest.raises(KeyError):
             cache.solve_day({(40, some_config): 5.0})
 
-    def test_oracle_day_rejects_mismatched_cache_options(self, small_setup):
-        """run_oracle_day must not silently ignore non-RHS option diffs."""
-        from repro.core.titan_next import run_oracle_day
-
-        cache, demands = plan_cache_for_days(small_setup, [2])
-        with pytest.raises(ValueError):
-            run_oracle_day(
-                small_setup,
-                2,
-                policies=("titan-next",),
-                lp_options=JointLpOptions(allow_internet=False),
-                plan_cache=cache,
-                demand=demands[2],
-            )
-        # A bound-only difference is the supported per-day variation.
-        results = run_oracle_day(
-            small_setup,
-            2,
-            policies=("titan-next",),
-            lp_options=JointLpOptions(e2e_bound_ms=80.0),
-            plan_cache=cache,
-            demand=demands[2],
-        )
-        assert "titan-next" in results
-
     def test_rejects_unsupported_modes(self, small_setup):
         demand = oracle_demand_for_day(small_setup, day=2)
         configs = sorted({c for _, c in demand}, key=str)

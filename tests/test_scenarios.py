@@ -20,10 +20,11 @@ import pickle
 
 import pytest
 
-from repro.core.titan_next import build_europe_setup, run_oracle_week, run_prediction_window
+from repro.core.sweep import SweepRunner
+from repro.core.titan_next import build_europe_setup
 from repro.experiments.registry import EXPERIMENTS, SCENARIO_EXPERIMENT_IDS
 from repro.geo.world import default_world
-from repro.net.latency import INTERNET, LatencyModel
+from repro.net.latency import INTERNET
 from repro.scenarios import (
     AZURE_REGION,
     RTT_FIT_TOLERANCE_MS,
@@ -36,7 +37,11 @@ from repro.scenarios import (
     get_rtt_ms,
     scenario_names,
 )
-from tests.test_sweep_parallel import assert_same_day_result, assert_same_evaluation
+from tests.test_sweep_parallel import (
+    assert_same_day_result,
+    assert_same_evaluation,
+    titan_next_days,
+)
 
 #: Construction knobs shared by the per-scenario tests: small enough for
 #: the fast loop, large enough that every policy has real work to do.
@@ -235,13 +240,11 @@ class TestScenarioSweeps:
 
     @pytest.mark.parametrize("name", list(SCENARIO_SPECS))
     def test_pooled_sweep_reproduces_serial(self, zoo, name):
-        from repro.core.sweep import SweepRunner
-
         setup = zoo[name]
         days = [30]
-        serial = SweepRunner(setup, workers=1).run_prediction_sweep(days, evaluate=True)
+        serial = titan_next_days(SweepRunner(setup, workers=1), days, evaluate=True)
         runner = SweepRunner(setup, workers=2)
-        parallel = runner.run_prediction_sweep(days, evaluate=True, return_tables=False)
+        parallel = titan_next_days(runner, days, evaluate=True, return_tables=False)
         for day in days:
             assert_same_day_result(parallel[day], serial[day])
             assert_same_evaluation(parallel[day].evaluation, serial[day].evaluation)
@@ -271,8 +274,10 @@ class TestScenarioEndToEnd:
     def test_oracle_and_prediction_day_serial_equals_parallel(self, zoo, name):
         setup = zoo[name]
 
-        oracle_serial = run_oracle_week(setup, start_day=2, days=1, workers=1)
-        oracle_parallel = run_oracle_week(setup, start_day=2, days=1, workers=4)
+        serial_runner = SweepRunner(setup, workers=1)
+        parallel_runner = SweepRunner(setup, workers=4)
+        oracle_serial = serial_runner.run_oracle_days([2])
+        oracle_parallel = parallel_runner.run_oracle_days([2])
         assert set(oracle_parallel) == set(oracle_serial)
         for day, results in oracle_serial.items():
             assert set(oracle_parallel[day]) == set(results)
@@ -280,8 +285,8 @@ class TestScenarioEndToEnd:
                 assert_same_evaluation(oracle_parallel[day][policy], result)
 
         days = [30]
-        pred_serial = run_prediction_window(setup, days, workers=1, evaluate=True)
-        pred_parallel = run_prediction_window(setup, days, workers=4, evaluate=True)
+        pred_serial = serial_runner.run_prediction_window(days, evaluate=True)
+        pred_parallel = parallel_runner.run_prediction_window(days, evaluate=True)
         for day in days:
             assert set(pred_parallel[day]) == set(pred_serial[day])
             for policy in pred_serial[day]:

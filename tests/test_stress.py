@@ -2,8 +2,8 @@
 
 Pins the contracts the stress layer is built on: demand multipliers
 scale Poisson rates without disturbing unstressed draws, capacity
-factors reach the cached LP's RHS and the live capacity book, plan
-splice rewrites only the future, infeasible replan rounds degrade
+factors reach the cached LP's RHS but never the shared capacity book,
+plan splice rewrites only the future, infeasible replan rounds degrade
 gracefully, and the quota-overflow metric accounts for the §6.4 surge
 load.
 """
@@ -134,19 +134,16 @@ class TestCapacityPlumbing:
         assert internet_fn(20, "DE", dc) == 0.0
         assert internet_fn(20, "DE", scenario.dc_codes[0]) == 1.0
 
-    def test_fold_into_book_and_restore(self, small_setup):
-        scenario = small_setup.scenario
-        book = scenario.capacity_book
-        dc = scenario.dc_codes[-1]
-        baseline = book.snapshot()
-        timeline = StressTimeline((DcOutageEvent(dc, 0, 48),))
-        try:
-            timeline.fold_into_book(book, scenario, at_slot=5, baseline=baseline)
-            zeroed = [p for p in book.pairs() if p.dc_code == dc]
-            assert zeroed and all(p.gbps == 0.0 for p in zeroed)
-        finally:
-            book.restore(baseline)
-        assert book.snapshot() == baseline
+    def test_campaign_day_leaves_the_capacity_book_alone(self, small_setup, scenarios):
+        """Capacity events reach only the planner's LP: the shared book
+        keeps its values and the very pair objects callers hold."""
+        book = small_setup.scenario.capacity_book
+        before = book.snapshot()
+        held = {key: book.pair(*key) for key in before}
+        for name in ("fiber-cut", "dc-outage"):
+            run_campaign_day(small_setup, scenarios[name], day=DAY, evaluate=False)
+        assert book.snapshot() == before
+        assert all(book.pair(*key) is pair for key, pair in held.items())
 
     def test_event_schedule_resolves_cuts(self, small_setup, scenarios):
         scenario = small_setup.scenario
@@ -235,6 +232,10 @@ class TestCampaignDay:
         assert result.overflow_rate > 0.2
         assert result.evaluation is not None
         assert any(not event.solved for event in result.replan_events)
+
+    def test_cadence_validated(self, small_setup):
+        with pytest.raises(ValueError, match="cadence"):
+            run_campaign_day(small_setup, StressTimeline(()), day=DAY, cadence=0)
 
     def test_campaign_family_is_complete(self, scenarios):
         assert set(scenarios) == {

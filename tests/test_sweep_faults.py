@@ -21,7 +21,11 @@ from repro.core.sweep import (
     SweepError,
     SweepRunner,
 )
-from tests.test_sweep_parallel import assert_same_day_result, assert_same_evaluation
+from tests.test_sweep_parallel import (
+    assert_same_day_result,
+    assert_same_evaluation,
+    titan_next_days,
+)
 
 DAYS = [30, 31, 32]
 
@@ -31,7 +35,7 @@ pytestmark = pytest.mark.slow
 @pytest.fixture(scope="module")
 def serial_reference(small_setup):
     """The pinned serial sweep every recovered run must reproduce."""
-    return SweepRunner(small_setup, workers=1).run_prediction_sweep(DAYS, evaluate=True)
+    return titan_next_days(SweepRunner(small_setup, workers=1), DAYS, evaluate=True)
 
 
 def assert_matches_reference(results, reference):
@@ -47,7 +51,7 @@ class TestKillRecovery:
         the pool; the runner rebuilds it, resubmits the incomplete days,
         and the sweep completes identical to serial."""
         runner = SweepRunner(small_setup, workers=2, inject_fault=KillWorkerFault(day=31))
-        results = runner.run_prediction_sweep(DAYS, evaluate=True)
+        results = titan_next_days(runner, DAYS, evaluate=True)
         assert_matches_reference(results, serial_reference)
         assert any(f.error_type == "BrokenPool" for f in runner.fault_log)
 
@@ -55,7 +59,7 @@ class TestKillRecovery:
         """The same kill with ``return_tables=False``: the resubmitted
         day's summary reproduces the serial result exactly."""
         runner = SweepRunner(small_setup, workers=2, inject_fault=KillWorkerFault(day=31))
-        results = runner.run_prediction_sweep(DAYS, evaluate=True, return_tables=False)
+        results = titan_next_days(runner, DAYS, evaluate=True, return_tables=False)
         assert all(isinstance(results[day], SummaryDayResult) for day in DAYS)
         assert_matches_reference(results, serial_reference)
         assert any(f.error_type == "BrokenPool" for f in runner.fault_log)
@@ -63,7 +67,7 @@ class TestKillRecovery:
     def test_serial_path_never_injects(self, small_setup, serial_reference):
         """workers=1 is the reference: the chaos hook must not fire."""
         runner = SweepRunner(small_setup, workers=1, inject_fault=KillWorkerFault(day=31))
-        results = runner.run_prediction_sweep(DAYS, evaluate=True)
+        results = titan_next_days(runner, DAYS, evaluate=True)
         assert_matches_reference(results, serial_reference)
         assert runner.fault_log == []
 
@@ -78,7 +82,7 @@ class TestHangRecovery:
             fault_policy=FaultPolicy(timeout_s=5.0),
             inject_fault=HangFault(day=32, seconds=45.0),
         )
-        results = runner.run_prediction_sweep(DAYS, evaluate=True)
+        results = titan_next_days(runner, DAYS, evaluate=True)
         assert_matches_reference(results, serial_reference)
         assert any(f.error_type == "Timeout" and "32" in f.label for f in runner.fault_log)
 
@@ -86,7 +90,7 @@ class TestHangRecovery:
 class TestRetry:
     def test_transient_error_retries_in_place(self, small_setup, serial_reference):
         runner = SweepRunner(small_setup, workers=2, inject_fault=FlakyTaskFault(day=30))
-        results = runner.run_prediction_sweep(DAYS, evaluate=True)
+        results = titan_next_days(runner, DAYS, evaluate=True)
         assert_matches_reference(results, serial_reference)
         incidents = [f for f in runner.fault_log if f.error_type == "RuntimeError"]
         assert len(incidents) == 1
@@ -106,7 +110,7 @@ class TestRetry:
             inject_fault=_AlwaysFails(day=31),
         )
         with pytest.raises(SweepError) as excinfo:
-            runner.run_prediction_sweep(DAYS)
+            titan_next_days(runner, DAYS)
         failures = excinfo.value.failures
         assert len(failures) == 1
         assert failures[0].label == "replay:day=31"
@@ -119,7 +123,7 @@ class TestRetry:
         identically: the pool is killed and the error raised as is."""
         runner = SweepRunner(small_setup, workers=2, inject_fault=_PlanningFails(day=31))
         with pytest.raises(PlanningError) as excinfo:
-            runner.run_prediction_sweep(DAYS)
+            titan_next_days(runner, DAYS)
         assert excinfo.value.day == 31
         assert excinfo.value.status == "infeasible"
         assert runner.fault_log == []

@@ -18,16 +18,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.metrics import evaluate_batch
 from repro.core import InsufficientHistory
 from repro.core.sweep import SweepRunner, available_workers
-from repro.core.titan_next import (
-    oracle_demand_for_day,
-    run_oracle_week,
-    run_prediction_day,
-    run_prediction_sweep,
-    run_prediction_window,
-)
+from repro.core.titan_next import oracle_demand_for_day, run_prediction_day
 from repro.workload.traces import TraceGenerator
 
 DAYS = [30, 31, 32]
+
+
+def titan_next_days(runner, days, **kwargs):
+    """Titan-Next's results over a §8 window, keyed by day."""
+    window = runner.run_prediction_window(days, policies=("titan-next",), **kwargs)
+    return {day: results["titan-next"] for day, results in window.items()}
 
 
 def assert_same_day_result(actual, expected):
@@ -54,13 +54,13 @@ def assert_same_evaluation(actual, expected):
 @pytest.fixture(scope="module")
 def serial_sweep(small_setup):
     """The pinned serial reference for the §8 sweep equivalence tests."""
-    return run_prediction_sweep(small_setup, DAYS, workers=1)
+    return titan_next_days(SweepRunner(small_setup, workers=1), DAYS)
 
 
 class TestPredictionSweepEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_process_workers_reproduce_serial(self, small_setup, serial_sweep, workers):
-        parallel = run_prediction_sweep(small_setup, DAYS, workers=workers)
+        parallel = titan_next_days(SweepRunner(small_setup, workers=workers), DAYS)
         assert set(parallel) == set(serial_sweep)
         for day in DAYS:
             assert_same_day_result(parallel[day], serial_sweep[day])
@@ -87,7 +87,7 @@ class TestPredictionSweepEquivalence:
 class TestPredictionWindow:
     def test_window_matches_run_prediction_day(self, small_setup):
         days = [30, 31]
-        window = run_prediction_window(small_setup, days, workers=2)
+        window = SweepRunner(small_setup, workers=2).run_prediction_window(days)
         for day in days:
             reference = run_prediction_day(small_setup, day)
             assert set(window[day]) == set(reference)
@@ -95,39 +95,23 @@ class TestPredictionWindow:
                 assert_same_day_result(window[day][name], reference[name])
 
     def test_baseline_only_window_skips_planning(self, small_setup):
-        window = run_prediction_window(small_setup, [30], policies=("wrr", "lf"))
+        window = SweepRunner(small_setup).run_prediction_window([30], policies=("wrr", "lf"))
         reference = run_prediction_day(small_setup, 30, policies=("wrr", "lf"))
         for name in ("wrr", "lf"):
             assert_same_day_result(window[30][name], reference[name])
 
     def test_empty_window_with_titan_next_raises(self, small_setup):
         with pytest.raises(ValueError):
-            run_prediction_window(small_setup, [], policies=("titan-next",))
+            SweepRunner(small_setup).run_prediction_window([], policies=("titan-next",))
 
 
 class TestOracleWeekEquivalence:
     def test_workers_reproduce_serial(self, small_setup):
-        serial = run_oracle_week(small_setup, start_day=2, days=3, workers=1)
-        parallel = run_oracle_week(small_setup, start_day=2, days=3, workers=2)
+        serial = SweepRunner(small_setup, workers=1).run_oracle_days(range(2, 5))
+        parallel = SweepRunner(small_setup, workers=2).run_oracle_days(range(2, 5))
         assert set(parallel) == set(serial)
         for day, results in serial.items():
             assert set(parallel[day]) == set(results)
-            for name in results:
-                assert_same_evaluation(parallel[day][name], results[name])
-
-    def test_no_plan_cache_solves_in_workers(self, small_setup):
-        serial = run_oracle_week(
-            small_setup, start_day=2, days=2, policies=("lf", "titan-next"), use_plan_cache=False
-        )
-        parallel = run_oracle_week(
-            small_setup,
-            start_day=2,
-            days=2,
-            policies=("lf", "titan-next"),
-            use_plan_cache=False,
-            workers=2,
-        )
-        for day, results in serial.items():
             for name in results:
                 assert_same_evaluation(parallel[day][name], results[name])
 
@@ -166,7 +150,7 @@ class TestDayOrderIndependence:
             assert_same_day_result(shuffled[day]["lf"], isolated[day]["lf"])
 
     def test_sweep_day_results_unchanged_under_shuffled_days(self, small_setup, serial_sweep):
-        shuffled = run_prediction_sweep(small_setup, [32, 30, 31])
+        shuffled = titan_next_days(SweepRunner(small_setup), [32, 30, 31])
         for day in DAYS:
             assert_same_day_result(shuffled[day], serial_sweep[day])
 

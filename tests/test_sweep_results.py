@@ -16,9 +16,12 @@ import pickle
 import pytest
 
 from repro.core.sweep import SummaryDayResult, SweepRunner
-from repro.core.titan_next import run_oracle_week, run_prediction_window
-from repro.experiments.eval_exps import fig15_measured, run_fig15
-from tests.test_sweep_parallel import assert_same_day_result, assert_same_evaluation
+from repro.experiments.eval_exps import fig15_measured, run_fig15, run_fig18_sweep
+from tests.test_sweep_parallel import (
+    assert_same_day_result,
+    assert_same_evaluation,
+    titan_next_days,
+)
 
 DAYS = [30, 31, 32]
 
@@ -26,7 +29,7 @@ DAYS = [30, 31, 32]
 @pytest.fixture(scope="module")
 def serial_reference(small_setup):
     """The pinned serial sweep every compact run must reproduce."""
-    return SweepRunner(small_setup, workers=1).run_prediction_sweep(DAYS, evaluate=True)
+    return titan_next_days(SweepRunner(small_setup, workers=1), DAYS, evaluate=True)
 
 
 class TestEvalTableCache:
@@ -74,7 +77,7 @@ class TestCompactResults:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_compact_workers_reproduce_serial(self, small_setup, serial_reference, workers):
         runner = SweepRunner(small_setup, workers=workers)
-        results = runner.run_prediction_sweep(DAYS, evaluate=True, return_tables=False)
+        results = titan_next_days(runner, DAYS, evaluate=True, return_tables=False)
         for day in DAYS:
             assert isinstance(results[day], SummaryDayResult)
             assert_same_day_result(results[day], serial_reference[day])
@@ -82,7 +85,7 @@ class TestCompactResults:
 
     def test_summary_reconstructs_full_tables_exactly(self, small_setup, serial_reference):
         runner = SweepRunner(small_setup, workers=2)
-        results = runner.run_prediction_sweep(DAYS, return_tables=False)
+        results = titan_next_days(runner, DAYS, return_tables=False)
         for day in DAYS:
             summary = results[day]
             assert isinstance(summary, SummaryDayResult)
@@ -99,16 +102,16 @@ class TestCompactResults:
     def test_inline_compact_summaries_match_serial(self, small_setup, serial_reference):
         """``workers=1`` summarizes inline (``run_fig15``'s default path)."""
         runner = SweepRunner(small_setup, workers=1)
-        results = runner.run_prediction_sweep(DAYS, return_tables=False)
+        results = titan_next_days(runner, DAYS, return_tables=False)
         for day in DAYS:
             assert isinstance(results[day], SummaryDayResult)
             assert results[day].evaluation is None
             assert_same_day_result(results[day], serial_reference[day])
 
     def test_all_policy_window_matches_serial(self, small_setup):
-        serial = run_prediction_window(small_setup, DAYS, workers=1, evaluate=True)
-        compact = run_prediction_window(
-            small_setup, DAYS, workers=2, evaluate=True, return_tables=False
+        serial = SweepRunner(small_setup, workers=1).run_prediction_window(DAYS, evaluate=True)
+        compact = SweepRunner(small_setup, workers=2).run_prediction_window(
+            DAYS, evaluate=True, return_tables=False
         )
         for day in DAYS:
             assert set(compact[day]) == set(serial[day])
@@ -118,18 +121,31 @@ class TestCompactResults:
 
     def test_fig15_reads_compact_window_like_full_results(self, small_setup):
         """``run_fig15`` ships summaries; its rows equal the full-result ones."""
-        full = run_prediction_window(small_setup, range(30, 32), workers=1, evaluate=True)
+        full = SweepRunner(small_setup).run_prediction_window(range(30, 32), evaluate=True)
         expected = fig15_measured(full, small_setup.scenario)
         assert run_fig15(setup=small_setup, days=2, workers=2).measured == expected
+
+    def test_fig18_sweep_pooled_chunked_rows_match_serial(self, small_setup):
+        """``run_fig18_sweep`` streams the same rows for any worker count
+        and chunk size, and the window mean sits inside the per-day spread."""
+        serial = run_fig18_sweep(setup=small_setup, start_day=30, days=3).measured
+        streamed = run_fig18_sweep(
+            setup=small_setup, start_day=30, days=3, workers=2, chunk_days=2
+        ).measured
+        assert streamed == serial
+        assert (
+            serial["tn_savings_vs_wrr_min_day"]
+            <= serial["tn_savings_vs_wrr"]
+            <= serial["tn_savings_vs_wrr_max_day"]
+        )
 
 
 class TestStreaming:
     def test_chunked_window_matches_monolithic(self, small_setup):
         days = range(30, 34)
-        mono = run_prediction_window(small_setup, days, workers=1, evaluate=True)
-        chunked = run_prediction_window(
-            small_setup, days, workers=1, evaluate=True, chunk_days=2
-        )
+        runner = SweepRunner(small_setup, workers=1)
+        mono = runner.run_prediction_window(days, evaluate=True)
+        chunked = runner.run_prediction_window(days, evaluate=True, chunk_days=2)
         assert set(chunked) == set(mono)
         for day in days:
             for name in mono[day]:
@@ -149,15 +165,16 @@ class TestStreaming:
         assert seen == DAYS
 
     def test_chunked_pool_spans_chunks(self, small_setup, serial_reference):
-        runner = SweepRunner(small_setup, workers=2, chunk_days=1)
-        results = runner.run_prediction_sweep(DAYS, evaluate=True, return_tables=False)
+        runner = SweepRunner(small_setup, workers=2)
+        results = titan_next_days(runner, DAYS, evaluate=True, return_tables=False, chunk_days=1)
         for day in DAYS:
             assert_same_day_result(results[day], serial_reference[day])
             assert_same_evaluation(results[day].evaluation, serial_reference[day].evaluation)
 
     def test_chunked_oracle_matches_monolithic(self, small_setup):
-        mono = run_oracle_week(small_setup, days=4)
-        chunked = run_oracle_week(small_setup, days=4, chunk_days=2)
+        runner = SweepRunner(small_setup, workers=1)
+        mono = runner.run_oracle_days(range(2, 6))
+        chunked = runner.run_oracle_days(range(2, 6), chunk_days=2)
         assert set(chunked) == set(mono)
         for day, results in mono.items():
             for name, result in results.items():
@@ -165,8 +182,8 @@ class TestStreaming:
 
     @pytest.mark.parametrize(
         "options",
-        [{}, {"use_plan_cache": False}, {"policies": ("wrr", "lf")}],
-        ids=["plan-cache", "fresh-lps", "baselines-only"],
+        [{}, {"policies": ("wrr", "lf")}],
+        ids=["plan-cache", "baselines-only"],
     )
     def test_oracle_days_fan_out_chunk_by_chunk(self, small_setup, monkeypatch, options):
         """Every oracle path hands the pool ``chunk_days`` days at a time."""
@@ -192,5 +209,9 @@ class TestStreaming:
                 assert_same_evaluation(chunked[day][name], result)
 
     def test_chunk_days_validation(self, small_setup):
-        with pytest.raises(ValueError):
-            SweepRunner(small_setup, chunk_days=0)
+        """The per-call chunk size is checked before any day runs."""
+        runner = SweepRunner(small_setup, workers=1)
+        with pytest.raises(ValueError, match="chunk_days"):
+            runner.run_prediction_window(DAYS, chunk_days=0)
+        with pytest.raises(ValueError, match="chunk_days"):
+            runner.run_oracle_days(range(2, 4), chunk_days=0)
