@@ -102,22 +102,6 @@ class InternetCapacityBook:
             pair.gbps = gbps
             pair.disabled = disabled
 
-    def scaled(self, factor: float) -> "InternetCapacityBook":
-        """A copy with all capacities multiplied by ``factor``.
-
-        Used by the "more savings with more traffic on the Internet"
-        experiment (§7.4), which doubles Titan's capacity estimates.
-        """
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        book = InternetCapacityBook()
-        for pair in self._pairs.values():
-            copy = book.pair(pair.country_code, pair.dc_code)
-            copy.fraction = min(1.0, pair.fraction * factor)
-            copy.gbps = pair.gbps * factor
-            copy.disabled = pair.disabled
-        return book
-
 
 def split_capacity_by_priority(
     total_gbps: float, priorities: Mapping[str, float]

@@ -10,10 +10,9 @@ Constraints (paper numbering):
 
 * **C1** every call of every (t, c) is assigned somewhere;
 * **C2** per-DC compute capacity per slot;
-* **C3** Internet path capacity per slot — we enforce it per
-  (client country, DC) pair, matching the per-pair capacities Titan
-  actually records (a strictly tighter, still-linear refinement of the
-  paper's per-DC formulation, available in ``per_dc`` mode too);
+* **C3** Internet path capacity per slot, enforced per (client country,
+  DC) pair — the per-pair capacities Titan actually records, a strictly
+  tighter, still-linear refinement of the paper's per-DC formulation;
 * **C4** the average (over calls) of max-E2E latency is bounded by E;
 * **C5** ``y_l`` dominates every slot's load on link *l*.
 
@@ -22,11 +21,13 @@ constraint set minus C4, with the objective replaced by total latency
 (or total max-E2E latency for the LF-E2E variant).
 
 The production :meth:`JointAssignmentLp.build` is *array-first*: it
-enumerates the LP columns once into flat index arrays, precomputes the
-per-(config, DC, option) coefficient tables (E2E latency, bandwidth,
-compute cores, link incidence), and emits every constraint family as a
-COO :class:`~repro.solver.model.ConstraintBlock` — no per-term dict
-churn, no string-keyed lookups.  The original scalar builder is kept as
+enumerates the LP columns once into flat index arrays, reads the
+coefficients from the scenario's own tables — max-E2E latency and
+per-country bandwidth from :meth:`Scenario.eval_tables`, WAN link
+incidence from :meth:`Scenario.link_incidence_csr`, the tables §7.1
+scoring reads — and emits every constraint family as a COO
+:class:`~repro.solver.model.ConstraintBlock`: no per-term dict churn,
+no string-keyed lookups.  The original scalar builder is kept as
 :meth:`JointAssignmentLp.build_reference` to validate equivalence.
 """
 
@@ -37,6 +38,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.metrics import _csr_offsets
 from ..geo.world import stable_hash
 from ..net.latency import INTERNET, WAN
 from ..solver.model import ConstraintBlock, LinearProgram, LinExpr, Solution
@@ -48,6 +50,38 @@ AssignmentTable = Dict[Tuple[int, CallConfig, str, str], float]
 
 #: Column routing options, by integer code (0 = WAN, 1 = Internet).
 _OPTIONS = (WAN, INTERNET)
+
+#: Compute-cap relaxation applied in single-DC mode: pinning every
+#: config to one DC cannot pack non-aligned per-country peaks into
+#: capacity provisioned for the pooled peak, so the ablation grants
+#: extra headroom (and reports the lost network savings).
+SINGLE_DC_CAP_RELAX = 1.5
+
+#: Tiny locality regularizer added to the sum-of-peaks objective (and
+#: to the split-routing LP's).  The LP is indifferent about configs
+#: with negligible bandwidth (audio), so a pure vertex solution scatters
+#: them arbitrarily — inflating migrations and latency for no peak
+#: benefit.  The epsilon breaks those ties toward nearby DCs.
+LOCALITY_EPSILON = 1e-6
+
+#: Content-keyed perturbation (sum-of-peaks objective only) that makes
+#: the optimal vertex unique: each (config, DC, option) column gets a
+#: pseudo-random cost in [0, TIE_BREAK_EPSILON) keyed on its identity,
+#: so exactly-tied columns (equal latencies, e.g. symmetric DCs or
+#: audio/video twins) no longer span a degenerate optimal face.  A
+#: unique optimum is what lets a cached plan (``PlanCache``: a
+#: persistent model over the window's config union, solved without
+#: presolve) reproduce a freshly built LP's plan to the solver's
+#: tolerance.  Keyed on content, not column index, so it is identical
+#: across cached and per-day structures.  Sized well below the
+#: locality term at typical inter-DC latency gaps (1 ms of locality
+#: outweighs the whole tie-break range) so it decides ties and
+#: sub-millisecond near-ties only — larger values scatter configs to
+#: hash-preferred DCs and inflate migrations — while staying above the
+#: solver's dual tolerances (1e-7 for one-shot solves, 1e-9 for cached
+#: ones), below which the perturbation would be ignored and the optimum
+#: non-unique again.
+TIE_BREAK_EPSILON = 1e-6
 
 
 def _tie_break_unit(config: CallConfig, dc: str, option: str) -> float:
@@ -68,52 +102,19 @@ class JointLpOptions:
     #: Multiplier on Titan's Internet capacities (the "double the
     #: traffic on the Internet" experiment of §7.4 uses 2.0).
     internet_capacity_factor: float = 1.0
-    #: Enforce C3 per (country, DC) pair (True) or per DC (False).
-    per_pair_internet_cap: bool = True
     #: Objective: "sum_of_peaks" (Titan-Next), "total_latency" (LF) or
     #: "total_e2e" (the LF variant optimizing total max-E2E latency).
     objective: str = "sum_of_peaks"
     #: Pin each reduced config to exactly one DC (the abandoned ILP idea
     #: of §6.3, approximated by restricting each config's columns to its
-    #: latency-best DC).
+    #: latency-best DC; compute caps relax by ``SINGLE_DC_CAP_RELAX``).
     single_dc_per_config: bool = False
-    #: Compute-cap relaxation applied in single-DC mode: pinning every
-    #: config to one DC cannot pack non-aligned per-country peaks into
-    #: capacity provisioned for the pooled peak, so the ablation grants
-    #: extra headroom (and reports the lost network savings).
-    single_dc_cap_relax: float = 1.5
-    #: Tiny locality regularizer added to the sum-of-peaks objective.
-    #: The LP is indifferent about configs with negligible bandwidth
-    #: (audio), so a pure vertex solution scatters them arbitrarily —
-    #: inflating migrations and latency for no peak benefit.  The
-    #: epsilon breaks those ties toward nearby DCs.
-    locality_epsilon: float = 1e-6
-    #: Content-keyed perturbation (sum-of-peaks objective only) that
-    #: makes the optimal vertex unique: each (config, DC, option)
-    #: column gets a pseudo-random cost in [0, tie_break_epsilon) keyed
-    #: on its identity, so exactly-tied columns (equal latencies, e.g.
-    #: symmetric DCs or audio/video twins) no longer span a degenerate
-    #: optimal face.  A unique optimum is what lets a cached plan
-    #: (``PlanCache``: a persistent model over the window's config
-    #: union, solved without presolve) reproduce a freshly built LP's
-    #: plan to the solver's tolerance.  Keyed on content, not column
-    #: index, so it is identical across cached and per-day structures.
-    #: Sized well below the locality term at typical inter-DC latency
-    #: gaps (1 ms of locality outweighs the whole tie-break range) so it
-    #: decides ties and sub-millisecond near-ties only — larger values
-    #: scatter configs to hash-preferred DCs and inflate migrations —
-    #: while staying above the solver's dual tolerances (1e-7 for
-    #: one-shot solves, 1e-9 for cached ones), below which the
-    #: perturbation would be ignored and the optimum non-unique again.
-    tie_break_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.e2e_bound_ms <= 0:
             raise ValueError("e2e_bound_ms must be positive")
         if self.internet_capacity_factor < 0:
             raise ValueError("internet_capacity_factor must be non-negative")
-        if self.tie_break_epsilon < 0:
-            raise ValueError("tie_break_epsilon must be non-negative")
         if self.objective not in ("sum_of_peaks", "total_latency", "total_e2e"):
             raise ValueError(f"unknown objective: {self.objective}")
 
@@ -198,7 +199,7 @@ class LpArtifacts:
     c2_dc: Optional[np.ndarray] = None
     c3_block: Optional[ConstraintBlock] = None
     #: (slot, country index, dc index) per C3 row, aligned with
-    #: ``c3_block.rhs``; country is -1 in per-DC C3 mode.
+    #: ``c3_block.rhs``.
     c3_slot: Optional[np.ndarray] = None
     c3_country: Optional[np.ndarray] = None
     c3_dc: Optional[np.ndarray] = None
@@ -292,6 +293,17 @@ class JointAssignmentLp:
 
     # -- array-first build ---------------------------------------------------
 
+    def _per_option(self, coefficient) -> np.ndarray:
+        """``coefficient(config, dc, option)`` over (config, DC, option)."""
+        dc_codes = self.scenario.dc_codes
+        return np.asarray(
+            [
+                [[coefficient(config, dc, option) for option in _OPTIONS] for dc in dc_codes]
+                for config in self.configs
+            ],
+            dtype=np.float64,
+        )
+
     def _build(self) -> Tuple[LinearProgram, LpArtifacts]:
         """Array-first LP assembly: one pass to enumerate columns, then
         vectorized COO emission per constraint family."""
@@ -300,13 +312,14 @@ class JointAssignmentLp:
         configs = self.configs
         dc_codes = scenario.dc_codes
         n_dc = len(dc_codes)
-        dc_index = {dc: i for i, dc in enumerate(dc_codes)}
+        dc_index = scenario.dc_index
         country_codes = scenario.country_codes
-        n_country = len(country_codes)
-        country_index = {c: i for i, c in enumerate(country_codes)}
-        n_cfg = len(configs)
+        n_pairs = len(country_codes) * n_dc
         sum_of_peaks = opts.objective == "sum_of_peaks"
         n_links = scenario.wan_link_count if sum_of_peaks else 0
+        # Max-E2E latency and the per-country bandwidth of each config,
+        # as scoring reads them.
+        tables = scenario.eval_tables(configs)
 
         # Per-config column template: (dc index, option code) pairs, the
         # same for every timeslot (allowed DCs/options are t-invariant).
@@ -320,47 +333,6 @@ class JointAssignmentLp:
                     opts_codes.append(0 if option == WAN else 1)
             tmpl_dc.append(np.asarray(dcs, dtype=np.int64))
             tmpl_opt.append(np.asarray(opts_codes, dtype=np.int64))
-
-        # Coefficient tables over (config, dc, option).
-        e2e = np.zeros((n_cfg, n_dc, 2))
-        total_lat = np.zeros((n_cfg, n_dc, 2))
-        tie_break = np.zeros((n_cfg, n_dc, 2))
-        cores = np.zeros(n_cfg)
-        total_bw = np.zeros(n_cfg)
-        cfg_countries: List[np.ndarray] = []  # country idx with bw > 0
-        cfg_bws: List[np.ndarray] = []  # aligned Gbps per country
-        # Link incidence per (config, dc): link ids charged by WAN
-        # routing, with the per-country bandwidth that flows over them.
-        c5_links: List[List[np.ndarray]] = []
-        c5_bws: List[List[np.ndarray]] = []
-        for ci, config in enumerate(configs):
-            cores[ci] = config.compute_cores()
-            total_bw[ci] = config.bandwidth_gbps()
-            countries, bws = [], []
-            for country, _ in config.participants:
-                bw = config.country_bandwidth_gbps(country)
-                if bw > 0:
-                    countries.append(country_index[country])
-                    bws.append(bw)
-            cfg_countries.append(np.asarray(countries, dtype=np.int64))
-            cfg_bws.append(np.asarray(bws, dtype=np.float64))
-            per_dc_links: List[np.ndarray] = []
-            per_dc_bws: List[np.ndarray] = []
-            for di, dc in enumerate(dc_codes):
-                for oi, option in enumerate(_OPTIONS):
-                    e2e[ci, di, oi] = scenario.e2e_latency_ms(config, dc, option)
-                    total_lat[ci, di, oi] = scenario.total_latency_ms(config, dc, option)
-                    tie_break[ci, di, oi] = _tie_break_unit(config, dc, option)
-                if sum_of_peaks:
-                    links, link_bws = [], []
-                    for ki, bw in zip(cfg_countries[ci], cfg_bws[ci]):
-                        for link_idx in scenario.link_indices(country_codes[ki], dc):
-                            links.append(link_idx)
-                            link_bws.append(bw)
-                    per_dc_links.append(np.asarray(links, dtype=np.int64))
-                    per_dc_bws.append(np.asarray(link_bws, dtype=np.float64))
-            c5_links.append(per_dc_links)
-            c5_bws.append(per_dc_bws)
 
         # Column enumeration: one entry per (t, config, dc, option).
         cfg_of = {config: ci for ci, config in enumerate(configs)}
@@ -382,6 +354,7 @@ class JointAssignmentLp:
         col_opt = np.concatenate(opt_parts)
         col_group = np.concatenate(group_parts)
         n_cols = col_t.size
+        column = (col_cfg, col_dc, col_opt)
 
         lp = LinearProgram("titan-next")
         artifacts = LpArtifacts(
@@ -415,104 +388,76 @@ class JointAssignmentLp:
         )
 
         # C2 — per-DC compute capacity per slot.
+        cores = np.asarray([config.compute_cores() for config in configs], dtype=np.float64)
         c2_key = col_t * n_dc + col_dc
         c2_uniq, c2_rows = np.unique(c2_key, return_inverse=True)
         caps = np.asarray([scenario.compute_caps[dc] for dc in dc_codes])
         if opts.single_dc_per_config:
-            caps = caps * opts.single_dc_cap_relax
+            caps = caps * SINGLE_DC_CAP_RELAX
         artifacts.c2_block = lp.add_constraint_block(
             c2_rows, x_cols, cores[col_cfg], "<=", caps[c2_uniq % n_dc], name="C2"
         )
         artifacts.c2_slot = c2_uniq // n_dc
         artifacts.c2_dc = c2_uniq % n_dc
 
-        # C3 — Internet capacity.
-        if opts.allow_internet:
-            inet = np.nonzero(col_opt == 1)[0]
-            if inet.size:
-                factor = opts.internet_capacity_factor
-                if opts.per_pair_internet_cap:
-                    reps = np.asarray([cfg_countries[c].size for c in col_cfg[inet]])
-                    entry_cols = np.repeat(inet, reps)
-                    entry_country = np.concatenate([cfg_countries[c] for c in col_cfg[inet]])
-                    entry_vals = np.concatenate([cfg_bws[c] for c in col_cfg[inet]])
-                    entry_t = np.repeat(col_t[inet], reps)
-                    entry_dc = np.repeat(col_dc[inet], reps)
-                    key = (entry_t * n_country + entry_country) * n_dc + entry_dc
-                    uniq, rows = np.unique(key, return_inverse=True)
-                    rhs = np.asarray(
-                        [
-                            scenario.internet_cap_gbps(
-                                country_codes[(k // n_dc) % n_country], dc_codes[k % n_dc]
-                            )
-                            * factor
-                            for k in uniq
-                        ]
-                    )
-                    artifacts.c3_block = lp.add_constraint_block(
-                        rows, entry_cols, entry_vals, "<=", rhs, name="C3"
-                    )
-                    artifacts.c3_slot = uniq // (n_dc * n_country)
-                    artifacts.c3_country = (uniq // n_dc) % n_country
-                    artifacts.c3_dc = uniq % n_dc
-                else:
-                    key = col_t[inet] * n_dc + col_dc[inet]
-                    uniq, rows = np.unique(key, return_inverse=True)
-                    per_dc_cap = np.asarray(
-                        [
-                            factor
-                            * sum(
-                                scenario.internet_cap_gbps(country, dc)
-                                for country in country_codes
-                            )
-                            for dc in dc_codes
-                        ]
-                    )
-                    artifacts.c3_block = lp.add_constraint_block(
-                        rows,
-                        inet,
-                        total_bw[col_cfg[inet]],
-                        "<=",
-                        per_dc_cap[uniq % n_dc],
-                        name="C3",
-                    )
-                    artifacts.c3_slot = uniq // n_dc
-                    artifacts.c3_country = np.full(uniq.size, -1, dtype=np.int64)
-                    artifacts.c3_dc = uniq % n_dc
+        # C3 — Internet capacity per (slot, country, DC): one entry per
+        # Internet column and participant country.
+        inet = np.nonzero(col_opt == 1)[0]
+        if opts.allow_internet and inet.size:
+            first = tables.part_ptr[col_cfg[inet]]
+            deg = tables.part_ptr[col_cfg[inet] + 1] - first
+            entry_cols = np.repeat(inet, deg)
+            part = np.repeat(first, deg) + _csr_offsets(deg)
+            pair = tables.part_country[part] * n_dc + col_dc[entry_cols]
+            uniq, rows = np.unique(col_t[entry_cols] * n_pairs + pair, return_inverse=True)
+            # Look up only the pairs that have Internet columns: the
+            # book adds an entry for every pair it is asked about.
+            pairs, row_pair = np.unique(uniq % n_pairs, return_inverse=True)
+            pair_caps = np.asarray(
+                [
+                    scenario.internet_cap_gbps(country_codes[p // n_dc], dc_codes[p % n_dc])
+                    for p in pairs
+                ]
+            )
+            artifacts.c3_block = lp.add_constraint_block(
+                rows,
+                entry_cols,
+                tables.part_bw[part],
+                "<=",
+                pair_caps[row_pair] * opts.internet_capacity_factor,
+                name="C3",
+            )
+            artifacts.c3_slot = uniq // n_pairs
+            artifacts.c3_country = (uniq % n_pairs) // n_dc
+            artifacts.c3_dc = uniq % n_dc
 
         # C4 — average max-E2E latency bound (Titan-Next only).
+        e2e = tables.e2e_ms[column]
         if sum_of_peaks:
             artifacts.c4_block = lp.add_constraint_block(
                 np.zeros(n_cols, dtype=np.int64),
                 x_cols,
-                e2e[col_cfg, col_dc, col_opt],
+                e2e,
                 "<=",
                 np.asarray([opts.e2e_bound_ms * counts.sum()]),
                 name="C4",
             )
 
-        # C5 — link peaks dominate every slot's WAN load.
+        # C5 — link peaks dominate every slot's WAN load: one entry per
+        # WAN column, participant country and link on its WAN route.
         if sum_of_peaks:
             wan = np.nonzero(col_opt == 0)[0]
-            lens = np.asarray([c5_links[c][d].size for c, d in zip(col_cfg[wan], col_dc[wan])])
-            nonzero = lens > 0
-            entry_cols = np.repeat(wan[nonzero], lens[nonzero])
-            entry_link = (
-                np.concatenate(
-                    [c5_links[c][d] for c, d in zip(col_cfg[wan[nonzero]], col_dc[wan[nonzero]])]
-                )
-                if nonzero.any()
-                else np.zeros(0, dtype=np.int64)
-            )
-            entry_vals = (
-                np.concatenate(
-                    [c5_bws[c][d] for c, d in zip(col_cfg[wan[nonzero]], col_dc[wan[nonzero]])]
-                )
-                if nonzero.any()
-                else np.zeros(0)
-            )
-            entry_t = np.repeat(col_t[wan[nonzero]], lens[nonzero])
-            key = entry_t * max(n_links, 1) + entry_link
+            first = tables.part_ptr[col_cfg[wan]]
+            deg = tables.part_ptr[col_cfg[wan] + 1] - first
+            part_cols = np.repeat(wan, deg)
+            part = np.repeat(first, deg) + _csr_offsets(deg)
+            link_ptr, link_flat = scenario.link_incidence_csr()
+            pair = tables.part_country[part] * n_dc + col_dc[part_cols]
+            deg = link_ptr[pair + 1] - link_ptr[pair]
+            entry_cols = np.repeat(part_cols, deg)
+            entry_vals = np.repeat(tables.part_bw[part], deg)
+            link = link_flat[np.repeat(link_ptr[pair], deg) + _csr_offsets(deg)]
+            key = col_t[entry_cols] * max(n_links, 1) + link
             uniq, rows = np.unique(key, return_inverse=True)
             n_rows = uniq.size
             # Each (t, link) row also gets -1 * y[link].
@@ -529,15 +474,13 @@ class JointAssignmentLp:
         # Objective.
         c = np.zeros(lp.num_variables)
         if sum_of_peaks:
-            c[artifacts.y_base : artifacts.y_base + n_links] = 1.0
-            if opts.locality_epsilon > 0:
-                c[:n_cols] += opts.locality_epsilon * total_lat[col_cfg, col_dc, col_opt]
-            if opts.tie_break_epsilon > 0:
-                c[:n_cols] += opts.tie_break_epsilon * tie_break[col_cfg, col_dc, col_opt]
+            c[artifacts.y_base :] = 1.0
+            c[:n_cols] += LOCALITY_EPSILON * self._per_option(scenario.total_latency_ms)[column]
+            c[:n_cols] += TIE_BREAK_EPSILON * self._per_option(_tie_break_unit)[column]
         elif opts.objective == "total_latency":
-            c[:n_cols] = total_lat[col_cfg, col_dc, col_opt]
+            c[:n_cols] = self._per_option(scenario.total_latency_ms)[column]
         else:  # total_e2e
-            c[:n_cols] = e2e[col_cfg, col_dc, col_opt]
+            c[:n_cols] = e2e
         lp.set_objective_array(c)
         return lp, artifacts
 
@@ -608,12 +551,30 @@ class JointAssignmentLp:
                 if nonzero:
                     cap = scenario.compute_caps[dc]
                     if opts.single_dc_per_config:
-                        cap *= opts.single_dc_cap_relax
+                        cap *= SINGLE_DC_CAP_RELAX
                     lp.add_constraint(expr <= cap, name=f"C2[{t}][{dc}]")
 
-        # C3 — Internet capacity.
+        # C3 — Internet capacity per (slot, country, DC).
         if opts.allow_internet:
-            self._add_internet_caps(lp, x_vars)
+            for t in self.slots:
+                for country in scenario.country_codes:
+                    for dc in scenario.dc_codes:
+                        cap = scenario.internet_cap_gbps(country, dc)
+                        cap *= opts.internet_capacity_factor
+                        expr = LinExpr()
+                        nonzero = False
+                        for config in self.configs:
+                            if (t, config) not in self.demand:
+                                continue
+                            bw = config.country_bandwidth_gbps(country)
+                            if bw <= 0:
+                                continue
+                            key = (t, config, dc, INTERNET)
+                            if key in x_vars:
+                                expr.add_term(x_vars[key], bw)
+                                nonzero = True
+                        if nonzero:
+                            lp.add_constraint(expr <= cap, name=f"C3[{t}][{country}][{dc}]")
 
         # C4 — average max-E2E latency bound (Titan-Next only).
         if opts.objective == "sum_of_peaks":
@@ -649,16 +610,12 @@ class JointAssignmentLp:
         if opts.objective == "sum_of_peaks":
             for var in y_vars.values():
                 objective.add_term(var)
-            if opts.locality_epsilon > 0:
-                for (t, config, dc, option), var in x_vars.items():
-                    objective.add_term(
-                        var, opts.locality_epsilon * scenario.total_latency_ms(config, dc, option)
-                    )
-            if opts.tie_break_epsilon > 0:
-                for (t, config, dc, option), var in x_vars.items():
-                    objective.add_term(
-                        var, opts.tie_break_epsilon * _tie_break_unit(config, dc, option)
-                    )
+            for (t, config, dc, option), var in x_vars.items():
+                objective.add_term(
+                    var, LOCALITY_EPSILON * scenario.total_latency_ms(config, dc, option)
+                )
+            for (t, config, dc, option), var in x_vars.items():
+                objective.add_term(var, TIE_BREAK_EPSILON * _tie_break_unit(config, dc, option))
         elif opts.objective == "total_latency":
             for (t, config, dc, option), var in x_vars.items():
                 objective.add_term(var, scenario.total_latency_ms(config, dc, option))
@@ -668,53 +625,11 @@ class JointAssignmentLp:
         lp.set_objective(objective)
         return lp, var_names
 
-    def _add_internet_caps(self, lp: LinearProgram, x_vars) -> None:
-        scenario = self.scenario
-        factor = self.options.internet_capacity_factor
-        if self.options.per_pair_internet_cap:
-            for t in self.slots:
-                for country in scenario.country_codes:
-                    for dc in scenario.dc_codes:
-                        cap = scenario.internet_cap_gbps(country, dc) * factor
-                        expr = LinExpr()
-                        nonzero = False
-                        for config in self.configs:
-                            if (t, config) not in self.demand:
-                                continue
-                            bw = config.country_bandwidth_gbps(country)
-                            if bw <= 0:
-                                continue
-                            key = (t, config, dc, INTERNET)
-                            if key in x_vars:
-                                expr.add_term(x_vars[key], bw)
-                                nonzero = True
-                        if nonzero:
-                            lp.add_constraint(expr <= cap, name=f"C3[{t}][{country}][{dc}]")
-        else:
-            for t in self.slots:
-                for dc in scenario.dc_codes:
-                    cap = factor * sum(
-                        scenario.internet_cap_gbps(country, dc)
-                        for country in scenario.country_codes
-                    )
-                    expr = LinExpr()
-                    nonzero = False
-                    for config in self.configs:
-                        if (t, config) not in self.demand:
-                            continue
-                        key = (t, config, dc, INTERNET)
-                        if key in x_vars:
-                            expr.add_term(x_vars[key], config.bandwidth_gbps())
-                            nonzero = True
-                    if nonzero:
-                        lp.add_constraint(expr <= cap, name=f"C3[{t}][{dc}]")
-
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, method: str = "highs") -> JointLpResult:
+    def solve(self) -> JointLpResult:
         lp, artifacts = self._build()
-        solution = lp.solve(method=method)
-        return extract_result(solution, artifacts)
+        return extract_result(lp.solve(), artifacts)
 
 
 def extract_result(solution: Solution, artifacts: LpArtifacts) -> JointLpResult:

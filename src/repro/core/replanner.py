@@ -55,23 +55,25 @@ class RollingPlanner:
     ``configs`` fixes the cached LP structure (every slot of the
     scenario's day × these configs); a demand key outside it is a
     structural error (``KeyError``), the same as ``PlanCache``'s
-    multi-day contract.
+    multi-day contract.  Every round plans under the C4 bound
+    ``e2e_bound_ms`` (the day's §7.5 bound).
     """
 
     def __init__(
         self,
         scenario: Scenario,
         configs: Sequence[CallConfig],
-        options: Optional[JointLpOptions] = None,
+        e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
     ) -> None:
         from .titan_next import PlanCache
 
         self.scenario = scenario
+        self.e2e_bound_ms = e2e_bound_ms
         self.plan = OfflinePlan()
         self.events: List[ReplanEvent] = []
         # One loaded LP structure for every round of the day: a replan
         # pins past slots' C1 rows to zero demand and re-solves.
-        self.plan_cache = PlanCache(scenario, sorted(set(configs), key=str), options=options)
+        self.plan_cache = PlanCache(scenario, sorted(set(configs), key=str))
 
     def _remaining_demand(
         self, demand: DemandTable, from_slot: int
@@ -89,7 +91,7 @@ class RollingPlanner:
         if not remaining:
             self.events.append(ReplanEvent(from_slot, True, 0.0, 0))
             return True
-        result = self.plan_cache.solve_day(remaining)
+        result = self.plan_cache.solve_day(remaining, e2e_bound_ms=self.e2e_bound_ms)
         if not result.is_optimal:
             self.events.append(ReplanEvent(from_slot, False, None, 0))
             return False

@@ -29,6 +29,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..net.latency import INTERNET, WAN
 from ..solver.model import LinearProgram, LinExpr
 from ..workload.configs import CallConfig
+from .lp import LOCALITY_EPSILON
 from .scenario import Scenario
 
 SplitKey = Tuple[int, CallConfig, str]
@@ -40,8 +41,6 @@ class SplitLpOptions:
 
     #: Bound on the demand-weighted average participant RTT (ms).
     avg_rtt_bound_ms: float = 80.0
-    #: Locality tie-breaker (see JointLpOptions.locality_epsilon).
-    locality_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.avg_rtt_bound_ms <= 0:
@@ -94,7 +93,6 @@ class SplitRoutingLp:
 
     def build(self) -> Tuple[LinearProgram, Dict, Dict]:
         scenario = self.scenario
-        opts = self.options
         lp = LinearProgram("titan-next-split")
 
         x_vars: Dict[SplitKey, object] = {}
@@ -201,17 +199,14 @@ class SplitRoutingLp:
         objective = LinExpr()
         for y in y_vars.values():
             objective.add_term(y)
-        if opts.locality_epsilon > 0:
-            for (t, config, dc), x in x_vars.items():
-                objective.add_term(
-                    x, opts.locality_epsilon * scenario.total_latency_ms(config, dc, WAN)
-                )
+        for (t, config, dc), x in x_vars.items():
+            objective.add_term(x, LOCALITY_EPSILON * scenario.total_latency_ms(config, dc, WAN))
         lp.set_objective(objective)
         return lp, x_vars, z_vars
 
-    def solve(self, method: str = "highs") -> SplitLpResult:
+    def solve(self) -> SplitLpResult:
         lp, x_vars, z_vars = self.build()
-        solution = lp.solve(method=method)
+        solution = lp.solve()
         if not solution.is_optimal:
             return SplitLpResult(status=solution.status, objective=None)
         # Extract by integer handle — variable names stay debug-only.

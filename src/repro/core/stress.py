@@ -67,9 +67,7 @@ class StressEvent:
     def demand_factor(self, config: CallConfig) -> float:
         return 1.0
 
-    def internet_factor(
-        self, country_code: Optional[str], dc_code: str, scenario: Scenario
-    ) -> float:
+    def internet_factor(self, country_code: str, dc_code: str, scenario: Scenario) -> float:
         return 1.0
 
     def compute_factor(self, dc_code: str) -> float:
@@ -109,11 +107,7 @@ class FiberCutEvent(StressEvent):
     def link_key(self) -> FrozenSet[str]:
         return frozenset((self.node_a, self.node_b))
 
-    def internet_factor(
-        self, country_code: Optional[str], dc_code: str, scenario: Scenario
-    ) -> float:
-        if country_code is None:
-            return 1.0
+    def internet_factor(self, country_code: str, dc_code: str, scenario: Scenario) -> float:
         links = scenario._links.get((country_code, dc_code), ())
         if any(link.key == self.link_key for link in links):
             return self.internet_factor_during
@@ -137,9 +131,7 @@ class DcOutageEvent(StressEvent):
     def __post_init__(self) -> None:
         self._check_window()
 
-    def internet_factor(
-        self, country_code: Optional[str], dc_code: str, scenario: Scenario
-    ) -> float:
+    def internet_factor(self, country_code: str, dc_code: str, scenario: Scenario) -> float:
         return 0.0 if dc_code == self.dc_code else 1.0
 
     def compute_factor(self, dc_code: str) -> float:
@@ -261,7 +253,7 @@ class StressTimeline:
 
     def capacity_factor_fns(
         self, scenario: Scenario, visible_from: Optional[int] = None
-    ) -> Tuple[Callable[[int, Optional[str], str], float], Callable[[int, str], float]]:
+    ) -> Tuple[Callable[[int, str, str], float], Callable[[int, str], float]]:
         """Per-row capacity factors for ``PlanCache.refresh_capacity_rhs``.
 
         Returns ``(internet_factor(slot, country, dc),
@@ -273,7 +265,7 @@ class StressTimeline:
         """
         events = self.visible(visible_from)
 
-        def internet_factor(slot: int, country_code: Optional[str], dc_code: str) -> float:
+        def internet_factor(slot: int, country_code: str, dc_code: str) -> float:
             factor = 1.0
             for event in events:
                 if event.active(slot):
@@ -422,7 +414,6 @@ def run_campaign_day(
     from ..analysis.metrics import evaluate_batch
     from ..workload.traces import TraceGenerator
     from .controller import TitanNextController
-    from .lp import JointLpOptions
     from .replanner import RollingPlanner
     from .titan_next import _table_from_matrix, day_e2e_bound_ms
 
@@ -442,8 +433,7 @@ def run_campaign_day(
     # (multipliers only scale rates, so the config set is stress-invariant).
     base_expected = setup.demand.expected_matrix(start_slot, slots, top_n=setup.top_n_configs)
     configs = sorted({c for _, c in _table_from_matrix(base_expected, raw_configs, True)}, key=str)
-    options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
-    planner = RollingPlanner(scenario, configs, options)
+    planner = RollingPlanner(scenario, configs, e2e_bound_ms=day_e2e_bound_ms(day))
 
     for round_slot in range(0, slots, cadence):
         internet_fn, compute_fn = timeline.capacity_factor_fns(scenario, visible_from=round_slot)

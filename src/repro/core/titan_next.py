@@ -272,22 +272,24 @@ class PlanCache:
     """Reusable Titan-Next LP for multi-day / forecast-sweep planning.
 
     The Fig 13 LP's constraint *structure* (columns, the C1/C2/C3/C5
-    coefficient matrix, the C4 latency row) depends only on the config
-    universe, the scenario, and the slot grid — day to day, only the C1
-    demand counts and the C4 bound change, and both live purely in the
-    right-hand side.  The cache builds the column structure and the
-    assembled HiGHS matrices once and loads them into one persistent
+    coefficient matrix, the C4 latency row) depends only on the configs,
+    the scenario, and its slot grid — day to day, only the C1 demand
+    counts and the C4 bound change, and both live purely in the
+    right-hand side.  The cache builds the sum-of-peaks LP over every
+    slot of the scenario's day × ``configs`` under the default options
+    (Internet allowed at the book's capacities, no single-DC pinning),
+    assembles the HiGHS matrices once and loads them into one persistent
     HiGHS model, then re-solves each day after an O(rows) RHS refresh —
     which is what makes week-long oracle sweeps (Fig 14) and forecast
     sweeps (Fig 15, the Fig 18-style sweep) affordable at production
-    scale.  Every solve starts from the slack basis (no basis is
-    carried from the previous day), so a day's plan depends only on the
-    right-hand sides it is solved with, not on which days the cache
-    solved before it.
+    scale.  The E2E bound is a per-solve argument of :meth:`solve_day`.
+    Every solve starts from the slack basis (no basis is carried from
+    the previous day), so a day's plan depends only on the right-hand
+    sides it is solved with, not on which days the cache solved before
+    it.
 
     Days whose demand covers only a subset of the cached configs are
-    fine: C1 pins the missing columns to zero.  ``single_dc_per_config``
-    is rejected because its pinning depends on the demand itself.
+    fine: C1 pins the missing columns to zero.
 
     **Concurrency contract.** One cache owns one persistent HiGHS
     session, and a solve is a mutate-RHS-then-run critical section, so
@@ -298,23 +300,10 @@ class PlanCache:
     planning horizons need *separate* caches.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        configs: Sequence[CallConfig],
-        slots: Optional[Sequence[int]] = None,
-        options: Optional[JointLpOptions] = None,
-    ) -> None:
-        self.options = options if options is not None else JointLpOptions()
-        if self.options.objective != "sum_of_peaks":
-            raise ValueError("PlanCache supports the sum-of-peaks (Titan-Next) objective only")
-        if self.options.single_dc_per_config:
-            raise ValueError("PlanCache cannot cache demand-dependent single-DC pinning")
+    def __init__(self, scenario: Scenario, configs: Sequence[CallConfig]) -> None:
         self.scenario = scenario
-        slot_list = list(slots) if slots is not None else list(range(scenario.slots_per_day))
-        placeholder = {(t, c): 1.0 for t in slot_list for c in configs}
-        builder = JointAssignmentLp(scenario, placeholder, self.options)
-        self._lp, self._artifacts = builder._build()
+        placeholder = {(t, c): 1.0 for t in range(scenario.slots_per_day) for c in configs}
+        self._lp, self._artifacts = JointAssignmentLp(scenario, placeholder)._build()
         self._group_index = {key: g for g, key in enumerate(self._artifacts.groups)}
         from ..solver.scipy_backend import PreparedHighs
 
@@ -358,7 +347,7 @@ class PlanCache:
             if group is None:
                 raise KeyError(
                     f"demand key {key} is outside the cached structure; "
-                    "rebuild the PlanCache with a covering config/slot set"
+                    "rebuild the PlanCache over a covering config set"
                 )
             counts[group] += value
         return counts
@@ -372,8 +361,8 @@ class PlanCache:
 
         ``compute_factor(slot, dc_code)`` and ``internet_factor(slot,
         country_code, dc_code)`` return a multiplier on the *build-time*
-        capacity of that row (``country_code`` is ``None`` for per-DC C3
-        rows); ``None`` restores that family's baseline.  Capacity is
+        capacity of that C2 (per DC) or C3 (per country and DC) row;
+        ``None`` restores that family's baseline.  Capacity is
         world state, not per-day input, so — unlike the C1/C4 demand
         refresh — the installed values persist across solves until the
         next call.  The persistent HiGHS session picks the new bounds up
@@ -401,10 +390,9 @@ class PlanCache:
                 rhs = self._base_c3_rhs.copy()
                 if internet_factor is not None:
                     for i in range(rhs.size):
-                        ci = int(artifacts.c3_country[i])
                         rhs[i] *= internet_factor(
                             int(artifacts.c3_slot[i]),
-                            country_codes[ci] if ci >= 0 else None,
+                            country_codes[int(artifacts.c3_country[i])],
                             artifacts.dc_codes[int(artifacts.c3_dc[i])],
                         )
                 artifacts.c3_block.rhs[:] = rhs
@@ -412,24 +400,24 @@ class PlanCache:
     def solve_day(
         self,
         demand: Mapping[Tuple[int, CallConfig], float],
-        e2e_bound_ms: Optional[float] = None,
+        e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
     ) -> JointLpResult:
-        """Solve one day's plan by refreshing the RHS and re-solving.
+        """Solve one day's plan under the C4 bound ``e2e_bound_ms``.
 
-        The C1/C4 mutation happens in place on the cached blocks; if
-        the solve *raises*, the previous RHS is restored so the cache
-        (and its persistent session's sent-bounds bookkeeping) never
-        ends up describing a day it did not solve.  A solve that merely
-        returns a non-optimal status leaves the RHS as installed — the
-        next ``solve_day`` overwrites both blocks wholesale.
+        The day's counts and bound go into the C1/C4 right-hand sides in
+        place on the cached blocks; if the solve *raises*, the previous
+        RHS is restored so the cache (and its persistent session's
+        sent-bounds bookkeeping) never ends up describing a day it did
+        not solve.  A solve that merely returns a non-optimal status
+        leaves the RHS as installed — the next ``solve_day`` overwrites
+        both blocks wholesale.
         """
         counts = self.demand_counts(demand)
-        bound = e2e_bound_ms if e2e_bound_ms is not None else self.options.e2e_bound_ms
         with self._lock:
             saved_c1 = self._artifacts.c1_block.rhs.copy()
             saved_c4 = float(self._artifacts.c4_block.rhs[0])
             self._artifacts.c1_block.rhs[:] = counts
-            self._artifacts.c4_block.rhs[0] = bound * counts.sum()
+            self._artifacts.c4_block.rhs[0] = e2e_bound_ms * counts.sum()
             self.solves += 1
             try:
                 solution = self._prepared.solve()
@@ -441,9 +429,7 @@ class PlanCache:
 
 
 def plan_cache_for_days(
-    setup: EuropeSetup,
-    days: Sequence[int],
-    options: Optional[JointLpOptions] = None,
+    setup: EuropeSetup, days: Sequence[int]
 ) -> Tuple[PlanCache, Dict[int, Dict[Tuple[int, CallConfig], float]]]:
     """A :class:`PlanCache` covering the oracle demand of several days.
 
@@ -451,7 +437,7 @@ def plan_cache_for_days(
     """
     demands = {day: oracle_demand_for_day(setup, day) for day in days}
     configs = sorted({c for table in demands.values() for _, c in table}, key=str)
-    return PlanCache(setup.scenario, configs, options=options), demands
+    return PlanCache(setup.scenario, configs), demands
 
 
 # ---------------------------------------------------------------------------

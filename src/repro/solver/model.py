@@ -3,11 +3,10 @@
 The paper's Titan-Next LP (Fig 13) and its Locality-First baseline are
 expressed against this interface.  It supports non-negative (optionally
 upper-bounded) variables, linear expressions with operator overloading,
-and ≤ / ≥ / = constraints.  Problems can be solved either with the
-bundled dense two-phase simplex (:mod:`repro.solver.simplex`) for small
-instances or with SciPy's HiGHS backend
-(:mod:`repro.solver.scipy_backend`) for production-sized ones; the
-solution object is identical either way.
+and ≤ / ≥ / = constraints.  :meth:`LinearProgram.solve` runs SciPy's
+HiGHS backend (:mod:`repro.solver.scipy_backend`); the bundled dense
+two-phase simplex (:func:`repro.solver.simplex.solve_simplex`) returns
+the same solution object and serves tests as an independent oracle.
 
 Two model-building styles coexist:
 
@@ -487,21 +486,8 @@ class LinearProgram:
 
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, method: str = "auto") -> Solution:
-        """Solve with the chosen backend.
+    def solve(self) -> Solution:
+        """Solve with SciPy's HiGHS (:func:`~repro.solver.scipy_backend.solve_highs`)."""
+        from .scipy_backend import solve_highs
 
-        ``auto`` picks the bundled simplex for tiny problems and HiGHS
-        otherwise; ``simplex`` / ``highs`` force a backend.
-        """
-        if method == "auto":
-            small = self.num_variables <= 40 and self.num_constraints <= 40
-            method = "simplex" if small else "highs"
-        if method == "simplex":
-            from .simplex import solve_simplex
-
-            return solve_simplex(self)
-        if method == "highs":
-            from .scipy_backend import solve_highs
-
-            return solve_highs(self)
-        raise ValueError(f"unknown method: {method!r}")
+        return solve_highs(self)

@@ -184,11 +184,6 @@ class TestJointLp:
             by_config.setdefault(config, set()).add(dc)
         assert all(len(dcs) == 1 for dcs in by_config.values())
 
-    def test_per_dc_cap_mode_solves(self, small_setup, demand_day):
-        options = JointLpOptions(per_pair_internet_cap=False)
-        result = JointAssignmentLp(small_setup.scenario, demand_day, options).solve()
-        assert result.is_optimal
-
     def test_lp_peaks_match_evaluator(self, small_setup, demand_day):
         """The LP's y_l values agree with independently recomputed loads."""
         from repro.analysis.metrics import evaluate_assignment

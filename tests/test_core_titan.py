@@ -59,24 +59,6 @@ class TestCapacityBook:
         with pytest.raises(ValueError):
             PairCapacity("FR", "westeurope", fraction=-0.1)
 
-    def test_scaled_doubles_capacity(self):
-        """The §7.4 'double the Internet' experiment."""
-        book = InternetCapacityBook()
-        book.set_fraction("FR", "westeurope", 0.15)
-        book.set_gbps("FR", "westeurope", 2.0)
-        book.disable("DE", "westeurope")
-        doubled = book.scaled(2.0)
-        assert doubled.gbps("FR", "westeurope") == 4.0
-        assert doubled.fraction("FR", "westeurope") == 0.30
-        assert doubled.gbps("DE", "westeurope") == 0.0  # stays disabled
-        # Original untouched.
-        assert book.gbps("FR", "westeurope") == 2.0
-
-    def test_scaled_fraction_capped_at_one(self):
-        book = InternetCapacityBook()
-        book.set_fraction("FR", "westeurope", 0.8)
-        assert book.scaled(2.0).fraction("FR", "westeurope") == 1.0
-
     def test_priority_split(self):
         shares = split_capacity_by_priority(100.0, {"GB": 3.0, "FR": 1.0})
         assert shares["GB"] == pytest.approx(75.0)

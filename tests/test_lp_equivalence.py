@@ -1,13 +1,15 @@
 """Equivalence tests: array-first LP assembly vs the scalar reference,
 block-API backend agreement, and the multi-day PlanCache."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.lp import JointAssignmentLp, JointLpOptions
 from repro.core.titan_next import PlanCache, oracle_demand_for_day, plan_cache_for_days
 from repro.solver.model import LinearProgram, LinExpr
-from repro.solver.scipy_backend import PreparedHighs
+from repro.solver.simplex import solve_simplex
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +21,6 @@ def demand_day(small_setup):
 OPTION_SETS = [
     JointLpOptions(),
     JointLpOptions(allow_internet=False),
-    JointLpOptions(per_pair_internet_cap=False),
     JointLpOptions(objective="total_latency"),
     JointLpOptions(objective="total_e2e"),
     JointLpOptions(single_dc_per_config=True),
@@ -27,19 +28,42 @@ OPTION_SETS = [
 ]
 
 
+def _canonical_rows(lp):
+    """The LP's rows as a multiset of (sense, columns, coefficients, RHS).
+
+    Columns are sorted and duplicate entries of a row summed in entry
+    order, as the scalar builder's ``add_term`` accumulates them.
+    """
+    rows = Counter()
+    for cols, vals, sense, rhs in lp.iter_constraint_rows():
+        summed = {}
+        order = np.argsort(cols, kind="stable")
+        for col, val in zip(cols[order].tolist(), vals[order].tolist()):
+            summed[col] = summed.get(col, 0.0) + val
+        rows[(sense, tuple(summed), tuple(summed.values()), float(rhs))] += 1
+    return rows
+
+
 class TestBuildEquivalence:
-    @pytest.mark.parametrize("options", OPTION_SETS, ids=lambda o: f"{o.objective}-{o.allow_internet}-{o.per_pair_internet_cap}-{o.single_dc_per_config}-{o.internet_capacity_factor}")
+    @pytest.mark.parametrize(
+        "options",
+        OPTION_SETS,
+        ids=lambda o: (
+            f"{o.objective}-{o.allow_internet}-{o.single_dc_per_config}"
+            f"-{o.internet_capacity_factor}"
+        ),
+    )
     def test_same_shape_and_objective_as_reference(self, small_setup, demand_day, options):
+        """Row for row the same LP: exact coefficients, RHS, bounds and objective."""
         builder = JointAssignmentLp(small_setup.scenario, demand_day, options)
         ref_lp, ref_names = builder.build_reference()
         new_lp, new_names = builder.build()
-        assert new_lp.num_variables == ref_lp.num_variables
+        assert new_names == ref_names
         assert new_lp.num_constraints == ref_lp.num_constraints
-        assert set(new_names) == set(ref_names)
-        ref = PreparedHighs(ref_lp).solve()
-        new = PreparedHighs(new_lp).solve()
-        assert ref.status == new.status == "optimal"
-        assert new.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-6)
+        assert _canonical_rows(new_lp) == _canonical_rows(ref_lp)
+        for new_bounds, ref_bounds in zip(new_lp.bounds_arrays(), ref_lp.bounds_arrays()):
+            np.testing.assert_array_equal(new_bounds, ref_bounds)
+        np.testing.assert_array_equal(new_lp.objective_vector(), ref_lp.objective_vector())
 
     def test_var_name_table_matches_reference(self, small_setup, demand_day):
         builder = JointAssignmentLp(small_setup.scenario, demand_day)
@@ -74,9 +98,9 @@ class TestBlockApi:
         c = np.array([1.0, 2.0])
         lp_blocks.set_objective_array(c)
 
-        for method in ("simplex", "highs"):
-            a = lp_scalar.solve(method=method)
-            b = lp_blocks.solve(method=method)
+        for solve in (solve_simplex, LinearProgram.solve):
+            a = solve(lp_scalar)
+            b = solve(lp_blocks)
             assert a.status == b.status == "optimal"
             assert a.objective == pytest.approx(b.objective, rel=1e-6, abs=1e-6)
 
@@ -86,9 +110,8 @@ class TestBlockApi:
         # 0.5x + 0.5x >= 3  ==  x >= 3.
         lp.add_constraint_block([0, 0], [0, 0], [0.5, 0.5], ">=", [3.0])
         lp.set_objective_array(np.ones(1))
-        for method in ("simplex", "highs"):
-            solution = lp.solve(method=method)
-            assert solution.objective == pytest.approx(3.0)
+        for solve in (solve_simplex, LinearProgram.solve):
+            assert solve(lp).objective == pytest.approx(3.0)
 
     def test_block_validation(self):
         lp = LinearProgram()
@@ -105,7 +128,7 @@ class TestBlockApi:
         handles = lp.add_variables(2, namer=lambda i: f"q[{i}]")
         lp.add_constraint_block([0, 0], handles, [1.0, 1.0], ">=", [2.0])
         lp.set_objective_array(np.array([1.0, 3.0]))
-        solution = lp.solve(method="highs")
+        solution = lp.solve()
         assert lp.variable_name(1) == "q[1]"
         assert solution.value_at(0) == pytest.approx(2.0)
         assert solution["q[0]"] == pytest.approx(2.0)
@@ -119,7 +142,7 @@ class TestBlockApi:
         lp.add_constraint(expr >= 6)
         c = np.array([1.0, 2.0, 3.0])
         lp.set_objective_array(c)
-        solution = lp.solve(method="highs")
+        solution = lp.solve()
         assert solution.objective == pytest.approx(6.0)
         assert solution[x] == pytest.approx(6.0)
 
@@ -150,15 +173,7 @@ class TestPlanCache:
 
     def test_unknown_demand_key_rejected(self, small_setup):
         demand = oracle_demand_for_day(small_setup, day=2)
-        some_config = next(iter(demand))[1]
-        cache = PlanCache(small_setup.scenario, [some_config], slots=[0, 1])
+        cached, outside = sorted({c for _, c in demand}, key=str)[:2]
+        cache = PlanCache(small_setup.scenario, [cached])
         with pytest.raises(KeyError):
-            cache.solve_day({(40, some_config): 5.0})
-
-    def test_rejects_unsupported_modes(self, small_setup):
-        demand = oracle_demand_for_day(small_setup, day=2)
-        configs = sorted({c for _, c in demand}, key=str)
-        with pytest.raises(ValueError):
-            PlanCache(small_setup.scenario, configs, options=JointLpOptions(objective="total_latency"))
-        with pytest.raises(ValueError):
-            PlanCache(small_setup.scenario, configs, options=JointLpOptions(single_dc_per_config=True))
+            cache.solve_day({(0, outside): 5.0})

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.lp import JointAssignmentLp, JointLpOptions
 from repro.net.latency import INTERNET, WAN
 from repro.solver.model import LinearProgram, LinExpr
+from repro.solver.simplex import solve_simplex
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, SCREENSHARE, VIDEO
 
@@ -115,8 +116,8 @@ def test_simplex_agrees_with_highs_on_random_assignment_lps(n, seed):
         objective.add_term(var, float(costs[i, j]))
     lp.set_objective(objective)
 
-    simplex = lp.solve(method="simplex")
-    highs = lp.solve(method="highs")
+    simplex = solve_simplex(lp)
+    highs = lp.solve()
     assert simplex.status == "optimal"
     assert highs.status == "optimal"
     assert simplex.objective == pytest.approx(highs.objective, rel=1e-5, abs=1e-6)
@@ -134,8 +135,8 @@ def test_infeasible_detection_agrees(seed):
     lp.add_constraint(x + y <= a)
     lp.add_constraint(x + y >= a + float(rng.uniform(0.5, 3)))
     lp.set_objective(x + y)
-    assert lp.solve(method="simplex").status == "infeasible"
-    assert lp.solve(method="highs").status == "infeasible"
+    assert solve_simplex(lp).status == "infeasible"
+    assert lp.solve().status == "infeasible"
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

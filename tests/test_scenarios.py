@@ -251,7 +251,7 @@ class TestScenarioSweeps:
 
 
 class TestScenarioSmoke:
-    """The CI fast-loop smoke: every registry scenario id, one oracle day."""
+    """Fast-loop smoke: every registry scenario id runs one oracle day."""
 
     @pytest.mark.parametrize("name", list(SCENARIO_SPECS))
     def test_every_registered_scenario_runs_an_oracle_day(self, zoo, name):

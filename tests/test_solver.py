@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.solver.model import EQ, GE, LE, Constraint, LinearProgram, LinExpr
+from repro.solver.simplex import solve_simplex
 
 
 def _both(lp):
-    """Solve with both backends; assert they agree; return one solution."""
-    simplex = lp.solve(method="simplex")
-    highs = lp.solve(method="highs")
+    """Solve with HiGHS and the simplex oracle; assert they agree; return HiGHS's."""
+    simplex = solve_simplex(lp)
+    highs = lp.solve()
     assert simplex.status == highs.status
     if simplex.is_optimal:
         assert simplex.objective == pytest.approx(highs.objective, rel=1e-6, abs=1e-6)
@@ -76,12 +77,6 @@ class TestModeling:
         x = lp.add_variable("x")
         with pytest.raises(TypeError):
             x._expr() * x  # type: ignore[operator]
-
-    def test_unknown_method(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(ValueError):
-            lp.solve(method="quantum")
 
 
 class TestSolving:
@@ -163,13 +158,6 @@ class TestSolving:
         solution = _both(lp)
         # Optimal: plant0 -> market0 (20), plant1 -> market0 (5) + market1 (25).
         assert solution.objective == pytest.approx(20 * 1 + 5 * 2 + 25 * 1)
-
-    def test_auto_picks_backend(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x")
-        lp.add_constraint(x >= 3)
-        lp.set_objective(x._expr())
-        assert lp.solve(method="auto").objective == pytest.approx(3.0)
 
 
 class TestPersistentHighs:
@@ -297,7 +285,7 @@ def test_backends_agree_on_random_covering_lps(c, b):
     for coeff, var in zip(c, xs):
         objective.add_term(var, coeff)
     lp.set_objective(objective)
-    simplex = lp.solve(method="simplex")
-    highs = lp.solve(method="highs")
+    simplex = solve_simplex(lp)
+    highs = lp.solve()
     assert simplex.is_optimal and highs.is_optimal
     assert simplex.objective == pytest.approx(highs.objective, rel=1e-5)

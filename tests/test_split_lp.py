@@ -49,7 +49,6 @@ class TestSplitLpOptions:
     def test_defaults_are_valid(self):
         options = SplitLpOptions()
         assert options.avg_rtt_bound_ms == 80.0
-        assert options.locality_epsilon > 0
 
 
 class TestBuildAndSolve:
