@@ -71,11 +71,18 @@ class InternetCapacityBook:
         self.pair(country_code, dc_code).disabled = False
 
     def fraction(self, country_code: str, dc_code: str) -> float:
-        return self.pair(country_code, dc_code).effective_fraction
+        """The pair's usable Internet fraction; 0.0 for a pair never set.
+
+        Reads never add a pair (only :meth:`pair` and the setters do), so
+        asking about a pair leaves :meth:`snapshot` as it was.
+        """
+        pair = self._pairs.get((country_code, dc_code))
+        return 0.0 if pair is None else pair.effective_fraction
 
     def gbps(self, country_code: str, dc_code: str) -> float:
-        pair = self.pair(country_code, dc_code)
-        return 0.0 if pair.disabled else pair.gbps
+        """The pair's usable Internet capacity; 0.0 for a pair never set."""
+        pair = self._pairs.get((country_code, dc_code))
+        return 0.0 if pair is None or pair.disabled else pair.gbps
 
     def pairs(self) -> Iterable[PairCapacity]:
         return list(self._pairs.values())

@@ -410,8 +410,7 @@ class JointAssignmentLp:
             part = np.repeat(first, deg) + _csr_offsets(deg)
             pair = tables.part_country[part] * n_dc + col_dc[entry_cols]
             uniq, rows = np.unique(col_t[entry_cols] * n_pairs + pair, return_inverse=True)
-            # Look up only the pairs that have Internet columns: the
-            # book adds an entry for every pair it is asked about.
+            # One capacity lookup per pair that has Internet columns.
             pairs, row_pair = np.unique(uniq % n_pairs, return_inverse=True)
             pair_caps = np.asarray(
                 [

@@ -56,7 +56,10 @@ class RollingPlanner:
     scenario's day × these configs); a demand key outside it is a
     structural error (``KeyError``), the same as ``PlanCache``'s
     multi-day contract.  Every round plans under the C4 bound
-    ``e2e_bound_ms`` (the day's §7.5 bound).
+    ``e2e_bound_ms`` (the day's §7.5 bound).  A round whose right-hand
+    sides some cache over the scenario already solved (another
+    timeline's round before its event was visible, say) is served from
+    the scenario's plan memo without running HiGHS.
     """
 
     def __init__(

@@ -203,6 +203,11 @@ class DemandShockEvent(StressEvent):
         return self.multiplier
 
 
+def _overrides(event: StressEvent, factor: str) -> bool:
+    """Whether ``event``'s class replaces the neutral ``factor`` method."""
+    return getattr(type(event), factor) is not getattr(StressEvent, factor)
+
+
 # ---------------------------------------------------------------------------
 # The timeline
 # ---------------------------------------------------------------------------
@@ -253,7 +258,9 @@ class StressTimeline:
 
     def capacity_factor_fns(
         self, scenario: Scenario, visible_from: Optional[int] = None
-    ) -> Tuple[Callable[[int, str, str], float], Callable[[int, str], float]]:
+    ) -> Tuple[
+        Optional[Callable[[int, str, str], float]], Optional[Callable[[int, str], float]]
+    ]:
         """Per-row capacity factors for ``PlanCache.refresh_capacity_rhs``.
 
         Returns ``(internet_factor(slot, country, dc),
@@ -261,25 +268,32 @@ class StressTimeline:
         ``visible_from`` — each row's factor is the product of the
         events active in *that row's* slot, so a replan knows a visible
         cut's scheduled end and plans the post-repair slots at full
-        capacity.
+        capacity.  A family no visible event scales is ``None`` (the
+        refresh restores its baseline without a per-row call): demand
+        events never scale capacity, and a factor of 1.0 is exact.
         """
         events = self.visible(visible_from)
+        internet_events = [e for e in events if _overrides(e, "internet_factor")]
+        compute_events = [e for e in events if _overrides(e, "compute_factor")]
 
         def internet_factor(slot: int, country_code: str, dc_code: str) -> float:
             factor = 1.0
-            for event in events:
+            for event in internet_events:
                 if event.active(slot):
                     factor *= event.internet_factor(country_code, dc_code, scenario)
             return factor
 
         def compute_factor(slot: int, dc_code: str) -> float:
             factor = 1.0
-            for event in events:
+            for event in compute_events:
                 if event.active(slot):
                     factor *= event.compute_factor(dc_code)
             return factor
 
-        return internet_factor, compute_factor
+        return (
+            internet_factor if internet_events else None,
+            compute_factor if compute_events else None,
+        )
 
     def event_schedule(self, scenario: Scenario):
         """The WAN-side :class:`~repro.net.events.EventSchedule` view.
@@ -409,7 +423,12 @@ def run_campaign_day(
     before *t* produced.  Scored with ``evaluate_batch``.
 
     The scenario's capacity book is only read (when the cache is
-    built), never written.
+    built), never written.  A round that repeats a right-hand side any
+    cache over the scenario already solved — a round before the
+    timeline's first event is visible, or after its demand events end,
+    repeats the unstressed timeline's — is served from the scenario's
+    plan memo (``Scenario.plan_memo``) instead of re-running HiGHS; the
+    results are bit-identical either way.
     """
     from ..analysis.metrics import evaluate_batch
     from ..workload.traces import TraceGenerator

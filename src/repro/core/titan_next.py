@@ -23,14 +23,16 @@ window through one :class:`PlanCache`.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geo.world import World, default_world
 from ..net.latency import LatencyModel
+from ..solver.model import Solution
 from ..workload.configs import CallConfig, group_by_reduced
 from ..workload.demand import SLOTS_PER_DAY, ConfigUniverse, DemandModel
 from ..workload.traces import CallTable, TraceGenerator
@@ -268,6 +270,51 @@ def predicted_demand_for_day_reference(
 # ---------------------------------------------------------------------------
 
 
+class _SolvedPlan(NamedTuple):
+    """What a scenario's :class:`~repro.core.scenario.PlanMemo` keeps of
+    one persistent-session solve.
+
+    ``x`` is kept sparse and bit-exact: the indices whose bit pattern is
+    nonzero (so ``-0.0`` survives) and their values.  Never a
+    :class:`~repro.solver.model.Solution`: its ``name_of`` would pin the
+    whole ``LinearProgram``.
+    """
+
+    status: str
+    objective: Optional[float]
+    iterations: int
+    size: int
+    index: Optional[np.ndarray]
+    value: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, solution: Solution) -> "_SolvedPlan":
+        x = solution.x
+        if x is None:
+            return cls(solution.status, solution.objective, solution.iterations, 0, None, None)
+        index = np.flatnonzero(x.view(np.uint64))
+        return cls(
+            solution.status, solution.objective, solution.iterations, x.size, index, x[index]
+        )
+
+    def solution(self) -> Solution:
+        x = None
+        if self.index is not None:
+            x = np.zeros(self.size)
+            x[self.index] = self.value
+        return Solution(self.status, self.objective, iterations=self.iterations, x=x)
+
+
+def _digest(*arrays: np.ndarray) -> bytes:
+    """sha256 over each array's dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.data)
+    return digest.digest()
+
+
 class PlanCache:
     """Reusable Titan-Next LP for multi-day / forecast-sweep planning.
 
@@ -298,6 +345,16 @@ class PlanCache:
     result — a solve starts from the slack basis, so the interleaving
     cannot change any day's plan) but never parallel.  Independent
     planning horizons need *separate* caches.
+
+    **Repeated right-hand sides.** Because a solve's result depends only
+    on the LP and its row bounds, :meth:`solve_day` first looks the LP
+    up in the scenario's :attr:`~repro.core.scenario.Scenario.plan_memo`
+    (keyed on a digest of the cache's structure and of the row bounds it
+    would send) and serves a repeat from there, bit for bit, without
+    running HiGHS; :attr:`memo_hits` counts those solves.  Any cache
+    over the same scenario, configs and capacities shares the entries —
+    a stress campaign's timelines each build their own cache, and their
+    rounds before an event is visible solve the unstressed LP again.
     """
 
     def __init__(self, scenario: Scenario, configs: Sequence[CallConfig]) -> None:
@@ -311,7 +368,10 @@ class PlanCache:
         # sends only the changed row bounds and solves from scratch.
         self._prepared = PreparedHighs(self._lp, persistent=True)
         self._lock = threading.RLock()
+        #: solve_day calls, and those of them the plan memo served.
         self.solves = 0
+        self.memo_hits = 0
+        self._structure_key = self._structure_digest()
         # Build-time capacity RHS, the baseline refresh_capacity_rhs
         # scales: C2 compute caps and C3 Internet caps as of the
         # capacity book / compute calibration the cache was built from.
@@ -336,6 +396,31 @@ class PlanCache:
     @property
     def num_constraints(self) -> int:
         return self._lp.num_constraints
+
+    def _structure_digest(self) -> bytes:
+        """Digest of everything but the row bounds that a solve reads.
+
+        The matrix, costs and column bounds HiGHS is given, plus the
+        column order and the config/DC lists that ``extract_result``
+        maps a solution back through.
+        """
+        prepared = self._prepared
+        artifacts = self._artifacts
+        arrays = [prepared.c, prepared.bounds]
+        for matrix in (prepared.a_ub, prepared.a_eq):
+            if matrix is not None:
+                arrays += [matrix.data, matrix.indices, matrix.indptr]
+        arrays += [artifacts.col_t, artifacts.col_cfg, artifacts.col_dc, artifacts.col_opt]
+        scalars = (
+            prepared.n_ub,
+            prepared.n_eq,
+            self._lp.objective_constant,
+            artifacts.configs,
+            artifacts.dc_codes,
+            artifacts.y_base,
+            artifacts.n_links,
+        )
+        return _digest(*arrays, np.frombuffer(repr(scalars).encode(), dtype=np.uint8))
 
     def demand_counts(self, demand: Mapping[Tuple[int, CallConfig], float]) -> np.ndarray:
         """Per-C1-group call counts for one day's demand table."""
@@ -377,8 +462,9 @@ class PlanCache:
         with self._lock:
             artifacts = self._artifacts
             if artifacts.c2_block is not None:
-                rhs = self._base_c2_rhs.copy()
+                rhs = self._base_c2_rhs
                 if compute_factor is not None:
+                    rhs = rhs.copy()
                     for i in range(rhs.size):
                         rhs[i] *= compute_factor(
                             int(artifacts.c2_slot[i]),
@@ -387,8 +473,9 @@ class PlanCache:
                 artifacts.c2_block.rhs[:] = rhs
             if artifacts.c3_block is not None:
                 country_codes = self.scenario.country_codes
-                rhs = self._base_c3_rhs.copy()
+                rhs = self._base_c3_rhs
                 if internet_factor is not None:
+                    rhs = rhs.copy()
                     for i in range(rhs.size):
                         rhs[i] *= internet_factor(
                             int(artifacts.c3_slot[i]),
@@ -411,6 +498,12 @@ class PlanCache:
         not solve.  A solve that merely returns a non-optimal status
         leaves the RHS as installed — the next ``solve_day`` overwrites
         both blocks wholesale.
+
+        A right-hand side some cache over this scenario already solved
+        is served from the scenario's plan memo without running HiGHS:
+        the same status, objective, iterations and plan, bit for bit.
+        The persistent session only ever sees the bounds of the solves
+        it runs.
         """
         counts = self.demand_counts(demand)
         with self._lock:
@@ -419,12 +512,21 @@ class PlanCache:
             self._artifacts.c1_block.rhs[:] = counts
             self._artifacts.c4_block.rhs[0] = e2e_bound_ms * counts.sum()
             self.solves += 1
+            memo = self.scenario.plan_memo
             try:
-                solution = self._prepared.solve()
+                key = self._structure_key + _digest(*self._prepared.row_bounds())
+                solved = memo.get(key)
+                solution = solved.solution() if solved is not None else self._prepared.solve()
             except BaseException:
                 self._artifacts.c1_block.rhs[:] = saved_c1
                 self._artifacts.c4_block.rhs[0] = saved_c4
                 raise
+            if solved is not None:
+                self.memo_hits += 1
+            elif self._prepared.in_session:
+                # Only the session's results are a function of the key:
+                # the linprog fallback presolves under its own tolerances.
+                memo.put(key, _SolvedPlan.of(solution))
             return extract_result(solution, self._artifacts)
 
 

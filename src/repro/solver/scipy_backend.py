@@ -156,7 +156,12 @@ class PreparedHighs:
 
     # -- persistent-model solving ------------------------------------------
 
-    def _row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+    @property
+    def in_session(self) -> bool:
+        """Whether solves run in the persistent session (the last one did)."""
+        return self._session is not None
+
+    def row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(row_lower, row_upper) for the stacked [A_ub; A_eq] rows."""
         b_ub, b_eq = self._rhs_vectors()
         lower = np.full(self.n_ub + self.n_eq, -np.inf)
@@ -172,7 +177,7 @@ class PreparedHighs:
         """Pass the frozen structure to a fresh HiGHS instance once."""
         blocks = [m for m in (self.a_ub, self.a_eq) if m is not None]
         matrix = sparse.vstack(blocks).tocsc() if blocks else None
-        row_lower, row_upper = self._row_bounds()
+        row_lower, row_upper = self.row_bounds()
 
         model = core.HighsLp()
         model.num_col_ = self.lp.num_variables
@@ -220,7 +225,7 @@ class PreparedHighs:
             self._open_session(core)
         else:
             highs, sent_lower, sent_upper = self._session
-            row_lower, row_upper = self._row_bounds()
+            row_lower, row_upper = self.row_bounds()
             changed = np.nonzero(
                 (row_lower != sent_lower) | (row_upper != sent_upper)
             )[0]

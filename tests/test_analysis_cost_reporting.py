@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.cost import GCP_SINGAPORE, CostReport, Tariff, compare_costs, cost_of, internet_traffic_gb
+from repro.analysis.cost import GCP_SINGAPORE, Tariff, compare_costs, cost_of, internet_traffic_gb
 from repro.analysis.metrics import evaluate_assignment
 from repro.analysis.reporting import bar_chart, cdf_sparkline, format_table, policy_comparison
 from repro.core.policies import TitanNextPolicy, WrrPolicy

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.controller import (
-    CallAssignment,
     FirstJoinerLf,
     FirstJoinerTitan,
     FirstJoinerWrr,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.forecast import FitManyResult, HoltWinters, forecast_day, normalized_errors
+from repro.core.forecast import HoltWinters, forecast_day, normalized_errors
 from repro.geo.world import default_world
 from repro.workload.demand import SLOTS_PER_DAY, ConfigUniverse, DemandModel
 

@@ -1,14 +1,14 @@
 """Tests for the Titan-Next joint LP (Fig 13) and the scenario layer."""
 
-import numpy as np
 import pytest
 
+from repro.core.capacity import InternetCapacityBook
 from repro.core.lp import JointAssignmentLp, JointLpOptions
-from repro.core.scenario import Scenario, calibrate_compute_caps
+from repro.core.scenario import Scenario
 from repro.core.titan_next import oracle_demand_for_day
 from repro.net.latency import INTERNET, WAN
 from repro.workload.configs import CallConfig
-from repro.workload.media import AUDIO, VIDEO
+from repro.workload.media import AUDIO
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,15 @@ class TestJointLp:
             if option == INTERNET:
                 assert "DE" not in config.countries
                 assert "AT" not in config.countries
+
+    def test_build_does_not_write_a_partial_capacity_book(self, small_setup, demand_day):
+        """Pairs the book never set read as zero capacity and stay absent."""
+        book = InternetCapacityBook()
+        pair = next(p for p in small_setup.scenario.capacity_book.pairs() if p.gbps > 0)
+        book.set_gbps(pair.country_code, pair.dc_code, pair.gbps)
+        before = book.snapshot()
+        JointAssignmentLp(small_setup.scenario.with_capacity_book(book), demand_day)._build()
+        assert book.snapshot() == before
 
     def test_mp_only_ablation_uses_no_internet(self, small_setup, demand_day):
         options = JointLpOptions(allow_internet=False)

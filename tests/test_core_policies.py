@@ -1,13 +1,11 @@
 """Tests for the oracle policies and the evaluation metrics (§7)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.metrics import LoadMatrix, evaluate_assignment, normalize_to, savings_vs
 from repro.analysis.stats import cdf_at, summarize, weighted_percentile
 from repro.core.policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy
 from repro.core.titan_next import oracle_demand_for_day
-from repro.net.latency import INTERNET, WAN
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ pair after repeated failures.  These tests drive the ladder with a
 scripted prober so each transition fires deterministically.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.rollout import STAGE_NAMES, GranularRollout, RolloutState, stage_share

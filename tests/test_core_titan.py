@@ -5,17 +5,16 @@ import pytest
 
 from repro.core.capacity import InternetCapacityBook, PairCapacity, split_capacity_by_priority
 from repro.core.ecs import ArmMetrics, Experiment, QualityGates, Scorecard
-from repro.core.monitor import MonitorThresholds, RouteMonitor
+from repro.core.monitor import RouteMonitor
 from repro.core.titan import (
     DISABLED,
     HOLDING,
-    RAMPING,
     SyntheticPathProber,
     Titan,
     TitanParams,
 )
 from repro.geo.world import default_world
-from repro.net.latency import INTERNET, WAN, LatencyModel
+from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel
 
 
@@ -39,6 +38,16 @@ class TestCapacityBook:
         book = InternetCapacityBook()
         assert book.fraction("FR", "westeurope") == 0.0
         assert book.gbps("FR", "westeurope") == 0.0
+
+    def test_reads_leave_the_book_unchanged(self):
+        book = InternetCapacityBook()
+        book.set_gbps("DE", "westeurope", 5.0)
+        before = book.snapshot()
+        assert book.gbps("FR", "westeurope") == 0.0
+        assert book.fraction("FR", "westeurope") == 0.0
+        assert book.gbps("DE", "westeurope") == 5.0
+        assert book.fraction("DE", "westeurope") == 0.0
+        assert book.snapshot() == before
 
     def test_disable_zeroes_effective_values(self):
         book = InternetCapacityBook()

@@ -10,7 +10,6 @@ from repro.geo.world import (
     FIG4_COUNTRIES,
     FIG4_DC_CODES,
     Country,
-    DataCenter,
     World,
     default_world,
     stable_hash,

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import evaluate_assignment
-from repro.core.capacity import InternetCapacityBook
 from repro.core.lp import JointAssignmentLp
 from repro.core.monitor import RouteMonitor
 from repro.core.scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
 from repro.core.titan import SyntheticPathProber, Titan
 from repro.core.titan_next import EUROPE_EVAL_DCS, EuropeSetup, oracle_demand_for_day, run_prediction_day
 from repro.geo.world import default_world
-from repro.net.latency import INTERNET, WAN, LatencyModel
+from repro.net.latency import INTERNET, LatencyModel
 
 from repro.net.loss import LossModel
 from repro.workload.demand import ConfigUniverse, DemandModel

@@ -17,7 +17,6 @@ from repro.measurement.calibration import (
     FIG4_COUNTRY_ORDER,
     PAPER_FIG4_F,
     PAPER_FIG19_F,
-    measured_fraction_f,
     paper_fraction_f,
 )
 from repro.measurement.campaign import MeasurementCampaign

@@ -1,7 +1,6 @@
 """Property tests: controller invariants and forecaster robustness."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.controller import TitanNextController

@@ -9,7 +9,7 @@ scenario: every call placed, splits bounded by placements, shares in
 
 import pytest
 
-from repro.core.split_lp import SplitLpOptions, SplitLpResult, SplitRoutingLp
+from repro.core.split_lp import SplitLpOptions, SplitRoutingLp
 from repro.core.titan_next import oracle_demand_for_day
 
 SLOTS = 2

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import OfflinePlan
+from repro.core.replanner import RollingPlanner
 from repro.core.stress import (
     DcOutageEvent,
     DemandShockEvent,
@@ -133,6 +134,32 @@ class TestCapacityPlumbing:
         assert compute_fn(30, dc) == 1.0  # scheduled end is known
         assert internet_fn(20, "DE", dc) == 0.0
         assert internet_fn(20, "DE", scenario.dc_codes[0]) == 1.0
+
+    def test_factor_fns_skip_families_no_visible_event_scales(self, small_setup, scenarios):
+        scenario = small_setup.scenario
+        for name in ("flash-crowd", "flash-crowd-surge", "holiday", "demand-shock"):
+            assert scenarios[name].capacity_factor_fns(scenario) == (None, None)
+        cut = scenarios["fiber-cut"]
+        internet_fn, compute_fn = cut.capacity_factor_fns(scenario)
+        assert internet_fn is not None and compute_fn is None
+        assert cut.capacity_factor_fns(scenario, visible_from=8) == (None, None)
+
+    def test_skipped_family_restores_the_baseline_bit_for_bit(self, small_setup):
+        """``None`` installs exactly what all-1.0 factors would."""
+        planner = RollingPlanner(small_setup.scenario, [small_setup.universe.top(1)[0].config])
+        cache = planner.plan_cache
+        cache.refresh_capacity_rhs(
+            internet_factor=lambda slot, country, dc: 1.0, compute_factor=lambda slot, dc: 1.0
+        )
+        ones = (cache._artifacts.c2_block.rhs.tobytes(), cache._artifacts.c3_block.rhs.tobytes())
+        cache.refresh_capacity_rhs(
+            internet_factor=lambda slot, country, dc: 0.5, compute_factor=lambda slot, dc: 0.5
+        )
+        cache.refresh_capacity_rhs()
+        assert (
+            cache._artifacts.c2_block.rhs.tobytes(),
+            cache._artifacts.c3_block.rhs.tobytes(),
+        ) == ones
 
     def test_campaign_day_leaves_the_capacity_book_alone(self, small_setup, scenarios):
         """Capacity events reach only the planner's LP: the shared book

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geo.world import default_world
-from repro.workload.configs import CallConfig
 from repro.workload.demand import (
     SLOTS_PER_DAY,
     ConfigUniverse,
