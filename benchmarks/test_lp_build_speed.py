@@ -68,17 +68,18 @@ def test_array_first_build_is_3x_faster_with_identical_objective(default_day):
 
 def test_plan_cache_resolve_beats_fresh_build(default_day):
     """Re-solving the cached structure must beat build-from-scratch."""
-    from repro.core.titan_next import plan_cache_for_days
+    from repro.core.titan_next import PlanCache
 
     setup, demand = default_day
-    cache, demands = plan_cache_for_days(setup, [2, 3])
+    demands = {2: demand, 3: oracle_demand_for_day(setup, day=3)}
+    cache = PlanCache(setup)
 
     t_fresh, fresh = _best_of(
         lambda: JointAssignmentLp(setup.scenario, demands[3]).solve(), rounds=2
     )
-    # A repeated right-hand side is served from the scenario's plan memo,
-    # so time one HiGHS re-solve: day 2 opens the session, day 3 refreshes
-    # the right-hand sides and solves.
+    # A repeated right-hand side is served from the cache's memo, so time
+    # one HiGHS re-solve: day 2 opens the session, day 3 refreshes the
+    # right-hand sides and solves.
     cache.solve_day(demands[2])
     t_cached, cached = _best_of(lambda: cache.solve_day(demands[3]), rounds=1)
     assert cache.memo_hits == 0
@@ -91,6 +92,7 @@ def test_plan_cache_resolve_beats_fresh_build(default_day):
     assert cached.objective == pytest.approx(fresh.objective, rel=1e-6, abs=1e-6)
     # The cache removes the whole build+assembly phase; the remaining
     # HiGHS solve dominates both paths (and the cached model covers the
-    # union structure), so allow scheduler noise around parity — the
-    # re-solve must never cost meaningfully more than build-from-scratch.
+    # setup's whole reduced config set), so allow scheduler noise around
+    # parity — the re-solve must never cost meaningfully more than
+    # build-from-scratch.
     assert t_cached < t_fresh * 1.25

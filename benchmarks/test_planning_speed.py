@@ -1,7 +1,7 @@
 """Planning speed: one cached LP over global/top-200, solved day by day.
 
 A :class:`~repro.core.titan_next.PlanCache` keeps one HiGHS model
-loaded over the window's config union (~184k columns × ~44k rows here)
+loaded over the setup's reduced config set (~184k columns × ~44k rows here)
 and solves every day from the slack basis with presolve off.  A day is
 then as dear as its own LP, whatever was solved before it.  Hot-starting
 day 31 from day 30's optimal basis instead halved the dual-simplex
@@ -27,8 +27,7 @@ MAX_LATER_DAY_RATIO = 1.25
 def test_later_day_costs_no_more_than_first_day(record_bench):
     setup = build_scenario("global", daily_calls=50_000, top_n_configs=200)
     demand = {day: predicted_demand_for_day(setup, day) for day in DAYS}
-    configs = sorted({c for table in demand.values() for _, c in table}, key=str)
-    cache = PlanCache(setup.scenario, configs)
+    cache = PlanCache(setup)
     record_bench(columns=cache.num_variables, rows=cache.num_constraints)
 
     cpu_s = {}

@@ -4,8 +4,8 @@ The ISSUE-5 tentpole: on a high-volume multi-day §8 window, fanning the
 per-day forecast and replay phases over 4 process workers must cut
 wall-clock by at least 2x versus the serial loop (``workers=1``, the
 pinned reference path) — while reproducing the serial results exactly.
-Only the ``PlanCache`` solve loop (one loaded HiGHS model, each day
-solved from the slack basis) stays serial, so the window is sized so
+Only the setup's ``PlanCache`` solve loop (one loaded HiGHS model,
+each day solved from the slack basis) stays serial, so the window is sized so
 per-day replay dominates planning (Amdahl).
 
 The fan-out's result channel: at millions of calls per day a pooled
@@ -72,12 +72,9 @@ def test_parallel_sweep_is_2x_faster(sweep_setup, record_bench):
     serial = titan_next_days(SweepRunner(sweep_setup, workers=1), DAYS)
     t_serial = time.perf_counter() - start
 
-    # The serial run filled the scenario's plan memo; plan the pooled run
-    # on a fresh copy of the scenario so both sides run HiGHS.
-    scenario = sweep_setup.scenario
-    pooled_setup = replace(
-        sweep_setup, scenario=scenario.with_capacity_book(scenario.capacity_book)
-    )
+    # The serial run filled the setup's plan cache memo; plan the pooled
+    # run on a cold copy of the setup so both sides run HiGHS.
+    pooled_setup = replace(sweep_setup)
     start = time.perf_counter()
     parallel = titan_next_days(SweepRunner(pooled_setup, workers=WORKERS), DAYS)
     t_parallel = time.perf_counter() - start

@@ -69,18 +69,19 @@ LOCALITY_EPSILON = 1e-6
 #: pseudo-random cost in [0, TIE_BREAK_EPSILON) keyed on its identity,
 #: so exactly-tied columns (equal latencies, e.g. symmetric DCs or
 #: audio/video twins) no longer span a degenerate optimal face.  A
-#: unique optimum is what lets a cached plan (``PlanCache``: a
-#: persistent model over the window's config union, solved without
-#: presolve) reproduce a freshly built LP's plan to the solver's
-#: tolerance.  Keyed on content, not column index, so it is identical
-#: across cached and per-day structures.  Sized well below the
-#: locality term at typical inter-DC latency gaps (1 ms of locality
-#: outweighs the whole tie-break range) so it decides ties and
-#: sub-millisecond near-ties only — larger values scatter configs to
-#: hash-preferred DCs and inflate migrations — while staying above the
-#: solver's dual tolerances (1e-7 for one-shot solves, 1e-9 for cached
-#: ones), below which the perturbation would be ignored and the optimum
-#: non-unique again.
+#: unique optimum is what makes a plan a property of the LP rather than
+#: of the solve path: the setup's ``PlanCache`` (a persistent model over
+#: the setup's reduced config set, solved without presolve) and a
+#: one-shot LP over the same day (``linprog`` with presolve) reach the
+#: same plan to the solver's tolerance.  Keyed on content, not column
+#: index, so it is identical across cached and one-shot structures.
+#: Sized well below the locality term at typical inter-DC latency gaps
+#: (1 ms of locality outweighs the whole tie-break range) so it decides
+#: ties and sub-millisecond near-ties only — larger values scatter
+#: configs to hash-preferred DCs and inflate migrations — while staying
+#: above the solver's dual tolerances (1e-7 for one-shot solves, 1e-9
+#: for cached ones), below which the perturbation would be ignored and
+#: the optimum non-unique again.
 TIE_BREAK_EPSILON = 1e-6
 
 

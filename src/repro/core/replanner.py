@@ -12,13 +12,14 @@ rewritten: calls already assigned stay assigned.  The caller owns the
 cadence (:func:`~repro.core.stress.run_campaign_day` replans every
 ``cadence`` slots).
 
-Every round solves through one :class:`~repro.core.titan_next.PlanCache`
-whose model stays loaded in a persistent HiGHS session: a replan is a
-C1/C4 RHS refresh plus a solve from the slack basis, and capacity
-changes (Titan's fresh Internet fractions, an outage, a cut) reach the
-solver through :meth:`PlanCache.refresh_capacity_rhs` as RHS-only
-edits too.  This is what makes intraday replanning affordable inside a
-stress campaign sweeping many days.
+Every round solves through the setup's one
+:class:`~repro.core.titan_next.PlanCache`, whose model stays loaded in a
+persistent HiGHS session: a replan is an RHS refresh plus a solve from
+the slack basis, and capacity changes (Titan's fresh Internet fractions,
+an outage, a cut) reach the solver as the round's ``capacity`` factors,
+RHS-only edits too that last that one round.  So the timelines of a
+stress campaign share one structure, and intraday replanning stays
+affordable inside a campaign sweeping many days.
 
 An infeasible round is not an error: the previous plan is kept for the
 remaining slots and the §6.4 surge path absorbs the calls the stale
@@ -29,12 +30,14 @@ replay).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..workload.configs import CallConfig
 from .lp import JointLpOptions
 from .plan import OfflinePlan
-from .scenario import Scenario
+
+if TYPE_CHECKING:
+    from .titan_next import CapacityFactors, EuropeSetup
 
 DemandTable = Mapping[Tuple[int, CallConfig], float]
 
@@ -52,49 +55,56 @@ class ReplanEvent:
 class RollingPlanner:
     """Re-solves the joint LP for the rest of the day, one round at a time.
 
-    ``configs`` fixes the cached LP structure (every slot of the
-    scenario's day × these configs); a demand key outside it is a
-    structural error (``KeyError``), the same as ``PlanCache``'s
-    multi-day contract.  Every round plans under the C4 bound
-    ``e2e_bound_ms`` (the day's §7.5 bound).  A round whose right-hand
-    sides some cache over the scenario already solved (another
-    timeline's round before its event was visible, say) is served from
-    the scenario's plan memo without running HiGHS.
+    Every round solves through the setup's
+    :meth:`~repro.core.titan_next.EuropeSetup.plan_cache` (every slot of
+    the scenario's day × the setup's reduced configs; a demand key
+    outside it raises ``KeyError``) under the C4 bound ``e2e_bound_ms``
+    (the day's §7.5 bound).  A round whose right-hand sides the cache
+    already solved (another timeline's round before its event was
+    visible, say) is served from the cache's memo without running
+    HiGHS.
     """
 
     def __init__(
         self,
-        scenario: Scenario,
-        configs: Sequence[CallConfig],
+        setup: "EuropeSetup",
         e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
     ) -> None:
-        from .titan_next import PlanCache
-
-        self.scenario = scenario
         self.e2e_bound_ms = e2e_bound_ms
         self.plan = OfflinePlan()
         self.events: List[ReplanEvent] = []
         # One loaded LP structure for every round of the day: a replan
         # pins past slots' C1 rows to zero demand and re-solves.
-        self.plan_cache = PlanCache(scenario, sorted(set(configs), key=str))
+        self.plan_cache = setup.plan_cache()
 
     def _remaining_demand(
         self, demand: DemandTable, from_slot: int
     ) -> Dict[Tuple[int, CallConfig], float]:
         return {(t, c): v for (t, c), v in demand.items() if t >= from_slot and v > 0}
 
-    def replan(self, demand: DemandTable, from_slot: int) -> bool:
+    def replan(
+        self,
+        demand: DemandTable,
+        from_slot: int,
+        capacity: Optional["CapacityFactors"] = None,
+    ) -> bool:
         """Re-solve for slots ≥ ``from_slot`` and splice into the plan.
 
-        Returns False (and keeps the previous plan for those slots) if
-        the LP is infeasible under the current capacities — the §6.4
-        surge path then handles calls the stale plan cannot place.
+        ``capacity`` is the round's ``(internet_factor, compute_factor)``
+        pair on the build-time capacities (see
+        :meth:`~repro.core.titan_next.PlanCache.solve_day`); ``None``
+        plans at full capacity.  Returns False (and keeps the previous
+        plan for those slots) if the LP is infeasible under those
+        capacities — the §6.4 surge path then handles calls the stale
+        plan cannot place.
         """
         remaining = self._remaining_demand(demand, from_slot)
         if not remaining:
             self.events.append(ReplanEvent(from_slot, True, 0.0, 0))
             return True
-        result = self.plan_cache.solve_day(remaining, e2e_bound_ms=self.e2e_bound_ms)
+        result = self.plan_cache.solve_day(
+            remaining, e2e_bound_ms=self.e2e_bound_ms, capacity=capacity
+        )
         if not result.is_optimal:
             self.events.append(ReplanEvent(from_slot, False, None, 0))
             return False

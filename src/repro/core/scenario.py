@@ -16,10 +16,8 @@ builds that default.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,52 +54,6 @@ class ScenarioEvalTables:
     part_ptr: np.ndarray
     part_country: np.ndarray
     part_bw: np.ndarray
-
-
-class PlanMemo:
-    """A bounded, thread-safe LRU of solved planning LPs, keyed on content.
-
-    Every :class:`~repro.core.titan_next.PlanCache` over a scenario
-    consults its scenario's memo before it runs HiGHS.  Each of a stress
-    campaign's timelines builds its own cache, yet its rounds before its
-    first event is visible solve the very LP the unstressed timeline
-    solved; the cache keys a solve on the LP's content (structure and
-    row bounds), not on which cache built it, so such rounds are solved
-    once per scenario.  The memo never crosses a process boundary:
-    :meth:`Scenario.__getstate__` drops it.
-    """
-
-    #: Retained solves, least recently used evicted first.
-    SIZE = 16
-
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        raise TypeError(
-            "PlanMemo holds a lock and is never pickled; a Scenario pickles without it"
-        )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[object]:
-        """The entry stored under ``key`` (now the most recent), or None."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: Hashable, entry: object) -> None:
-        """Store ``entry``, first evicting the least recently used if full."""
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self.SIZE:
-                self._entries.popitem(last=False)
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
 
 
 class Scenario:
@@ -145,29 +97,21 @@ class Scenario:
         self._all_links: List[WanLink] = []
         self._eval_tables: Dict[Tuple[int, ...], ScenarioEvalTables] = {}
         self._link_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Solved planning LPs shared by every PlanCache over this scenario.
-        self.plan_memo = PlanMemo()
         self._build_link_table()
 
     def __getstate__(self):
-        """Pickle without the evaluation caches and the plan memo.
+        """Pickle without the evaluation caches.
 
         ``_eval_tables`` is keyed on config object *ids*, which are
         meaningless (and collision-prone) in another process — a sweep
         worker must rebuild its own tables, which also keeps the
         payload shipped to each worker small.  ``_link_csr`` is derived
-        and rebuilt on demand.  ``plan_memo`` holds a lock and solved
-        plans; the far side starts with an empty one.
+        and rebuilt on demand.
         """
         state = self.__dict__.copy()
         state["_eval_tables"] = {}
         state["_link_csr"] = None
-        del state["plan_memo"]
         return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self.plan_memo = PlanMemo()
 
     # -- links -------------------------------------------------------------
 

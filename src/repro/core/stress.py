@@ -15,11 +15,11 @@ This module turns those anecdotes into reproducible scenario campaigns:
   stressed trace is deterministic and unstressed slots stay
   bit-identical to the unstressed day;
 * capacity events become right-hand-side factors on the planning LP's
-  C2 (compute) and C3 (Internet capacity) rows, refreshed in place on
-  the loaded :class:`~repro.core.titan_next.PlanCache` (Titan's
-  reaction: degraded probes pull cleared capacity, §4.2(5)); the
-  shared :class:`~repro.core.capacity.InternetCapacityBook` is never
-  written;
+  C2 (compute) and C3 (Internet capacity) rows, passed to each solve of
+  the setup's loaded :class:`~repro.core.titan_next.PlanCache` (Titan's
+  reaction: degraded probes pull cleared capacity, §4.2(5)) and gone by
+  the next; the shared :class:`~repro.core.capacity.InternetCapacityBook`
+  is never written;
 * :func:`run_campaign_day` replays the whole day through the batch
   ``process_table`` controller path with intraday replanning at the
   paper's cadence, degrading gracefully on infeasible rounds (the
@@ -39,12 +39,15 @@ Event slots are slot-of-day (0..slots_per_day-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..workload.configs import CallConfig
 from .scenario import Scenario
+
+if TYPE_CHECKING:
+    from .titan_next import CapacityFactors
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +261,8 @@ class StressTimeline:
 
     def capacity_factor_fns(
         self, scenario: Scenario, visible_from: Optional[int] = None
-    ) -> Tuple[
-        Optional[Callable[[int, str, str], float]], Optional[Callable[[int, str], float]]
-    ]:
-        """Per-row capacity factors for ``PlanCache.refresh_capacity_rhs``.
+    ) -> CapacityFactors:
+        """Per-row capacity factors for ``PlanCache.solve_day``'s ``capacity``.
 
         Returns ``(internet_factor(slot, country, dc),
         compute_factor(slot, dc))`` over the events visible at
@@ -269,7 +270,7 @@ class StressTimeline:
         events active in *that row's* slot, so a replan knows a visible
         cut's scheduled end and plans the post-repair slots at full
         capacity.  A family no visible event scales is ``None`` (the
-        refresh restores its baseline without a per-row call): demand
+        solve installs its baseline without a per-row call): demand
         events never scale capacity, and a factor of 1.0 is exact.
         """
         events = self.visible(visible_from)
@@ -413,22 +414,25 @@ def run_campaign_day(
 
     The loop is the paper's operation: every ``cadence`` slots the
     planner re-estimates demand (expected rates × the multipliers of
-    events *visible* at the round), refreshes the cached LP's capacity
-    RHS for the events' schedules, and re-solves for the remaining
-    slots — keeping the stale plan when the round is infeasible.  The
+    events *visible* at the round) and re-solves for the remaining
+    slots under the capacity factors of the visible events' schedules
+    — keeping the stale plan when the round is infeasible.  The
     realized (ground-truth) stressed trace then replays through
     ``TitanNextController.process_table`` against the final spliced
     plan, which is faithful in time: replan rounds never rewrite past
     slots, so slot *t*'s quotas are exactly what the last round at or
     before *t* produced.  Scored with ``evaluate_batch``.
 
-    The scenario's capacity book is only read (when the cache is
-    built), never written.  A round that repeats a right-hand side any
-    cache over the scenario already solved — a round before the
-    timeline's first event is visible, or after its demand events end,
-    repeats the unstressed timeline's — is served from the scenario's
-    plan memo (``Scenario.plan_memo``) instead of re-running HiGHS; the
-    results are bit-identical either way.
+    Every round solves through the setup's one
+    :class:`~repro.core.titan_next.PlanCache`, so the timelines of a
+    campaign share one LP build; each solve installs its own capacity
+    factors, so no timeline's events reach another's rounds.  The
+    scenario's capacity book is only read (when the cache is built),
+    never written.  A round that repeats a right-hand side the cache
+    already solved — a round before the timeline's first event is
+    visible, or after its demand events end, repeats the unstressed
+    timeline's — is served from the cache's memo instead of re-running
+    HiGHS; the results are bit-identical either way.
     """
     from ..analysis.metrics import evaluate_batch
     from ..workload.traces import TraceGenerator
@@ -448,24 +452,19 @@ def run_campaign_day(
     generator = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=seed)
     trace = generator.table_for_day(day, multipliers=truth_multipliers)
 
-    # Planning structure: one hot cached LP over the reduced config set
-    # (multipliers only scale rates, so the config set is stress-invariant).
-    base_expected = setup.demand.expected_matrix(start_slot, slots, top_n=setup.top_n_configs)
-    configs = sorted({c for _, c in _table_from_matrix(base_expected, raw_configs, True)}, key=str)
-    planner = RollingPlanner(scenario, configs, e2e_bound_ms=day_e2e_bound_ms(day))
-
+    planner = RollingPlanner(setup, e2e_bound_ms=day_e2e_bound_ms(day))
     for round_slot in range(0, slots, cadence):
-        internet_fn, compute_fn = timeline.capacity_factor_fns(scenario, visible_from=round_slot)
-        planner.plan_cache.refresh_capacity_rhs(
-            internet_factor=internet_fn, compute_factor=compute_fn
-        )
         visible_multipliers = timeline.demand_multipliers(
             raw_configs, slots, visible_from=round_slot
         )
         estimate = setup.demand.expected_matrix(
             start_slot, slots, top_n=setup.top_n_configs, multipliers=visible_multipliers
         )
-        planner.replan(_table_from_matrix(estimate, raw_configs, True), from_slot=round_slot)
+        planner.replan(
+            _table_from_matrix(estimate, raw_configs, True),
+            from_slot=round_slot,
+            capacity=timeline.capacity_factor_fns(scenario, visible_from=round_slot),
+        )
 
     controller = TitanNextController(scenario, planner.plan, seed=seed + 1, reduce_configs=True)
     batch = controller.process_table(trace)

@@ -1,22 +1,25 @@
 """Parallel sweep engine: fan §7/§8 day work across workers.
 
-A multi-day evaluation sweep plans every day through one
-:class:`~repro.core.titan_next.PlanCache`: one HiGHS model, built once
-over the window's config union and kept loaded.  Each day refreshes its
-right-hand side and solves from the slack basis, so no basis carries
-from day to day and a day's plan depends only on its own demand.  The
-rest of the day — Holt-Winters forecasting, trace synthesis, controller
-replay, and §7.1 scoring — is a pure function of ``(setup, day, seed)``
-because every random draw in the pipeline is counter-based Philox keyed
-on ``(seed, config, slot)``: no generator state crosses day boundaries,
-so per-day work can run in any order, on any worker, and reproduce the
-serial loop byte for byte.
+A multi-day evaluation sweep plans every day through
+:func:`~repro.core.titan_next.plan_day`, i.e. through the setup's one
+:class:`~repro.core.titan_next.PlanCache`: one HiGHS model, built on
+the setup's first plan over its reduced config set and kept loaded.
+Each day installs its right-hand sides and solves from the slack basis,
+so no state carries from day to day and a day's plan depends only on
+its own demand — it is the plan
+:func:`~repro.core.titan_next.run_prediction_day` solves for that day.
+The rest of the day — Holt-Winters forecasting, trace synthesis,
+controller replay, and §7.1 scoring — is a pure function of
+``(setup, day, seed)`` because every random draw in the pipeline is
+counter-based Philox keyed on ``(seed, config, slot)``: no generator
+state crosses day boundaries, so per-day work can run in any order, on
+any worker, and reproduce the serial loop byte for byte.
 
 :class:`SweepRunner` splits a sweep accordingly:
 
 1. **parallel forecast phase** — per-day predicted demand tables fanned
    over the pool;
-2. **serial planning phase** — the shared :class:`PlanCache` loop in
+2. **serial planning phase** — the setup's :class:`PlanCache` loop in
    the parent process (one loaded model serves every day; the plans
    would be the same in any order, so fanning this phase out is
    possible but not done);
@@ -74,9 +77,9 @@ which reconstructs the full tables on demand by re-running the day
 byte-equivalence reference.
 
 **Streaming.** :meth:`SweepRunner.iter_days` / ``chunk_days=`` plan
-and replay a long window chunk by chunk over one pool and one
-full-window planning structure, so a 52-week sweep holds O(chunk) day
-results in memory while reproducing the monolithic run byte for byte.
+and replay a long window chunk by chunk over one pool and the setup's
+one planning structure, so a 52-week sweep holds O(chunk) day results
+in memory while reproducing the monolithic run byte for byte.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ from .scenario import EVAL_OPTION_ORDER
 if TYPE_CHECKING:
     from ..analysis.metrics import EvaluationResult
     from .scenario import Scenario
-    from .titan_next import EuropeSetup, PlanCache, PredictionDayResult
+    from .titan_next import EuropeSetup, PredictionDayResult
 
 #: Demand/forecast table: ``(slot of day, config) -> call count``.
 DemandTable = Dict[Tuple[int, CallConfig], float]
@@ -337,10 +340,10 @@ def _replay_day_task(
 
     ``task`` is ``(day, plan_assignment, policies, seed, evaluate,
     compact)``; returns ``(day, {policy: result})`` where each result is
-    a full ``PredictionDayResult`` — on the same trace and seeds as
-    :func:`~repro.core.titan_next.run_prediction_day` for that day, and
-    for Titan-Next on a plan equal to a fresh per-day LP's to the
-    solver's tolerance — or, with ``compact``, a :class:`DaySummary`
+    a full ``PredictionDayResult`` — byte-identical to
+    :func:`~repro.core.titan_next.run_prediction_day`'s for that day
+    (same trace, seeds and, for Titan-Next, the same plan from the
+    setup's one planning LP) — or, with ``compact``, a :class:`DaySummary`
     holding only the realized-table rows, stats, and (optional) score:
     the worker→parent payload drops from the full ``CallTable`` /
     ``AssignmentBatch`` columns to a few distinct-row arrays.
@@ -373,8 +376,8 @@ def _oracle_day_task(
     """Score one §7 oracle day for a set of policies.
 
     ``task`` is ``(day, demand, titan_next_assignment, policies)``;
-    ``titan_next_assignment`` carries the serial planning phase's
-    cached-LP optimum (``None`` when the policies leave Titan-Next out).
+    ``titan_next_assignment`` carries the serial planning phase's plan
+    (``None`` when the policies leave Titan-Next out).
     """
     from .titan_next import run_oracle_day
 
@@ -910,30 +913,6 @@ class SweepRunner:
         tasks = [(day,) for day in days]
         return dict(self.map_days(_forecast_day_task, tasks, pool=pool))
 
-    def _plan_cache(self, demands: Dict[int, DemandTable]) -> "PlanCache":
-        """One :class:`~repro.core.titan_next.PlanCache` over the union
-        of the days' configs: the planning loop's only LP structure."""
-        from .titan_next import PlanCache
-
-        configs = sorted({c for table in demands.values() for _, c in table}, key=str)
-        if not configs:
-            raise ValueError("no predicted demand across the requested days")
-        return PlanCache(self.setup.scenario, configs)
-
-    @staticmethod
-    def _solve_plan(cache: "PlanCache", demand: DemandTable, day: int) -> AssignmentTable:
-        """One day's plan through the window's cache, under its §7.5 E2E bound."""
-        from .titan_next import day_e2e_bound_ms
-
-        solved = cache.solve_day(demand, e2e_bound_ms=day_e2e_bound_ms(day))
-        if not solved.is_optimal:
-            raise PlanningError(
-                f"Titan-Next planning LP failed for day {day}: {solved.status}",
-                status=solved.status,
-                day=day,
-            )
-        return solved.assignment
-
     def replay_days(
         self,
         days: Sequence[int],
@@ -976,13 +955,13 @@ class SweepRunner:
     ) -> Dict[int, Dict[str, "PredictionDayResult"]]:
         """The §8 experiment for every (day, policy) in a window.
 
-        Per (day, policy) the output runs on the same trace and seeds as
-        :func:`~repro.core.titan_next.run_prediction_day`; Titan-Next
-        replays the window cache's plan, equal to a fresh per-day LP's
-        to the solver's tolerance.  The output is byte-identical for
-        any worker count, any ``chunk_days``, and either result
-        channel.  This is :meth:`iter_days` drained into a dict; pass
-        ``chunk_days`` to bound in-flight work, or iterate
+        Per (day, policy) the output is byte-identical to
+        :func:`~repro.core.titan_next.run_prediction_day`'s: the same
+        trace and seeds, and for Titan-Next the same plan, solved
+        through the setup's one planning LP.  The output is
+        byte-identical for any worker count, any ``chunk_days``, and
+        either result channel.  This is :meth:`iter_days` drained into
+        a dict; pass ``chunk_days`` to bound in-flight work, or iterate
         :meth:`iter_days` directly to also bound *held* results.
         """
         return dict(
@@ -1011,34 +990,36 @@ class SweepRunner:
 
         The streaming contract: results are byte-identical to the
         monolithic window for every chunk size.  That holds because
-        chunking never splits the planning *structure* — forecasts for
-        the whole window are computed up front (demand tables are
-        small) and one plan cache is built over the full-window config
-        union — and each day's solve starts from the slack basis, so
-        every plan is the monolithic one.  Only plan-solving, replay
-        fan-out, and result materialization proceed O(chunk) at a time:
+        forecasts for the whole window are computed up front (demand
+        tables are small) and every day solves through the setup's one
+        planning structure from the slack basis, so every plan is the
+        monolithic one.  Only plan-solving, replay fan-out, and result
+        materialization proceed O(chunk) at a time:
         a 52-week sweep holds one chunk of day results (plus the
         window's forecast tables) instead of every ``CallTable`` in the
         window.
         Chunks of 1 degrade to inline replay, so keep
         ``chunk_days >= workers`` when fan-out matters.
         """
+        from .titan_next import plan_day
+
         day_list = list(days)
         chosen = tuple(policies) if policies is not None else PREDICTION_POLICIES
         chunk = self._chunk(chunk_days, len(day_list))
+        planned = "titan-next" in chosen
+        if planned and not day_list:
+            raise ValueError("a Titan-Next window needs at least one day to plan")
         # One pool spans every phase and chunk: workers spawn (and
         # build their state) once, idling only through the short serial
         # planning stretches in between.
         with self.worker_pool(len(day_list)) as pool:
-            planned = "titan-next" in chosen
             if planned:
                 predictions = self.forecast_days(day_list, pool=pool)
-                cache = self._plan_cache(predictions)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
                 plans: Optional[Dict[int, AssignmentTable]] = None
                 if planned:
-                    plans = {day: self._solve_plan(cache, predictions[day], day) for day in block}
+                    plans = {day: plan_day(self.setup, predictions[day], day) for day in block}
                 results = self.replay_days(
                     block,
                     plans=plans,
@@ -1068,15 +1049,16 @@ class SweepRunner:
     ) -> Dict[int, Dict[str, "EvaluationResult"]]:
         """The §7 oracle comparison over a run of days.
 
-        Demand sampling and the Titan-Next solves through the window's
+        Demand sampling and the Titan-Next solves through the setup's
         one plan cache run serially in the parent; baseline policy
         assignment and all ``evaluate_batch`` scoring fan out per day.
-        Byte-identical for any worker count and any ``chunk_days``:
+        Byte-identical for any worker count and any ``chunk_days``, and
+        to :func:`~repro.core.titan_next.run_oracle_day` day by day:
         chunking only bounds how many days are planned and in flight at
-        once — every day is still solved through the full window's one
-        cache, from the slack basis.
+        once — every day is still solved through the same cache, from
+        the slack basis.
         """
-        from .titan_next import oracle_demand_for_day
+        from .titan_next import oracle_demand_for_day, plan_day
 
         day_list = list(days)
         chosen = tuple(policies) if policies is not None else ("wrr", "titan", "lf", "titan-next")
@@ -1087,13 +1069,11 @@ class SweepRunner:
         # One pool spans every chunk's scoring: workers spawn once.
         out: Dict[int, Dict[str, "EvaluationResult"]] = {}
         with self.worker_pool(len(day_list)) as pool:
-            if planned:
-                cache = self._plan_cache(demands)
             for start in range(0, len(day_list), chunk):
                 block = day_list[start : start + chunk]
                 tn_plans: Dict[int, AssignmentTable] = {}
                 if planned:
-                    tn_plans = {day: self._solve_plan(cache, demands[day], day) for day in block}
+                    tn_plans = {day: plan_day(self.setup, demands[day], day) for day in block}
                 tasks: List[OracleTask] = [
                     (day, demands[day], tn_plans.get(day), chosen) for day in block
                 ]

@@ -17,16 +17,19 @@ Two evaluation harnesses mirror the paper's two modes:
   assigns per call; baselines see only the first joiner.
 
 Multi-day windows of either mode run through
-:class:`~repro.core.sweep.SweepRunner`, which plans every day of the
-window through one :class:`PlanCache`.
+:class:`~repro.core.sweep.SweepRunner`.  Every Titan-Next plan over
+reduced configs — a window's days, a single day, a stress campaign's
+replan rounds — solves through the setup's one :class:`PlanCache`
+(:func:`plan_day`), so a single day's plan is the window's, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +59,7 @@ from .lp import (
     extract_result,
 )
 from .plan import OfflinePlan
-from .policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy
+from .policies import LocalityFirstPolicy, TitanPolicy, WrrPolicy
 from .scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
 
 #: Default European MP DCs (§7.3 evaluates intra-Europe calls only).
@@ -65,7 +68,12 @@ EUROPE_EVAL_DCS = ("uk-south", "france-central", "westeurope", "switzerland-nort
 
 @dataclass
 class EuropeSetup:
-    """Everything the evaluation harnesses share."""
+    """Everything the evaluation harnesses share.
+
+    The setup's planning LP (:meth:`plan_cache`) is built on its first
+    plan and dropped when the setup pickles; ``dataclasses.replace(setup)``
+    is a copy that shares everything else and builds a cache of its own.
+    """
 
     world: World
     scenario: Scenario
@@ -73,6 +81,20 @@ class EuropeSetup:
     demand: DemandModel
     top_n_configs: int
     capacity_book: InternetCapacityBook
+    _lp_cache: Optional["PlanCache"] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # The cache holds a lock and a live solver session; the far
+        # side builds its own on its first plan.
+        state = self.__dict__.copy()
+        state["_lp_cache"] = None
+        return state
+
+    def plan_cache(self) -> "PlanCache":
+        """The setup's one Titan-Next planning LP, built on first use."""
+        if self._lp_cache is None:
+            self._lp_cache = PlanCache(self)
+        return self._lp_cache
 
 
 def build_europe_setup(
@@ -266,13 +288,20 @@ def predicted_demand_for_day_reference(
 
 
 # ---------------------------------------------------------------------------
-# Plan cache: reusable LP structure for multi-day planning
+# Plan cache: the setup's one planning LP
 # ---------------------------------------------------------------------------
+
+#: Per-solve capacity factors, ``(internet_factor(slot, country, dc),
+#: compute_factor(slot, dc))``, either ``None`` for the build-time
+#: capacities: what ``StressTimeline.capacity_factor_fns`` returns.
+CapacityFactors = Tuple[
+    Optional[Callable[[int, str, str], float]], Optional[Callable[[int, str], float]]
+]
 
 
 class _SolvedPlan(NamedTuple):
-    """What a scenario's :class:`~repro.core.scenario.PlanMemo` keeps of
-    one persistent-session solve.
+    """What a :class:`PlanCache`'s memo keeps of one persistent-session
+    solve.
 
     ``x`` is kept sparse and bit-exact: the indices whose bit pattern is
     nonzero (so ``-0.0`` survives) and their values.  Never a
@@ -316,51 +345,58 @@ def _digest(*arrays: np.ndarray) -> bytes:
 
 
 class PlanCache:
-    """Reusable Titan-Next LP for multi-day / forecast-sweep planning.
+    """A setup's Titan-Next planning LP, kept loaded for every day it plans.
 
     The Fig 13 LP's constraint *structure* (columns, the C1/C2/C3/C5
     coefficient matrix, the C4 latency row) depends only on the configs,
-    the scenario, and its slot grid — day to day, only the C1 demand
-    counts and the C4 bound change, and both live purely in the
-    right-hand side.  The cache builds the sum-of-peaks LP over every
-    slot of the scenario's day × ``configs`` under the default options
-    (Internet allowed at the book's capacities, no single-DC pinning),
-    assembles the HiGHS matrices once and loads them into one persistent
-    HiGHS model, then re-solves each day after an O(rows) RHS refresh —
-    which is what makes week-long oracle sweeps (Fig 14) and forecast
-    sweeps (Fig 15, the Fig 18-style sweep) affordable at production
-    scale.  The E2E bound is a per-solve argument of :meth:`solve_day`.
-    Every solve starts from the slack basis (no basis is carried from
-    the previous day), so a day's plan depends only on the right-hand
-    sides it is solved with, not on which days the cache solved before
-    it.
+    the scenario, and its slot grid — day to day, only the right-hand
+    sides change.  The cache builds the sum-of-peaks LP once over every
+    slot of the scenario's day × the setup's reduced config set (the
+    reduced configs of its top ``top_n_configs``, which every forecast,
+    oracle day and campaign estimate of the setup draws from) under the
+    default options (Internet allowed at the book's capacities, no
+    single-DC pinning), loads it into one persistent HiGHS model, and
+    re-solves each day after an O(rows) RHS refresh — which is what
+    makes week-long oracle sweeps (Fig 14), forecast sweeps (Fig 15, the
+    Fig 18-style sweep) and intraday replanning affordable at production
+    scale.  Reach it through :meth:`EuropeSetup.plan_cache`; build one
+    directly only to plan on a cold cache.
 
-    Days whose demand covers only a subset of the cached configs are
-    fine: C1 pins the missing columns to zero.
+    Every :meth:`solve_day` installs all four right-hand-side families
+    itself — C1 demand counts, C2/C3 capacities (the build-time values
+    times the solve's ``capacity`` factors), the C4 bound — and starts
+    from the slack basis, so no state carries from one solve to the
+    next: a day's plan depends only on the arguments it is solved with.
+    A day's demand may cover only some of the configs: C1 pins the
+    missing columns to zero.
 
     **Concurrency contract.** One cache owns one persistent HiGHS
     session, and a solve is a mutate-RHS-then-run critical section, so
     :meth:`solve_day` serializes callers behind an internal lock:
     concurrent calls are safe (each sees a consistent RHS and its own
-    result — a solve starts from the slack basis, so the interleaving
-    cannot change any day's plan) but never parallel.  Independent
-    planning horizons need *separate* caches.
+    result) but never parallel.
 
     **Repeated right-hand sides.** Because a solve's result depends only
-    on the LP and its row bounds, :meth:`solve_day` first looks the LP
-    up in the scenario's :attr:`~repro.core.scenario.Scenario.plan_memo`
-    (keyed on a digest of the cache's structure and of the row bounds it
-    would send) and serves a repeat from there, bit for bit, without
-    running HiGHS; :attr:`memo_hits` counts those solves.  Any cache
-    over the same scenario, configs and capacities shares the entries —
-    a stress campaign's timelines each build their own cache, and their
-    rounds before an event is visible solve the unstressed LP again.
+    on the LP and its row bounds, :meth:`solve_day` first looks the row
+    bounds up in the cache's memo (an LRU of :attr:`MEMO_SIZE` solves,
+    keyed on their digest, kept under the same lock) and serves a repeat
+    from there, bit for bit, without running HiGHS; :attr:`memo_hits`
+    counts those solves.  A stress campaign's timelines share the
+    setup's cache, and their rounds before an event is visible solve
+    the unstressed LP again.
     """
 
-    def __init__(self, scenario: Scenario, configs: Sequence[CallConfig]) -> None:
-        self.scenario = scenario
-        placeholder = {(t, c): 1.0 for t in range(scenario.slots_per_day) for c in configs}
-        self._lp, self._artifacts = JointAssignmentLp(scenario, placeholder)._build()
+    #: Solves the memo keeps, least recently used evicted first.
+    MEMO_SIZE = 16
+
+    def __init__(self, setup: EuropeSetup) -> None:
+        self.scenario = setup.scenario
+        configs = sorted(
+            {item.config.reduced() for item in setup.universe.top(setup.top_n_configs)},
+            key=str,
+        )
+        placeholder = {(t, c): 1.0 for t in range(self.scenario.slots_per_day) for c in configs}
+        self._lp, self._artifacts = JointAssignmentLp(self.scenario, placeholder)._build()
         self._group_index = {key: g for g, key in enumerate(self._artifacts.groups)}
         from ..solver.scipy_backend import PreparedHighs
 
@@ -368,25 +404,27 @@ class PlanCache:
         # sends only the changed row bounds and solves from scratch.
         self._prepared = PreparedHighs(self._lp, persistent=True)
         self._lock = threading.RLock()
-        #: solve_day calls, and those of them the plan memo served.
+        self._memo: "OrderedDict[bytes, _SolvedPlan]" = OrderedDict()
+        #: solve_day calls, and those of them the memo served.
         self.solves = 0
         self.memo_hits = 0
-        self._structure_key = self._structure_digest()
+        artifacts = self._artifacts
+        # The right-hand sides every solve installs (no C3 block when no
+        # pair has Internet capacity).
+        blocks = (artifacts.c1_block, artifacts.c2_block, artifacts.c3_block, artifacts.c4_block)
+        self._rhs_blocks = [block for block in blocks if block is not None]
         # Build-time capacity RHS, the baseline refresh_capacity_rhs
         # scales: C2 compute caps and C3 Internet caps as of the
         # capacity book / compute calibration the cache was built from.
-        self._base_c2_rhs = (
-            self._artifacts.c2_block.rhs.copy() if self._artifacts.c2_block is not None else None
-        )
+        self._base_c2_rhs = artifacts.c2_block.rhs.copy()
         self._base_c3_rhs = (
-            self._artifacts.c3_block.rhs.copy() if self._artifacts.c3_block is not None else None
+            artifacts.c3_block.rhs.copy() if artifacts.c3_block is not None else None
         )
 
     def __getstate__(self):
         raise TypeError(
             "PlanCache holds a lock and a live solver session and cannot cross a "
-            "process boundary; build a fresh cache from the scenario and configs "
-            "on the far side"
+            "process boundary; the far side builds its own from its setup"
         )
 
     @property
@@ -397,44 +435,16 @@ class PlanCache:
     def num_constraints(self) -> int:
         return self._lp.num_constraints
 
-    def _structure_digest(self) -> bytes:
-        """Digest of everything but the row bounds that a solve reads.
-
-        The matrix, costs and column bounds HiGHS is given, plus the
-        column order and the config/DC lists that ``extract_result``
-        maps a solution back through.
-        """
-        prepared = self._prepared
-        artifacts = self._artifacts
-        arrays = [prepared.c, prepared.bounds]
-        for matrix in (prepared.a_ub, prepared.a_eq):
-            if matrix is not None:
-                arrays += [matrix.data, matrix.indices, matrix.indptr]
-        arrays += [artifacts.col_t, artifacts.col_cfg, artifacts.col_dc, artifacts.col_opt]
-        scalars = (
-            prepared.n_ub,
-            prepared.n_eq,
-            self._lp.objective_constant,
-            artifacts.configs,
-            artifacts.dc_codes,
-            artifacts.y_base,
-            artifacts.n_links,
-        )
-        return _digest(*arrays, np.frombuffer(repr(scalars).encode(), dtype=np.uint8))
-
     def demand_counts(self, demand: Mapping[Tuple[int, CallConfig], float]) -> np.ndarray:
-        """Per-C1-group call counts for one day's demand table."""
+        """Per-C1-group call counts for one day's demand table.
+
+        A key the structure does not cover (a raw config, a slot past
+        the day) raises ``KeyError``.
+        """
         counts = np.zeros(len(self._artifacts.groups))
         for key, value in demand.items():
-            if value <= 0:
-                continue
-            group = self._group_index.get(key)
-            if group is None:
-                raise KeyError(
-                    f"demand key {key} is outside the cached structure; "
-                    "rebuild the PlanCache over a covering config set"
-                )
-            counts[group] += value
+            if value > 0:
+                counts[self._group_index[key]] += value
         return counts
 
     def refresh_capacity_rhs(
@@ -447,13 +457,11 @@ class PlanCache:
         ``compute_factor(slot, dc_code)`` and ``internet_factor(slot,
         country_code, dc_code)`` return a multiplier on the *build-time*
         capacity of that C2 (per DC) or C3 (per country and DC) row;
-        ``None`` restores that family's baseline.  Capacity is
-        world state, not per-day input, so — unlike the C1/C4 demand
-        refresh — the installed values persist across solves until the
-        next call.  The persistent HiGHS session picks the new bounds up
-        on its next solve (row bounds are diffed from the live blocks),
-        keeping the model loaded: an outage or a cut is an RHS-only
-        edit, structurally identical to a demand change.
+        ``None`` restores that family's baseline in one copy, with no
+        per-row call.  :meth:`solve_day` calls this with its
+        ``capacity`` factors before every solve, so an outage or a cut is
+        an RHS-only edit, structurally identical to a demand change, and
+        lasts exactly one solve.
 
         Factors can only shrink what the built structure can express:
         pairs with zero build-time Internet capacity have no Internet
@@ -461,16 +469,15 @@ class PlanCache:
         """
         with self._lock:
             artifacts = self._artifacts
-            if artifacts.c2_block is not None:
-                rhs = self._base_c2_rhs
-                if compute_factor is not None:
-                    rhs = rhs.copy()
-                    for i in range(rhs.size):
-                        rhs[i] *= compute_factor(
-                            int(artifacts.c2_slot[i]),
-                            artifacts.dc_codes[int(artifacts.c2_dc[i])],
-                        )
-                artifacts.c2_block.rhs[:] = rhs
+            rhs = self._base_c2_rhs
+            if compute_factor is not None:
+                rhs = rhs.copy()
+                for i in range(rhs.size):
+                    rhs[i] *= compute_factor(
+                        int(artifacts.c2_slot[i]),
+                        artifacts.dc_codes[int(artifacts.c2_dc[i])],
+                    )
+            artifacts.c2_block.rhs[:] = rhs
             if artifacts.c3_block is not None:
                 country_codes = self.scenario.country_codes
                 rhs = self._base_c3_rhs
@@ -488,58 +495,74 @@ class PlanCache:
         self,
         demand: Mapping[Tuple[int, CallConfig], float],
         e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
+        capacity: Optional[CapacityFactors] = None,
     ) -> JointLpResult:
         """Solve one day's plan under the C4 bound ``e2e_bound_ms``.
 
-        The day's counts and bound go into the C1/C4 right-hand sides in
-        place on the cached blocks; if the solve *raises*, the previous
-        RHS is restored so the cache (and its persistent session's
-        sent-bounds bookkeeping) never ends up describing a day it did
-        not solve.  A solve that merely returns a non-optimal status
-        leaves the RHS as installed — the next ``solve_day`` overwrites
-        both blocks wholesale.
+        Installs the day's counts (C1), the capacities scaled by
+        ``capacity`` (C2/C3, see :meth:`refresh_capacity_rhs`; ``None``
+        keeps the build-time capacities) and the bound (C4) on the
+        cached blocks, then solves.  If the solve *raises*, the previous
+        right-hand sides are restored, so the cache (and its persistent
+        session's sent-bounds bookkeeping) never ends up describing a
+        day it did not solve.
 
-        A right-hand side some cache over this scenario already solved
-        is served from the scenario's plan memo without running HiGHS:
-        the same status, objective, iterations and plan, bit for bit.
-        The persistent session only ever sees the bounds of the solves
-        it runs.
+        Right-hand sides this cache already solved are served from its
+        memo without running HiGHS: the same status, objective,
+        iterations and plan, bit for bit.  The persistent session only
+        ever sees the bounds of the solves it runs.
         """
         counts = self.demand_counts(demand)
+        internet_factor, compute_factor = capacity if capacity is not None else (None, None)
+        artifacts = self._artifacts
         with self._lock:
-            saved_c1 = self._artifacts.c1_block.rhs.copy()
-            saved_c4 = float(self._artifacts.c4_block.rhs[0])
-            self._artifacts.c1_block.rhs[:] = counts
-            self._artifacts.c4_block.rhs[0] = e2e_bound_ms * counts.sum()
+            saved = [block.rhs.copy() for block in self._rhs_blocks]
             self.solves += 1
-            memo = self.scenario.plan_memo
             try:
-                key = self._structure_key + _digest(*self._prepared.row_bounds())
-                solved = memo.get(key)
+                self.refresh_capacity_rhs(internet_factor, compute_factor)
+                artifacts.c1_block.rhs[:] = counts
+                artifacts.c4_block.rhs[0] = e2e_bound_ms * counts.sum()
+                key = _digest(*self._prepared.row_bounds())
+                solved = self._memo.get(key)
                 solution = solved.solution() if solved is not None else self._prepared.solve()
             except BaseException:
-                self._artifacts.c1_block.rhs[:] = saved_c1
-                self._artifacts.c4_block.rhs[0] = saved_c4
+                for block, rhs in zip(self._rhs_blocks, saved):
+                    block.rhs[:] = rhs
                 raise
             if solved is not None:
                 self.memo_hits += 1
+                self._memo.move_to_end(key)
             elif self._prepared.in_session:
                 # Only the session's results are a function of the key:
                 # the linprog fallback presolves under its own tolerances.
-                memo.put(key, _SolvedPlan.of(solution))
-            return extract_result(solution, self._artifacts)
+                self._memo[key] = _SolvedPlan.of(solution)
+                if len(self._memo) > self.MEMO_SIZE:
+                    self._memo.popitem(last=False)
+            return extract_result(solution, artifacts)
 
 
-def plan_cache_for_days(
-    setup: EuropeSetup, days: Sequence[int]
-) -> Tuple[PlanCache, Dict[int, Dict[Tuple[int, CallConfig], float]]]:
-    """A :class:`PlanCache` covering the oracle demand of several days.
+def _optimal_assignment(solved: JointLpResult, day: int) -> AssignmentTable:
+    """A day's plan, or :class:`PlanningError` naming the day."""
+    if not solved.is_optimal:
+        raise PlanningError(
+            f"Titan-Next planning LP failed for day {day}: {solved.status}",
+            status=solved.status,
+            day=day,
+        )
+    return solved.assignment
 
-    Returns the cache plus the per-day demand tables used to size it.
+
+def plan_day(
+    setup: EuropeSetup, demand: Mapping[Tuple[int, CallConfig], float], day: int
+) -> AssignmentTable:
+    """One day's Titan-Next plan through the setup's :class:`PlanCache`.
+
+    ``demand`` maps (slot of day, reduced config) to call counts; the
+    plan meets the day's §7.5 E2E bound.  Raises :class:`PlanningError`
+    naming the day when the LP does not solve to optimality.
     """
-    demands = {day: oracle_demand_for_day(setup, day) for day in days}
-    configs = sorted({c for table in demands.values() for _, c in table}, key=str)
-    return PlanCache(setup.scenario, configs), demands
+    solved = setup.plan_cache().solve_day(demand, e2e_bound_ms=day_e2e_bound_ms(day))
+    return _optimal_assignment(solved, day)
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +579,11 @@ def run_oracle_day(
 ):
     """Run the §7 oracle comparison for one day.
 
-    Returns ``{policy name: EvaluationResult}``.  Titan-Next solves a
-    fresh LP under the day's §7.5 E2E bound unless
-    ``titan_next_assignment`` supplies the already-solved plan (how a
-    :class:`~repro.core.sweep.SweepRunner` worker consumes the planning
-    phase's cached-LP optimum).
+    Returns ``{policy name: EvaluationResult}``.  Titan-Next plans
+    ``demand`` (keyed by slot of day and reduced config) through
+    :func:`plan_day` unless ``titan_next_assignment`` supplies the
+    already-solved plan (how a :class:`~repro.core.sweep.SweepRunner`
+    worker consumes the planning phase's plan).
 
     Scoring runs through the vectorized
     :func:`~repro.analysis.metrics.evaluate_batch` path (the scalar
@@ -570,19 +593,19 @@ def run_oracle_day(
 
     if demand is None:
         demand = oracle_demand_for_day(setup, day)
-    options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
     registry = {
         "wrr": lambda: WrrPolicy(setup.scenario),
         "titan": lambda: TitanPolicy(setup.scenario),
         "lf": lambda: LocalityFirstPolicy(setup.scenario),
         "lf-e2e": lambda: LocalityFirstPolicy(setup.scenario, objective="total_e2e"),
-        "titan-next": lambda: TitanNextPolicy(setup.scenario, options),
     }
     chosen = policies if policies is not None else ("wrr", "titan", "lf", "titan-next")
     results = {}
     for name in chosen:
-        if name == "titan-next" and titan_next_assignment is not None:
+        if name == "titan-next":
             assignment = titan_next_assignment
+            if assignment is None:
+                assignment = plan_day(setup, demand, day)
         else:
             assignment = registry[name]().assign(demand)
         results[name] = evaluate_batch(setup.scenario, assignment, name)
@@ -697,11 +720,13 @@ def run_prediction_day(
 ) -> Dict[str, PredictionDayResult]:
     """The §8 experiment for one day.
 
-    Titan-Next plans on Holt-Winters forecasts, with one fresh LP under
-    the day's §7.5 E2E bound, and assigns per call via the online
-    controller; WRR / LF / Titan assign per call from the first
-    joiner's country.  ``reduced=False`` feeds raw call configs to the
-    LP (the Table 4 ablation, which inflates migrations).
+    Titan-Next plans on Holt-Winters forecasts through :func:`plan_day`
+    — the setup's one planning LP, so the day equals a
+    :class:`~repro.core.sweep.SweepRunner` window's day bit for bit —
+    and assigns per call via the online controller; WRR / LF / Titan
+    assign per call from the first joiner's country.  ``reduced=False``
+    feeds raw call configs to an LP of their own (the Table 4 ablation,
+    which inflates migrations).
 
     The day's trace is synthesized once as a :class:`CallTable` and
     every controller consumes it through its batch ``process_table``
@@ -721,15 +746,12 @@ def run_prediction_day(
         plan_assignment: Optional[AssignmentTable] = None
         if name == "titan-next":
             predicted = predicted_demand_for_day(setup, day, reduced=reduced)
-            options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
-            solved = JointAssignmentLp(setup.scenario, predicted, options).solve()
-            if not solved.is_optimal:
-                raise PlanningError(
-                    f"Titan-Next planning LP failed for day {day}: {solved.status}",
-                    status=solved.status,
-                    day=day,
-                )
-            plan_assignment = solved.assignment
+            if reduced:
+                plan_assignment = plan_day(setup, predicted, day)
+            else:
+                options = JointLpOptions(e2e_bound_ms=day_e2e_bound_ms(day))
+                solved = JointAssignmentLp(setup.scenario, predicted, options).solve()
+                plan_assignment = _optimal_assignment(solved, day)
         results[name] = _prediction_day_result(
             setup, name, trace, seed, reduced, plan_assignment=plan_assignment
         )

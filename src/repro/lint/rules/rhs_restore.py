@@ -15,8 +15,8 @@ The rule flags a function that stores into an ``rhs``-named target
 (``block.rhs[:] = ...``, ``rhs[i] *= ...`` on an aliased array) and
 later calls a ``solve``-named callable, when *neither* sits inside a
 ``try`` block.  RHS edits with no solve in the same function (e.g.
-``refresh_capacity_rhs``, whose installed values persist by design)
-are not flagged.
+``refresh_capacity_rhs``, which ``solve_day`` calls inside its guarded
+section) are not flagged.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Python ``set`` iteration order depends on insertion history and hash
 randomization of the *process* — the one thing the byte-identical
 sweep contract cannot tolerate.  A set iterated into a list, array, or
 accumulation makes results depend on which worker (or which run) built
-the set.  The sanctioned idiom is ``sorted({...}, key=...)`` — every
-sweep-phase config union in the repo does this.
+the set.  The sanctioned idiom is ``sorted({...}, key=...)`` — the
+plan cache's config set, for one, is built this way.
 
 Flags direct iteration over a set expression (set literal, set
 comprehension, ``set(...)``/``frozenset(...)`` call) in ``for``

@@ -275,7 +275,9 @@ class TestFirstJoinerBaselines:
     def test_titan_routing_fraction(self, small_setup):
         controller = FirstJoinerTitan(small_setup.scenario, seed=9)
         config = CallConfig.from_counts({"GB": 2}, AUDIO)
-        options = [controller.process(Call(i, config, 10, 1, "GB")).final_option for i in range(400)]
+        options = [
+            controller.process(Call(i, config, 10, 1, "GB")).final_option for i in range(400)
+        ]
         internet_share = np.mean([o == INTERNET for o in options])
         # Fractions average ~18% at convergence.
         assert 0.02 < internet_share < 0.4
@@ -319,7 +321,9 @@ class TestPredictionPipeline:
 
         results = run_prediction_day(small_setup, day=30, policies=("wrr", "titan-next"))
         peaks = {
-            name: evaluate_assignment(small_setup.scenario, r.realized_table(), name).sum_of_peaks_gbps
+            name: evaluate_assignment(
+                small_setup.scenario, r.realized_table(), name
+            ).sum_of_peaks_gbps
             for name, r in results.items()
         }
         assert peaks["titan-next"] < peaks["wrr"]

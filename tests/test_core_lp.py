@@ -56,7 +56,13 @@ class TestScenario:
 
     def test_validation(self, small_setup):
         with pytest.raises(ValueError):
-            Scenario(small_setup.world, small_setup.scenario.latency, [], ["westeurope"], small_setup.capacity_book)
+            Scenario(
+                small_setup.world,
+                small_setup.scenario.latency,
+                [],
+                ["westeurope"],
+                small_setup.capacity_book,
+            )
 
     def test_compute_caps_calibrated_above_peak(self, small_setup):
         total_caps = sum(small_setup.scenario.compute_caps.values())
@@ -167,8 +173,9 @@ class TestJointLp:
         without = JointAssignmentLp(
             small_setup.scenario, demand_day, JointLpOptions(allow_internet=False)
         ).solve()
-        peaks_with = evaluate_assignment(small_setup.scenario, with_internet.assignment).sum_of_peaks_gbps
-        peaks_without = evaluate_assignment(small_setup.scenario, without.assignment).sum_of_peaks_gbps
+        scenario = small_setup.scenario
+        peaks_with = evaluate_assignment(scenario, with_internet.assignment).sum_of_peaks_gbps
+        peaks_without = evaluate_assignment(scenario, without.assignment).sum_of_peaks_gbps
         assert peaks_with < peaks_without
 
     def test_doubled_internet_saves_more(self, small_setup, demand_day):
@@ -180,7 +187,9 @@ class TestJointLp:
             small_setup.scenario, demand_day, JointLpOptions(internet_capacity_factor=2.0)
         ).solve()
         peaks_base = evaluate_assignment(small_setup.scenario, base.assignment).sum_of_peaks_gbps
-        peaks_doubled = evaluate_assignment(small_setup.scenario, doubled.assignment).sum_of_peaks_gbps
+        peaks_doubled = evaluate_assignment(
+            small_setup.scenario, doubled.assignment
+        ).sum_of_peaks_gbps
         assert peaks_doubled <= peaks_base * (1 + 1e-9)
 
     def test_single_dc_ablation_restricts_columns(self, small_setup, demand_day):
@@ -199,4 +208,6 @@ class TestJointLp:
 
         result = JointAssignmentLp(small_setup.scenario, demand_day).solve()
         evaluated = evaluate_assignment(small_setup.scenario, result.assignment)
-        assert evaluated.sum_of_peaks_gbps == pytest.approx(result.sum_of_peaks(), rel=1e-5, abs=1e-6)
+        assert evaluated.sum_of_peaks_gbps == pytest.approx(
+            result.sum_of_peaks(), rel=1e-5, abs=1e-6
+        )

@@ -14,14 +14,9 @@ def day_demand(small_setup):
     return oracle_demand_for_day(small_setup, day=2)
 
 
-@pytest.fixture(scope="module")
-def day_configs(day_demand):
-    return sorted({c for _, c in day_demand}, key=str)
-
-
 class TestRollingPlanner:
-    def test_single_replan_builds_full_plan(self, small_setup, day_demand, day_configs):
-        planner = RollingPlanner(small_setup.scenario, day_configs)
+    def test_single_replan_builds_full_plan(self, small_setup, day_demand):
+        planner = RollingPlanner(small_setup)
         assert planner.replan(day_demand, from_slot=0)
         # Quotas cover the whole day's demand.
         total_quota = sum(
@@ -29,8 +24,8 @@ class TestRollingPlanner:
         )
         assert total_quota == pytest.approx(sum(day_demand.values()), rel=1e-6)
 
-    def test_replan_preserves_past_slots(self, small_setup, day_demand, day_configs):
-        planner = RollingPlanner(small_setup.scenario, day_configs)
+    def test_replan_preserves_past_slots(self, small_setup, day_demand):
+        planner = RollingPlanner(small_setup)
         planner.replan(day_demand, from_slot=0)
         before = {
             (t, c): dict(entry.buckets)
@@ -45,11 +40,9 @@ class TestRollingPlanner:
         }
         assert before == after
 
-    def test_capacity_change_mid_day_shifts_future_plan(
-        self, small_setup, day_demand, day_configs
-    ):
+    def test_capacity_change_mid_day_shifts_future_plan(self, small_setup, day_demand):
         """An emergency brake mid-day must drain future Internet quotas."""
-        planner = RollingPlanner(small_setup.scenario, day_configs)
+        planner = RollingPlanner(small_setup)
         planner.replan(day_demand, from_slot=0)
 
         def internet_quota(from_slot):
@@ -63,25 +56,24 @@ class TestRollingPlanner:
 
         before = internet_quota(24)
         # Titan pulls the brake on every pair at slot 24.
-        planner.plan_cache.refresh_capacity_rhs(internet_factor=lambda *_: 0.0)
-        planner.replan(day_demand, from_slot=24)
+        planner.replan(day_demand, from_slot=24, capacity=(lambda *_: 0.0, None))
         assert internet_quota(24) == 0.0
         assert before > 0.0
 
-    def test_infeasible_round_keeps_previous_plan(self, small_setup, day_demand, day_configs):
-        planner = RollingPlanner(small_setup.scenario, day_configs)
+    def test_infeasible_round_keeps_previous_plan(self, small_setup, day_demand):
+        planner = RollingPlanner(small_setup)
         planner.replan(day_demand, from_slot=0)
         entries_before = len(planner.plan._entries)
         # An impossible demand spike: 100x the day's calls in one slot.
         config = CallConfig.from_counts({"FR": 1}, AUDIO)
-        assert config in day_configs
+        assert config in {c for _, c in day_demand}
         impossible = dict(day_demand)
         impossible[(30, config)] = 100.0 * sum(day_demand.values())
         assert not planner.replan(impossible, from_slot=30)
         assert planner.infeasible_rounds == 1
         assert len(planner.plan._entries) == entries_before
 
-    def test_empty_remaining_demand_is_trivial_success(self, small_setup, day_configs):
-        planner = RollingPlanner(small_setup.scenario, day_configs)
+    def test_empty_remaining_demand_is_trivial_success(self, small_setup):
+        planner = RollingPlanner(small_setup)
         assert planner.replan({}, from_slot=47)
         assert planner.events[-1].solved

@@ -192,7 +192,9 @@ class TestTitanRamp:
 
     def test_germany_ends_disabled_or_zero(self, world, prober):
         """§4.2(5): Germany's Internet loss is unacceptable."""
-        titan = Titan(world, prober, [("DE", "westeurope"), ("DE", "ireland"), ("DE", "france-central")])
+        titan = Titan(
+            world, prober, [("DE", "westeurope"), ("DE", "ireland"), ("DE", "france-central")]
+        )
         titan.run(25)
         states = [titan.state("DE", dc) for dc in ("westeurope", "ireland", "france-central")]
         fractions = [titan.fraction("DE", dc) for dc in ("westeurope", "ireland", "france-central")]

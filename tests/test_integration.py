@@ -14,7 +14,12 @@ from repro.core.lp import JointAssignmentLp
 from repro.core.monitor import RouteMonitor
 from repro.core.scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
 from repro.core.titan import SyntheticPathProber, Titan
-from repro.core.titan_next import EUROPE_EVAL_DCS, EuropeSetup, oracle_demand_for_day, run_prediction_day
+from repro.core.titan_next import (
+    EUROPE_EVAL_DCS,
+    EuropeSetup,
+    oracle_demand_for_day,
+    run_prediction_day,
+)
 from repro.geo.world import default_world
 from repro.net.latency import INTERNET, LatencyModel
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.lp import JointAssignmentLp, JointLpOptions
-from repro.core.titan_next import PlanCache, oracle_demand_for_day, plan_cache_for_days
+from repro.core.titan_next import PlanCache, oracle_demand_for_day
 from repro.solver.model import LinearProgram, LinExpr
 from repro.solver.simplex import solve_simplex
 
@@ -150,7 +150,8 @@ class TestBlockApi:
 class TestPlanCache:
     def test_cached_solves_match_fresh_builds(self, small_setup):
         days = [2, 3]
-        cache, demands = plan_cache_for_days(small_setup, days)
+        cache = PlanCache(small_setup)
+        demands = {day: oracle_demand_for_day(small_setup, day) for day in days}
         for day in days:
             bound = 80.0 if day % 7 >= 5 else 75.0
             cached = cache.solve_day(demands[day], e2e_bound_ms=bound)
@@ -163,17 +164,22 @@ class TestPlanCache:
 
     def test_cache_reuses_structure(self, small_setup):
         days = [2, 3, 4]
-        cache, demands = plan_cache_for_days(small_setup, days)
+        cache = PlanCache(small_setup)
         n_vars, n_cons = cache.num_variables, cache.num_constraints
         for day in days:
-            cache.solve_day(demands[day])
+            cache.solve_day(oracle_demand_for_day(small_setup, day))
         assert cache.solves == 3
         assert cache.num_variables == n_vars
         assert cache.num_constraints == n_cons
 
     def test_unknown_demand_key_rejected(self, small_setup):
-        demand = oracle_demand_for_day(small_setup, day=2)
-        cached, outside = sorted({c for _, c in demand}, key=str)[:2]
-        cache = PlanCache(small_setup.scenario, [cached])
+        """The cache covers the setup's reduced configs over one day's
+        slots; a raw config or a slot past the day is not in it."""
+        raw = oracle_demand_for_day(small_setup, day=2, reduced=False)
+        outside = next(c for _, c in raw if c.reduced() != c)
+        inside = outside.reduced()
+        cache = small_setup.plan_cache()
         with pytest.raises(KeyError):
             cache.solve_day({(0, outside): 5.0})
+        with pytest.raises(KeyError):
+            cache.solve_day({(small_setup.scenario.slots_per_day, inside): 5.0})

@@ -81,8 +81,16 @@ class TestHourlyMedians:
 
     def test_long_term_improvement(self, model):
         """Fig 18: latencies improve over 12 months for most paths."""
-        now = np.median([model.hourly_median_rtt_ms("US", "westeurope", INTERNET, h, week_offset=52) for h in range(168)])
-        past = np.median([model.hourly_median_rtt_ms("US", "westeurope", INTERNET, h, week_offset=0) for h in range(168)])
+        def median_rtt(week_offset):
+            return np.median(
+                [
+                    model.hourly_median_rtt_ms("US", "westeurope", INTERNET, h, week_offset)
+                    for h in range(168)
+                ]
+            )
+
+        now = median_rtt(52)
+        past = median_rtt(0)
         assert now < past
 
     def test_internet_improves_more_than_wan(self):

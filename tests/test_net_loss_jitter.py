@@ -53,7 +53,12 @@ class TestLossModel:
         eu = [c.code for c in world.europe_countries]
         dcs = ["westeurope", "ireland", "france-central"]
         internet = np.array(
-            [loss.hourly_loss_pct(c, d, INTERNET, h) for c in eu for d in dcs for h in range(0, 168, 6)]
+            [
+                loss.hourly_loss_pct(c, d, INTERNET, h)
+                for c in eu
+                for d in dcs
+                for h in range(0, 168, 6)
+            ]
         )
         wan = np.array(
             [loss.hourly_loss_pct(c, d, WAN, h) for c in eu for d in dcs for h in range(0, 168, 6)]
@@ -85,7 +90,9 @@ class TestLossModel:
     def test_sustained_spikes_internet_exceed_wan(self, loss, world):
         """Fig 16: Internet has more frequent sustained loss than WAN."""
         eu = [c.code for c in world.europe_countries]
-        internet = np.median([loss.sustained_spike_fraction(c, "westeurope", INTERNET, 0.1) for c in eu])
+        internet = np.median(
+            [loss.sustained_spike_fraction(c, "westeurope", INTERNET, 0.1) for c in eu]
+        )
         wan = np.max([loss.sustained_spike_fraction(c, "westeurope", WAN, 0.1) for c in eu])
         assert internet > 0.005
         assert wan <= 0.02
@@ -123,7 +130,8 @@ class TestJitterModel:
 class TestElasticityModel:
     def test_flat_below_knee(self, elasticity):
         """Fig 8: no systematic inflation up to 20% for good pairs."""
-        assert elasticity.loss_inflation_pct("GB", "westeurope", 0.20) == pytest.approx(0.0, abs=0.05)
+        inflation = elasticity.loss_inflation_pct("GB", "westeurope", 0.20)
+        assert inflation == pytest.approx(0.0, abs=0.05)
         assert elasticity.rtt_inflation_ms("GB", "westeurope", 0.20) == pytest.approx(0.0, abs=2.0)
 
     def test_inflation_beyond_knee(self, elasticity):
@@ -137,7 +145,8 @@ class TestElasticityModel:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_poor_quality_congests_earlier(self, elasticity):
-        assert elasticity.knee_fraction("DE", "westeurope") < elasticity.knee_fraction("GB", "westeurope")
+        poor = elasticity.knee_fraction("DE", "westeurope")
+        assert poor < elasticity.knee_fraction("GB", "westeurope")
 
     def test_fraction_out_of_range_rejected(self, elasticity):
         with pytest.raises(ValueError):

@@ -74,7 +74,8 @@ class TestPaths:
         assert topology.links_used("FR", "westeurope", "internet") == []
 
     def test_links_used_wan_matches_wan_path(self, topology):
-        assert topology.links_used("FR", "westeurope", "wan") == topology.wan_path("FR", "westeurope")
+        used = topology.links_used("FR", "westeurope", "wan")
+        assert used == topology.wan_path("FR", "westeurope")
 
     def test_unknown_option_rejected(self, topology):
         with pytest.raises(ValueError):

@@ -39,8 +39,13 @@ plan_entry_st = st.tuples(
 )
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(calls=st.lists(call_st, min_size=1, max_size=25), entries=st.lists(plan_entry_st, max_size=10))
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    calls=st.lists(call_st, min_size=1, max_size=25),
+    entries=st.lists(plan_entry_st, max_size=10),
+)
 def test_controller_never_crashes_and_counts_consistently(small_setup, calls, entries):
     """Any call stream + any plan: valid assignments, consistent stats."""
     assignment_table = {}

@@ -29,7 +29,9 @@ demand_st = st.dictionaries(
 )
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(demand=demand_st)
 def test_lp_constraints_hold_for_random_demand(small_setup, demand):
     """C1-C5 hold for arbitrary feasible demand tables."""
@@ -139,7 +141,9 @@ def test_infeasible_detection_agrees(seed):
     assert lp.solve().status == "infeasible"
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     factor=st.floats(min_value=0.0, max_value=3.0),
 )

@@ -2,17 +2,19 @@
 
 Pins the contracts the stress layer is built on: demand multipliers
 scale Poisson rates without disturbing unstressed draws, capacity
-factors reach the cached LP's RHS but never the shared capacity book,
-plan splice rewrites only the future, infeasible replan rounds degrade
-gracefully, and the quota-overflow metric accounts for the §6.4 surge
-load.
+factors reach the cached LP's RHS for one solve but never the shared
+capacity book, the timelines of a campaign share the setup's one
+planning LP yet plan exactly as they would alone, plan splice rewrites
+only the future, infeasible replan rounds degrade gracefully, and the
+quota-overflow metric accounts for the §6.4 surge load.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.plan import OfflinePlan
-from repro.core.replanner import RollingPlanner
 from repro.core.stress import (
     DcOutageEvent,
     DemandShockEvent,
@@ -24,8 +26,12 @@ from repro.core.stress import (
     quota_overflow,
     run_campaign_day,
 )
+from repro.core.sweep import SweepRunner
+from repro.core.titan_next import PlanCache
+from tests.test_sweep_parallel import assert_same_day_result, titan_next_days
 
 DAY = 2
+BATCH_FIELDS = ("initial_dc_idx", "initial_option_idx", "final_dc_idx", "final_option_idx")
 SLOTS = 48
 
 
@@ -146,8 +152,7 @@ class TestCapacityPlumbing:
 
     def test_skipped_family_restores_the_baseline_bit_for_bit(self, small_setup):
         """``None`` installs exactly what all-1.0 factors would."""
-        planner = RollingPlanner(small_setup.scenario, [small_setup.universe.top(1)[0].config])
-        cache = planner.plan_cache
+        cache = PlanCache(small_setup)
         cache.refresh_capacity_rhs(
             internet_factor=lambda slot, country, dc: 1.0, compute_factor=lambda slot, dc: 1.0
         )
@@ -181,6 +186,47 @@ class TestCapacityPlumbing:
         row = [i for i, link in enumerate(scenario.wan_links) if link.key == cut.link_key]
         assert (matrix[row[0], cut.start_slot : cut.end_slot] == 0.0).all()
         assert matrix[row[0], cut.start_slot - 1] == 1.0
+
+
+class TestSharedPlanCache:
+    """The campaign's timelines share the setup's one planning LP."""
+
+    def test_timelines_share_one_build_and_match_solo_runs(
+        self, small_setup, scenarios, monkeypatch
+    ):
+        builds = []
+        init = PlanCache.__init__
+
+        def counting(cache, setup):
+            builds.append(setup)
+            init(cache, setup)
+
+        monkeypatch.setattr(PlanCache, "__init__", counting)
+        shared = replace(small_setup)
+        together = {
+            name: run_campaign_day(shared, timeline, day=DAY, evaluate=False)
+            for name, timeline in scenarios.items()
+        }
+        assert len(builds) == 1 and builds[0] is shared
+        for name, timeline in scenarios.items():
+            alone = run_campaign_day(replace(small_setup), timeline, day=DAY, evaluate=False)
+            result = together[name]
+            assert result.replan_events == alone.replan_events
+            assert result.stats == alone.stats
+            assert result.overflow_calls == alone.overflow_calls
+            for field in BATCH_FIELDS:
+                assert np.array_equal(getattr(result.batch, field), getattr(alone.batch, field))
+        assert len(builds) == 1 + len(scenarios)
+
+    def test_capacity_events_do_not_leak_into_later_plans(self, small_setup, scenarios):
+        """Each solve installs its own capacities: a window planned after
+        the fiber-cut and outage days equals one on a fresh copy."""
+        setup = replace(small_setup)
+        for name in ("fiber-cut", "dc-outage"):
+            run_campaign_day(setup, scenarios[name], day=DAY, evaluate=False)
+        after = titan_next_days(SweepRunner(setup), [30])
+        fresh = titan_next_days(SweepRunner(replace(small_setup)), [30])
+        assert_same_day_result(after[30], fresh[30])
 
 
 class TestSplice:

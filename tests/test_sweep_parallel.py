@@ -10,6 +10,7 @@ worker count and any day order.  This file pins that contract;
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.metrics import evaluate_batch
 from repro.core import InsufficientHistory
 from repro.core.sweep import SweepRunner, available_workers
-from repro.core.titan_next import oracle_demand_for_day, run_prediction_day
+from repro.core.titan_next import oracle_demand_for_day, run_oracle_day, run_prediction_day
+from repro.scenarios import build_scenario
 from repro.workload.traces import TraceGenerator
 
 DAYS = [30, 31, 32]
+#: The scenario zoo, next to the Europe box, for the window ≡ single-day pins.
+ZOO = ("emea", "americas", "apac", "global")
 
 
 def titan_next_days(runner, days, **kwargs):
@@ -85,14 +89,28 @@ class TestPredictionSweepEquivalence:
 
 
 class TestPredictionWindow:
-    def test_window_matches_run_prediction_day(self, small_setup):
+    @pytest.mark.parametrize("name", ["europe", *ZOO])
+    def test_window_matches_run_prediction_day(self, small_setup, name):
+        """A window's day is run_prediction_day's, bit for bit, for every
+        policy: placements, stats and scores.  The single days plan on a
+        cold copy of the setup, so both sides run HiGHS instead of one
+        reading the other's memo."""
+        setup = (
+            small_setup
+            if name == "europe"
+            else build_scenario(name, daily_calls=5_000, top_n_configs=40)
+        )
         days = [30, 31]
-        window = SweepRunner(small_setup, workers=2).run_prediction_window(days)
+        window = SweepRunner(setup, workers=2).run_prediction_window(days, evaluate=True)
+        single = replace(setup)
         for day in days:
-            reference = run_prediction_day(small_setup, day)
+            reference = run_prediction_day(single, day)
             assert set(window[day]) == set(reference)
-            for name in reference:
-                assert_same_day_result(window[day][name], reference[name])
+            for policy in reference:
+                assert_same_day_result(window[day][policy], reference[policy])
+                assert_same_evaluation(
+                    window[day][policy].evaluation, reference[policy].evaluate(setup.scenario)
+                )
 
     def test_baseline_only_window_skips_planning(self, small_setup):
         window = SweepRunner(small_setup).run_prediction_window([30], policies=("wrr", "lf"))
@@ -114,6 +132,11 @@ class TestOracleWeekEquivalence:
             assert set(parallel[day]) == set(results)
             for name in results:
                 assert_same_evaluation(parallel[day][name], results[name])
+        # A single oracle day, planned on a cold copy, is the window's day.
+        single = run_oracle_day(replace(small_setup), 2)
+        assert set(single) == set(serial[2])
+        for name in single:
+            assert_same_evaluation(single[name], serial[2][name])
 
 
 class TestDayOrderIndependence:
@@ -129,7 +152,9 @@ class TestDayOrderIndependence:
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(order=st.permutations(DAYS))
     def test_call_table_synthesis_is_day_order_independent(self, small_setup, order):
-        shared = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=71)
+        shared = TraceGenerator(
+            small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=71
+        )
         tables = {day: shared.table_for_day(day) for day in order}
         for day in DAYS:
             fresh = TraceGenerator(
@@ -204,6 +229,10 @@ class TestSetupPickling:
         assert clone_demand == demand
         from repro.core.policies import LocalityFirstPolicy
 
-        ours = evaluate_batch(small_setup.scenario, LocalityFirstPolicy(small_setup.scenario).assign(demand), "lf")
-        theirs = evaluate_batch(clone.scenario, LocalityFirstPolicy(clone.scenario).assign(clone_demand), "lf")
+        ours = evaluate_batch(
+            small_setup.scenario, LocalityFirstPolicy(small_setup.scenario).assign(demand), "lf"
+        )
+        theirs = evaluate_batch(
+            clone.scenario, LocalityFirstPolicy(clone.scenario).assign(clone_demand), "lf"
+        )
         assert_same_evaluation(theirs, ours)

@@ -130,7 +130,9 @@ class TestRtp:
             simulate_stream(10, 101.0, rng)
 
     @settings(max_examples=30, deadline=None)
-    @given(loss=st.floats(min_value=0.0, max_value=50.0), n=st.integers(min_value=1, max_value=2000))
+    @given(
+        loss=st.floats(min_value=0.0, max_value=50.0), n=st.integers(min_value=1, max_value=2000)
+    )
     def test_accounting_never_negative(self, loss, n):
         rng = np.random.default_rng(42)
         stats = simulate_stream(n, loss, rng)

@@ -87,8 +87,13 @@ class TestDemandModel:
 
     def test_weekend_demand_lower(self, demand, universe):
         config = universe.configs[0]
-        weekday = sum(demand.expected_count(config, 2 * SLOTS_PER_DAY + s) for s in range(SLOTS_PER_DAY))
-        weekend = sum(demand.expected_count(config, 5 * SLOTS_PER_DAY + s) for s in range(SLOTS_PER_DAY))
+        def day_total(day):
+            return sum(
+                demand.expected_count(config, day * SLOTS_PER_DAY + s) for s in range(SLOTS_PER_DAY)
+            )
+
+        weekday = day_total(2)
+        weekend = day_total(5)
         assert weekend < 0.5 * weekday
 
     def test_unknown_config_has_zero_demand(self, demand):

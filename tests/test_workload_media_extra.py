@@ -71,7 +71,9 @@ class TestDemandArithmetic:
     def test_sample_count_mean_tracks_expectation(self, demand):
         config = demand.universe.configs[0]
         slot_of_day = 20
-        samples = [demand.sample_count(config, d * SLOTS_PER_DAY + slot_of_day) for d in range(0, 56, 7)]
+        samples = [
+            demand.sample_count(config, d * SLOTS_PER_DAY + slot_of_day) for d in range(0, 56, 7)
+        ]
         expected = demand.expected_count(config, slot_of_day)
         assert np.mean(samples) == pytest.approx(expected, rel=0.5)
 
