@@ -32,7 +32,7 @@ Each controller has two processing paths over one sample stream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,66 +240,58 @@ def _table_countries(table: CallTable) -> Tuple[List[str], np.ndarray]:
     return codes, per_call
 
 
-#: Calls in the first bulk-admission round of a slot and after each
-#: break: enough to amortize a round's fixed NumPy cost, few enough
-#: that a round cut short by a break wastes little.  Rounds double
-#: while they commit whole.
+#: Calls in the round after a break in both bulk replays,
+#: :meth:`_CapacityTracker.admit_table` (which also opens each slot with
+#: it) and :meth:`TitanNextController.process_table`: enough to amortize
+#: a round's fixed NumPy cost, few enough that a round cut short by a
+#: break wastes little.  Rounds double while they commit whole.
 _FIRST_ROUND = 128
 
 
 def _first_refused(
-    usage: np.ndarray,
-    cap: np.ndarray,
-    rows: np.ndarray,
-    loads: np.ndarray,
-    owner: np.ndarray,
-    checked: np.ndarray,
+    usage: np.ndarray, flagged: np.ndarray, rows: np.ndarray, loads: np.ndarray, caps: np.ndarray
 ) -> int:
-    """The first call whose load no longer fits under a cap.
+    """The first call of a round with an entry over its cap.
 
-    Entry ``i`` adds ``loads[i]`` to ``usage[rows[i]]`` on behalf of call
-    ``owner[i]`` (non-decreasing); the entries of one row add up one at
-    a time in call order, the same float additions as a loop of
-    ``+=``.  An entry is refused when its running total exceeds ``cap``
-    and its call is ``checked``; unchecked calls add load but are never
-    refused.  Loads are non-negative, so running totals only grow: a
-    row whose final total fits refuses nothing, and only the overfull
-    rows get running totals, one column each (a column adds ``0.0`` at
-    other rows' entries, which changes no total).  Returns
-    ``len(checked)`` when every entry fits.
+    ``rows``, ``loads`` and ``caps`` are ``(calls, entries)``: call ``i``
+    adds ``loads[i, k]`` to ``usage[rows[i, k]]``, and the entry is
+    refused when that running total exceeds ``caps[i, k]`` (``inf`` for
+    entries never refused).  Only the ``flagged`` rows (sorted, each
+    with an entry) are checked.  Each gets its running totals in one
+    column, added in call order exactly as a loop of ``+=`` would (a
+    column adds ``0.0`` at the other rows' entries, which changes no
+    total).  Returns ``len(rows)`` when every entry fits.
     """
-    total = usage.copy()
-    np.add.at(total, rows, loads)
-    over = total > cap
-    mine = np.flatnonzero(over[rows])
-    if not len(mine):
-        return len(checked)
-    over_rows = np.flatnonzero(over)
-    on = rows[mine]
-    col = np.searchsorted(over_rows, on)
+    mask = np.zeros(len(usage), dtype=bool)
+    mask[flagged] = True
+    mine = np.flatnonzero(mask[rows])
+    col = np.searchsorted(flagged, rows.reshape(-1)[mine])
     steps = np.arange(1, len(mine) + 1)
-    running = np.zeros((len(mine) + 1, len(over_rows)))
-    running[0] = usage[over_rows]
-    running[steps, col] = loads[mine]
+    running = np.zeros((len(mine) + 1, len(flagged)))
+    running[0] = usage[flagged]
+    running[steps, col] = loads.reshape(-1)[mine]
     np.cumsum(running, axis=0, out=running)
-    refused = (running[steps, col] > cap[on]) & checked[owner[mine]]
+    refused = running[steps, col] > caps.reshape(-1)[mine]
     first = int(refused.argmax())
-    return int(owner[mine[first]]) if refused[first] else len(checked)
+    return int(mine[first]) // rows.shape[1] if refused[first] else len(rows)
 
 
 def _commit_later(
     flat: np.ndarray,
     slot: int,
     width: int,
-    later: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    rows: np.ndarray,
+    loads: np.ndarray,
+    durations: np.ndarray,
 ) -> None:
-    """Add the ``(rows, loads, durations)`` admitted at ``slot`` to the
-    slots after it in ``flat`` (``(slot, row)`` usage of ``width`` rows
-    per slot), each cell receiving its additions in admission order."""
-    if not later:
-        return
-    rows, loads, durations = (np.concatenate(part) for part in zip(*later))
-    extra = durations - 1
+    """Add the ``(calls, entries)`` loads admitted at ``slot`` to the
+    slots after it that each call lasts, in ``flat`` (``(slot, row)``
+    usage of ``width`` rows per slot), each cell receiving its additions
+    in call order.  Zero loads (the padding) are skipped: adding ``0.0``
+    changes no total."""
+    extra = np.repeat(durations - 1, rows.shape[1])
+    keep = np.flatnonzero(loads.reshape(-1) > 0)
+    rows, loads, extra = rows.reshape(-1)[keep], loads.reshape(-1)[keep], extra[keep]
     rep = np.repeat(np.arange(len(rows)), extra)
     step = 1 + np.arange(len(rep)) - np.repeat(np.cumsum(extra) - extra, extra)
     np.add.at(flat, (slot + step) * width + rows[rep], loads[rep])
@@ -465,37 +457,49 @@ class _CapacityTracker:
         return overflow_dc, False, False
 
     def admit_table(
-        self, table: CallTable, orders: np.ndarray, order_row: np.ndarray, overflow_dc: int
+        self,
+        table: CallTable,
+        orders: np.ndarray,
+        order_row: np.ndarray,
+        overflow_dc: int,
+        keys: Optional[Callable[[int, int], np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """First-fit admission of a whole table, exact and in bulk.
 
         Call ``i`` tries the buckets of ``orders[order_row[i]]`` (a
-        :meth:`bucket_matrix`) in order, and the result is exactly that
-        of :meth:`walk_at` run call by call in table order: the same
-        placements and the same usage, bit for bit.  Returns
+        :meth:`bucket_matrix`): in column order, or, given ``keys``, by
+        ascending ``keys(lo, hi)[i - lo]`` (one int64 per column for the
+        calls ``lo..hi-1``), ties to the lower column.  The result is
+        exactly that of :meth:`walk_at` run call by call in table order:
+        the same placements and the same usage, bit for bit.  Returns
         ``(dc, option, unplanned)`` with ``option`` 1 for the Internet.
 
         Headroom is checked only at a call's start slot, and within one
         start slot usage only grows.  So each run of rows sharing a
-        start slot is taken in rounds, with a table of which (config,
-        bucket) pairs have headroom kept exact at every round start:
+        start slot is taken in rounds against a table of which (config,
+        bucket) cells have headroom, exact at every round start:
 
         (a) every call of the round takes the first bucket of its order
-            that has headroom against the usage at the start of the
-            round — every bucket it skips would fail in the loop too;
-        (b) running per-DC and per-(country, DC) totals of those loads,
-            added in call order exactly as the loop's ``+=`` would, find
-            the first call whose bucket no longer fits;
-        (c) the calls before it are committed in call order, and the
-            next round starts at the breaking call: first in its round,
-            it fits the first bucket with headroom, as in the loop.
+            with headroom against the usage at the start of the round —
+            every bucket it skips would fail in the loop too;
+        (b) the round's loads are added to a copy of the slot's usage
+            in call order, the loop's own float additions.  A row whose
+            total plus the largest load that still fits on it stays
+            under its cap can refuse no call of the round and leaves
+            every cell on it as it was.  Only the other rows are
+            flagged, and only they get running totals, which find the
+            first call whose bucket no longer fits;
+        (c) the calls before it are committed, the cells on the flagged
+            rows are refreshed, and the next round starts at the
+            breaking call: first in its round, it fits the first bucket
+            with headroom, as in the loop.
 
         Loads on the slots after the start slot are read only by later
         runs, so they are committed, in call order, when the run ends.
         Calls with a participant country outside the scenario, whose
         Internet usage lives in the side ledger, are walked.  Rounds
-        double while they commit whole and restart small after a break,
-        so the work stays proportional to the calls admitted.
+        restart at :data:`_FIRST_ROUND` after a break and double while
+        they commit whole.
         """
         n = len(table)
         dc_out = np.zeros(n, dtype=np.int64)
@@ -507,103 +511,191 @@ class _CapacityTracker:
         usage = self._usage
         width = usage.shape[1]
         usage_flat = usage.reshape(-1)
-        cap = np.concatenate((self._caps + 1e-9, (self._pair_caps + 1e-12).reshape(-1)))
+        # Row caps, then a dummy row that padding entries load with 0.0.
+        cap = np.concatenate(
+            (self._caps + 1e-9, (self._pair_caps + 1e-12).reshape(-1), [np.inf])
+        )
 
-        # Each config's load entries, relative to DC 0: its cores on the
-        # compute row, then each country's Gbps on the (country, DC)
-        # row.  Padding loads -inf, which fits under any cap.
+        # The entries of each (config, bucket) cell ``config * n_cell +
+        # bucket``: the cores on the bucket's DC row, then for an
+        # Internet bucket each country's Gbps on its (country, DC) row.
+        # The last bucket is the overflow onto ``overflow_dc``'s WAN,
+        # never refused (cap ``inf``).
         loads = [self.load_for(config) for config in table.configs]
-        entry_row = np.zeros((len(loads), 1 + max(len(ld.bandwidths) for ld in loads)), np.int64)
-        entry_load = np.full(entry_row.shape, -np.inf)
-        side_cfg = np.zeros(len(loads), dtype=bool)
+        k_max = max(len(load.bandwidths) for load in loads)
+        countries = np.zeros((len(loads), k_max), dtype=np.intp)
+        gbps = np.zeros((len(loads), k_max))
+        has = np.zeros((len(loads), k_max), dtype=bool)
         for c, load in enumerate(loads):
             k = len(load.bandwidths)
-            entry_load[c, : k + 1] = (load.cores,) + load.bandwidths
             # Side-ledger configs are always walked; clamp their rows.
-            entry_row[c, 1 : k + 1] = n_dc * (1 + np.maximum(load.country_idx, 0))
-            side_cfg[c] = min(load.country_idx) < 0
-        # The entries a call adds: ``entry_mask[0]`` over the WAN (the
-        # compute entry), ``entry_mask[1]`` over the Internet (all).
-        entry_mask = np.stack(
-            (np.broadcast_to(np.arange(entry_row.shape[1]) == 0, entry_row.shape),
-             np.isfinite(entry_load))
-        )
-        side_calls = np.flatnonzero(side_cfg[table.config_idx])
-
-        # Which (config, bucket) has headroom at the current slot; the
-        # end-marker column always "fits" and stands for the overflow.
+            countries[c, :k] = np.maximum(load.country_idx, 0)
+            gbps[c, :k] = load.bandwidths
+            has[c, :k] = True
+        side_cfg = np.asarray([min(load.country_idx) < 0 for load in loads])
         marker = 2 * n_dc
-        feasible = np.zeros((len(loads), marker + 1), dtype=bool)
-        feasible[:, marker] = True
-        feasible_flat = feasible.reshape(-1)
-        by_dc = feasible[:, :marker].reshape(len(loads), n_dc, 2)
+        n_cell = marker + 1
         bucket_dc = np.append(np.arange(marker) >> 1, overflow_dc)
         bucket_inet = np.append(np.arange(marker) & 1, 0)
+        inet = (bucket_inet == 1)[None, :, None] & has[:, None, :]
+        ent_row = np.empty((len(loads), n_cell, 1 + k_max), dtype=np.intp)
+        ent_row[:, :, 0] = bucket_dc
+        ent_row[:, :, 1:] = np.where(
+            inet, n_dc * (1 + countries[:, None, :]) + bucket_dc[None, :, None], width
+        )
+        ent_load = np.zeros(ent_row.shape)
+        ent_load[:, :, 0] = np.asarray([load.cores for load in loads])[:, None]
+        ent_load[:, :, 1:] = np.where(inet, gbps[:, None, :], 0.0)
+        ent_cap = cap[ent_row]
+        ent_cap[:, marker, 0] = np.inf
+        ent_row, ent_load, ent_cap = (
+            a.reshape(-1, 1 + k_max) for a in (ent_row, ent_load, ent_cap)
+        )
 
-        def refresh(slot: int, dcs: np.ndarray) -> None:
-            rows = entry_row[:, :, None] + dcs
-            fits = usage[slot][rows] + entry_load[:, :, None] <= cap[rows]
-            by_dc[:, dcs, 0] = fits[:, 0]
-            by_dc[:, dcs, 1] = fits.all(axis=1)
+        # The distinct capped loads of each row, ascending, padded with
+        # +inf: the ones that fit are a prefix, the last of them the
+        # row's roomiest load.  ``room`` holds whether each fits; the
+        # dummy row has no capped load, so its slots stay true and
+        # stand for the uncapped entries.
+        capped = np.flatnonzero(np.isfinite(ent_cap))
+        level, entry_level = np.unique(
+            np.stack((ent_row.flat[capped], ent_load.flat[capped])), axis=1,
+            return_inverse=True,
+        )
+        level_row = level[0].astype(np.intp)
+        rank = np.arange(level.shape[1]) - np.searchsorted(level_row, level_row)
+        levels = np.full((width + 1, 1 + int(rank.max())), np.inf)
+        levels[level_row, rank] = level[1]
+        room = np.ones(levels.shape, dtype=bool)
+        ent_room = np.full(ent_row.shape, width * levels.shape[1])
+        ent_room.flat[capped] = (level_row * levels.shape[1] + rank)[entry_level.reshape(-1)]
+        # ``(entries, cells)``: a cell's headroom is an ``all`` down a
+        # column, which NumPy vectorizes across cells.
+        ent_room = np.ascontiguousarray(ent_room.T)
+        all_rows = np.unique(level_row)
+        cur = np.zeros(width + 1)
+        total = np.zeros(width + 1)
+        feasible = np.ones(len(ent_row), dtype=bool)
+        roomiest = np.full(width + 1, -np.inf)
 
         cfg_of, starts, ends = table.config_idx, table.start_slot, table.end_slot
-        durations = table.duration_slots
-        row_base = cfg_of * (marker + 1)
-        index = np.arange(max(n, n_dc))
+        ramp = np.arange(n)
+        if keys is None:
+            # Calls of one (config, order row) pair share their pick: a
+            # table kept exact as cells lose their headroom.
+            pair_id = cfg_of * len(orders) + order_row
+            lookup = np.zeros(len(loads) * len(orders), dtype=np.intp)
+            lookup[pair_id] = 1
+            pairs = np.flatnonzero(lookup)
+            lookup[pairs] = np.arange(len(pairs))
+            pair_of = lookup[pair_id]
+            pair_cells = (pairs // len(orders) * n_cell)[:, None] + orders[pairs % len(orders)]
+            pick = np.zeros(len(pairs), dtype=np.intp)
+
+        def refresh(rows: np.ndarray, new_slot: bool = False) -> None:
+            """Recheck which loads fit on ``rows``, the rows' roomiest
+            loads and every cell's headroom; re-pick the pairs whose
+            pick lost its headroom (every pair on a ``new_slot``, where
+            usage may have fallen)."""
+            fit = cur[rows, None] + levels[rows] <= cap[rows, None]
+            room[rows] = fit
+            count = np.count_nonzero(fit, axis=1)
+            roomiest[rows] = np.where(count > 0, levels[rows, count - 1], -np.inf)
+            np.all(np.take(room, ent_room), axis=0, out=feasible)
+            if keys is None:
+                stale = ramp[: len(pairs)] if new_slot else np.flatnonzero(~feasible[pick])
+                grid = np.take(pair_cells, stale, axis=0)
+                best = np.take(feasible, grid).argmax(axis=1)
+                pick[stale] = np.take(grid, ramp[: len(stale)] * grid.shape[1] + best)
+
+        chosen = np.zeros(n, dtype=np.intp)
+
+        def finish(lo: int, hi: int, slot: int) -> int:
+            """Write back the slot's usage and settle calls ``lo..hi-1``:
+            outputs, loads on later slots; returns their overflows."""
+            usage[slot] = cur[:width]
+            bucket = chosen[lo:hi] % n_cell
+            dc_out[lo:hi] = bucket_dc[bucket]
+            inet_out[lo:hi] = bucket_inet[bucket]
+            long = lo + np.flatnonzero(table.duration_slots[lo:hi] > 1)
+            _commit_later(
+                usage_flat, slot, width, np.take(ent_row, chosen[long], axis=0),
+                np.take(ent_load, chosen[long], axis=0), table.duration_slots[long],
+            )
+            return int(np.count_nonzero(bucket == marker))
+
+        side_calls = np.flatnonzero(side_cfg[cfg_of])
         bounds = (np.flatnonzero(np.diff(starts)) + 1).tolist()
         unplanned = 0
         for lo, hi in zip([0] + bounds, bounds + [n]):
             slot = int(starts[lo])
-            slot_usage = usage[slot]
-            refresh(slot, index[:n_dc])
-            # Loads on the slots after this one, committed in call order
-            # once the run is done: only later runs read those slots.
-            later: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-            pos, size = lo, _FIRST_ROUND
-            while pos < hi:
-                k = int(np.searchsorted(side_calls, pos))
-                next_side = int(side_calls[k]) if k < len(side_calls) else n
-                if next_side == pos:
-                    _commit_later(usage_flat, slot, width, later)
-                    later = []
+            cur[:width] = usage[slot]
+            refresh(all_rows, new_slot=True)
+            if keys is not None:
+                # The run's keys, and each call's cell of its best key.
+                run_keys = keys(lo, hi)
+                best = order_row[lo:hi] * orders.shape[1] + run_keys.argmin(axis=1)
+                first = np.take(orders, best) + cfg_of[lo:hi] * n_cell
+            stops = side_calls[
+                np.searchsorted(side_calls, lo) : np.searchsorted(side_calls, hi)
+            ].tolist()
+            seg_lo = pos = lo
+            size = _FIRST_ROUND
+            for stop in stops + [hi]:
+                while pos < stop:
+                    cut = min(pos + size, stop)
+                    # (a) Each call's first bucket with headroom.
+                    if keys is None:
+                        cells = np.take(pick, pair_of[pos:cut])
+                    else:
+                        # Calls whose best cell has no headroom take the
+                        # best key among the cells that have.
+                        cells = first[pos - lo : cut - lo].copy()
+                        miss = pos + np.flatnonzero(~np.take(feasible, cells))
+                        if len(miss):
+                            grid = np.take(orders, order_row[miss], axis=0)
+                            grid = grid + cfg_of[miss, None] * n_cell
+                            best = np.where(
+                                np.take(feasible, grid), np.take(run_keys, miss - lo, axis=0), 0
+                            ).argmin(axis=1)
+                            best += ramp[: len(miss)] * grid.shape[1]
+                            cells[miss - pos] = np.take(grid, best)
+                    # (b) Totals in call order; flag the rows that may refuse.
+                    rows = np.take(ent_row, cells, axis=0)
+                    amount = np.take(ent_load, cells, axis=0)
+                    np.copyto(total, cur)
+                    np.add.at(total, rows.reshape(-1), amount.reshape(-1))
+                    flagged = np.flatnonzero(total + roomiest > cap)
+                    brk = cut - pos
+                    if len(flagged):
+                        brk = _first_refused(
+                            cur, flagged, rows, amount, np.take(ent_cap, cells, axis=0)
+                        )
+                    # (c) Commit the calls before the break, in call order.
+                    if brk == cut - pos:
+                        np.copyto(cur, total)
+                        size *= 2
+                    else:
+                        np.add.at(cur, rows[:brk].reshape(-1), amount[:brk].reshape(-1))
+                        size = _FIRST_ROUND
+                    if len(flagged):
+                        refresh(flagged)
+                    chosen[pos : pos + brk] = cells[:brk]
+                    pos += brk
+                if stop < hi:
+                    unplanned += finish(seg_lo, pos, slot)
+                    order = orders[order_row[pos]]
+                    if keys is not None:
+                        order = order[np.argsort(run_keys[pos - lo], kind="stable")]
                     d, on_inet, ok = self.walk_at(
-                        loads[cfg_of[pos]], orders[order_row[pos]], slot, int(ends[pos]),
-                        overflow_dc,
+                        loads[cfg_of[pos]], order, slot, int(ends[pos]), overflow_dc
                     )
                     dc_out[pos], inet_out[pos] = d, on_inet
                     unplanned += not ok
-                    refresh(slot, index[d : d + 1])
-                    pos += 1
-                    continue
-                cut = min(pos + size, hi, next_side)
-                # (a) Tentative choice against the usage at round start.
-                order = orders[order_row[pos:cut]]
-                pick = feasible_flat[row_base[pos:cut, None] + order].argmax(axis=1)
-                bucket = order[index[: cut - pos], pick]
-                dc, inet, placed = bucket_dc[bucket], bucket_inet[bucket], bucket != marker
-                # One compute entry per call, one per country for an
-                # Internet call; in call order.
-                cfg = cfg_of[pos:cut]
-                owner, col = np.nonzero(entry_mask[inet, cfg])
-                owner_cfg = cfg[owner]
-                rows = entry_row[owner_cfg, col] + dc[owner]
-                amount = entry_load[owner_cfg, col]
-                # (b) The first call that no longer fits breaks the round.
-                brk = _first_refused(slot_usage, cap, rows, amount, owner, placed)
-                # (c) Commit the calls before it, in call order.  The
-                # breaking call opens the next round: first in it, it
-                # fits its first feasible bucket, as in the loop.
-                kept = int(np.searchsorted(owner, brk))
-                np.add.at(slot_usage, rows[:kept], amount[:kept])
-                later.append((rows[:kept], amount[:kept], durations[pos:cut][owner[:kept]]))
-                dc_out[pos : pos + brk] = dc[:brk]
-                inet_out[pos : pos + brk] = inet[:brk]
-                unplanned += brk - int(np.count_nonzero(placed[:brk]))
-                touched = np.zeros(n_dc, dtype=bool)
-                touched[dc[:brk]] = True
-                refresh(slot, np.flatnonzero(touched))
-                pos, size = (pos + brk, _FIRST_ROUND) if pos + brk < cut else (cut, 2 * size)
-            _commit_later(usage_flat, slot, width, later)
+                    cur[:width] = usage[slot]
+                    refresh(all_rows)
+                    pos = seg_lo = pos + 1
+            unplanned += finish(seg_lo, hi, slot)
         return dc_out, inet_out, unplanned
 
     # -- string-keyed scalar API ------------------------------------------
@@ -1260,7 +1352,10 @@ class FirstJoinerWrr:
             keys: List[Tuple[str, str]] = []
             weights: List[float] = []
             for dc in self.scenario.dc_codes:
-                share = self.scenario.compute_caps[dc] / total_cores
+                # No compute anywhere: every weight is 0, every key ties
+                # at -inf, so the order is the bucket list's own, and
+                # every call overflows.
+                share = self.scenario.compute_caps[dc] / total_cores if total_cores else 0.0
                 fraction = self.scenario.internet_fraction(country, dc)
                 if fraction > 0:
                     keys.append((dc, INTERNET))
@@ -1293,10 +1388,10 @@ class FirstJoinerWrr:
         return CallAssignment(call, dc, WAN, dc, WAN)
 
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch WRR: one uniform block, vectorized weighted shuffles
-        into one ``(calls, buckets)`` order matrix, then the tracker's
-        exact bulk admission.  Stream- and float-identical to
-        :meth:`process` call for call."""
+        """Batch WRR: one uniform block, turned run by run into each
+        call's Efraimidis–Spirakis keys, then the tracker's exact bulk
+        admission.  Stream- and float-identical to :meth:`process` call
+        for call."""
         n = len(table)
         tracker = self.tracker
         dc_codes = tuple(tracker.dc_codes)
@@ -1307,24 +1402,33 @@ class FirstJoinerWrr:
         codes, country_of_call = _table_countries(table)
         per_country = [self._buckets(code) for code in codes]
         ids = tracker.bucket_matrix([keys for keys, _ in per_country])
-        bucket_count = np.asarray([len(keys) for keys, _ in per_country], dtype=np.int64)
-        k_per_call = bucket_count[country_of_call]
+        # Weight 0 past a country's buckets: key -inf, after every real
+        # bucket (ties go to the lower column), on an end marker.
+        weights = np.zeros(ids.shape)
+        for c, (_, w) in enumerate(per_country):
+            weights[c, : len(w)] = w
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(k_per_call, out=offsets[1:])
-        uniforms = self.rng.random(int(offsets[-1]))
+        bucket_count = np.asarray([len(keys) for keys, _ in per_country], dtype=np.int64)
+        np.cumsum(bucket_count[country_of_call], out=offsets[1:])
+        # The calls' uniforms, then a row's width of padding to read past
+        # the last call's.
+        uniforms = np.empty(int(offsets[-1]) + ids.shape[1])
+        self.rng.random(out=uniforms[: offsets[-1]])
+        uniforms[offsets[-1] :] = 0.5
+        windows = np.lib.stride_tricks.sliding_window_view(uniforms, ids.shape[1])
 
-        orders = ids[country_of_call]
-        for c, (_, weights) in enumerate(per_country):
-            rows = np.nonzero(country_of_call == c)[0]
-            if not len(rows):
-                continue
-            k = int(bucket_count[c])
-            block = uniforms[offsets[rows][:, None] + np.arange(k)[None, :]]
-            orders[rows, :k] = ids[c, :k][weighted_shuffle_order(block, weights)]
+        def keys(lo: int, hi: int) -> np.ndarray:
+            """The bits of the keys ``log(u)/w`` of calls ``lo..hi-1``.
+            Every key is negative or -inf, and the bits of negative
+            doubles, read as int64, order them in reverse: the lowest
+            bits are the highest key."""
+            with np.errstate(divide="ignore"):
+                logs = np.log(windows[offsets[lo:hi]])
+                return (logs / np.take(weights, country_of_call[lo:hi], axis=0)).view(np.int64)
 
         # Every country's first key is on the first DC: the overflow DC.
         initial_dc, option_idx, unplanned = tracker.admit_table(
-            table, orders, np.arange(n), tracker.dc_index[self.scenario.dc_codes[0]]
+            table, ids, country_of_call, tracker.dc_index[self.scenario.dc_codes[0]], keys
         )
         self.stats.calls += n
         self.stats.unplanned += unplanned

@@ -4,10 +4,11 @@ For identical uniform streams on the Europe scenario, every
 controller's ``process_table`` reproduces the scalar per-call loop —
 the same :class:`ControllerStats` *and* the same per-call placements.
 The first-joiner baselines admit in bulk, so they are also checked
-where that is hardest: under heavy contention, on tables that are not
-slot-major, across split tables, and with participant countries outside
-the scenario (the tracker's side ledger) — down to the tracker's usage
-arrays, bit for bit.
+where that is hardest: under heavy contention on Europe and the four
+zoo scenarios, on tables that are not slot-major, across split tables,
+with participant countries outside the scenario (the tracker's side
+ledger), and on WRR's tie cases and degenerate capacity — down to the
+tracker's usage arrays, bit for bit.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.controller import (
     FirstJoinerWrr,
     TitanNextController,
     _chain_picks,
+    _table_countries,
 )
 from repro.core.lp import JointAssignmentLp
 from repro.core.plan import QUOTA_EPS, OfflinePlan, weighted_pick
@@ -30,8 +32,12 @@ from repro.core.titan_next import (
     predicted_demand_for_day,
     run_prediction_day,
 )
+from repro.scenarios.factory import build_scenario
 from repro.workload.configs import CallConfig
 from repro.workload.traces import CallTable, TraceGenerator
+
+
+ZOO = ("americas", "apac", "emea", "global")
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +165,11 @@ class TestBatchEquivalence:
             assert batch.to_list() == []
 
 
-def _scaled_copy(scenario, factor, extra_gbps=None):
-    """``scenario`` with compute caps and every pair's Internet Gbps
-    scaled by ``factor``; ``extra_gbps`` adds ``{(country, dc): Gbps}``."""
+def _scaled_copy(scenario, factor, extra_gbps=None, fractions=None, compute_factor=None):
+    """``scenario`` with every pair's Internet Gbps scaled by ``factor``
+    and compute caps by ``compute_factor`` (default ``factor``);
+    ``extra_gbps`` sets ``{(country, dc): Gbps}`` and ``fractions``
+    ``{(country, dc): Internet fraction}``."""
     book = InternetCapacityBook()
     book.restore(
         {
@@ -171,13 +179,16 @@ def _scaled_copy(scenario, factor, extra_gbps=None):
     )
     for (country, dc), gbps in (extra_gbps or {}).items():
         book.set_gbps(country, dc, gbps)
+    for (country, dc), fraction in (fractions or {}).items():
+        book.set_fraction(country, dc, fraction)
+    compute_factor = factor if compute_factor is None else compute_factor
     return Scenario(
         scenario.world,
         scenario.latency,
         scenario.country_codes,
         scenario.dc_codes,
         book,
-        compute_caps={dc: cap * factor for dc, cap in scenario.compute_caps.items()},
+        compute_caps={dc: cap * compute_factor for dc, cap in scenario.compute_caps.items()},
         slots_per_day=scenario.slots_per_day,
     )
 
@@ -211,10 +222,21 @@ def _replay_both(scenario, tables, make):
     return scalar
 
 
-FIRST_JOINER = pytest.mark.parametrize(
-    "make",
-    [lambda scenario: FirstJoinerWrr(scenario, seed=3), lambda scenario: FirstJoinerLf(scenario)],
-    ids=["wrr", "lf"],
+MAKERS = {
+    "wrr": lambda scenario: FirstJoinerWrr(scenario, seed=3),
+    "lf": lambda scenario: FirstJoinerLf(scenario),
+}
+FIRST_JOINER = pytest.mark.parametrize("make", list(MAKERS.values()), ids=list(MAKERS))
+
+#: Europe (ids ``wrr``/``lf``), then each zoo scenario (``<name>-wrr``...).
+CONTENDED = pytest.mark.parametrize(
+    "where, make",
+    [(where, make) for where in ("europe",) + ZOO for make in MAKERS.values()],
+    ids=[
+        policy if where == "europe" else f"{where}-{policy}"
+        for where in ("europe",) + ZOO
+        for policy in MAKERS
+    ],
 )
 
 
@@ -224,11 +246,52 @@ def contended(small_setup):
     return _scaled_copy(small_setup.scenario, 0.2)
 
 
+@pytest.fixture(scope="module")
+def zoo_contended():
+    """``name -> (scenario, table)``, built on first use: a zoo scenario
+    at 5k calls/top-40 with a fifth of its capacity, and ten of its
+    day-30 slots."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            setup = build_scenario(name, daily_calls=5_000, top_n_configs=40)
+            generator = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=5)
+            built[name] = (
+                _scaled_copy(setup.scenario, 0.2),
+                generator.table_for_window(30 * 48 + 14, 10),
+            )
+        return built[name]
+
+    return get
+
+
+def _mixed_table(configs, n, seed, slots=6):
+    """``n`` calls of ``configs`` drawn at random over ``slots`` start
+    slots of day 30, slot-major; each call's first joiner is its
+    config's first country."""
+    rng = np.random.default_rng(seed)
+    return CallTable(
+        configs,
+        rng.integers(0, len(configs), n),
+        np.sort(30 * 48 + rng.integers(0, slots, n)),
+        rng.integers(1, 4, n),
+        np.zeros(n, dtype=np.int64),
+    )
+
+
 class TestBulkAdmissionEquivalence:
-    @FIRST_JOINER
-    def test_contended_matches_scalar(self, contended, day_table, make):
-        scalar = _replay_both(contended, [day_table], make)
-        assert scalar.stats.unplanned > len(day_table) // 4
+    @CONTENDED
+    def test_contended_matches_scalar(self, request, zoo_contended, where, make):
+        """Europe's 5 DCs, then the zoo's bucket matrices up to global's
+        21 DCs (43 columns with the end marker)."""
+        if where == "europe":
+            scenario = request.getfixturevalue("contended")
+            table = request.getfixturevalue("day_table")
+        else:
+            scenario, table = zoo_contended(where)
+        scalar = _replay_both(scenario, [table], make)
+        assert scalar.stats.unplanned > len(table) // 4
         assert scalar.tracker._internet.any()
 
     @FIRST_JOINER
@@ -265,18 +328,79 @@ class TestBulkAdmissionEquivalence:
             CallConfig.from_counts({"GB": 3}, "video"),
             CallConfig.from_counts({"FR": 1, outside: 2}, "audio"),
         ]
-        rng = np.random.default_rng(2)
-        n = 600
-        config_idx = rng.integers(0, len(configs), n)
-        table = CallTable(
-            configs,
-            config_idx,
-            np.sort(30 * 48 + rng.integers(0, 6, n)),
-            rng.integers(1, 4, n),
-            np.zeros(n, dtype=np.int64),  # GB / FR: first by code
-        )
+        table = _mixed_table(configs, 600, seed=2)  # first joiners GB / FR
         scalar = _replay_both(scaled, [table], make)
         assert scalar.tracker._extra_internet
+
+
+class TestFirstJoinerEdgeCases:
+    """WRR's tie rules and degenerate inputs: batch ≡ scalar, down to
+    the tracker's usage, bit for bit."""
+
+    def test_zero_wan_weight_ties_keep_key_order(self, small_setup, day_table):
+        """Internet fraction 1.0 makes a WAN bucket's weight 0, so its
+        Efraimidis–Spirakis key is -inf and ties with the other -inf
+        keys: the scalar stable sort keeps key order among them."""
+        scenario = small_setup.scenario
+        full = {(country, dc): 1.0 for country in ("GB", "FR", "NL") for dc in scenario.dc_codes}
+        tied = _scaled_copy(scenario, 0.2, fractions=full)
+        _, weights = FirstJoinerWrr(tied)._buckets("GB")
+        assert np.count_nonzero(weights == 0) == len(scenario.dc_codes)
+        _replay_both(tied, [day_table], MAKERS["wrr"])
+        # Contended, so calls fall through the tied WAN buckets past
+        # the first DC's (the overflow's) to another DC's.
+        batch = MAKERS["wrr"](tied).process_table(day_table)
+        codes, country = _table_countries(day_table)
+        tied_calls = np.isin(country, [codes.index(c) for c in ("GB", "FR", "NL")])
+        on_wan = (batch.initial_option_idx == 0) & (batch.initial_dc_idx > 0)
+        assert (tied_calls & on_wan).any()
+
+    @FIRST_JOINER
+    def test_country_without_internet_beside_full_rows(self, small_setup, make):
+        """DE has no Internet bucket (5 buckets, then end markers) and
+        GB ten: one table mixes both, under contention."""
+        scenario = small_setup.scenario
+        wrr = FirstJoinerWrr(scenario)
+        assert len(wrr._buckets("DE")[0]) == len(scenario.dc_codes)
+        assert len(wrr._buckets("GB")[0]) == 2 * len(scenario.dc_codes)
+        configs = [
+            CallConfig.from_counts({"DE": 3}, "video"),
+            CallConfig.from_counts({"GB": 2, "DE": 1}, "video"),
+            CallConfig.from_counts({"DE": 2, "GB": 2}, "audio"),
+        ]
+        table = _mixed_table(configs, 800, seed=4)
+        scalar = _replay_both(_scaled_copy(scenario, 0.05), [table], make)
+        assert scalar.stats.unplanned > 0
+
+    @FIRST_JOINER
+    def test_no_compute_overflows_every_call(self, small_setup, day_table, make):
+        """All compute caps 0: every call overflows onto the first DC's
+        WAN (WRR's weights are all 0 and its keys all -inf)."""
+        scenario = _scaled_copy(small_setup.scenario, 1.0, compute_factor=0.0)
+        scalar = _replay_both(scenario, [day_table], make)
+        assert scalar.stats.unplanned == scalar.stats.calls == len(day_table)
+        batch = make(scenario).process_table(day_table)
+        assert not batch.initial_dc_idx.any() and not batch.initial_option_idx.any()
+
+    @FIRST_JOINER
+    def test_zero_internet_gbps(self, small_setup, day_table, make):
+        """No Internet capacity: every Internet bucket is refused."""
+        scenario = _scaled_copy(small_setup.scenario, 0.0, compute_factor=0.2)
+        scalar = _replay_both(scenario, [day_table], make)
+        assert not scalar.tracker._internet.any()
+        assert scalar.stats.unplanned > 0
+
+    @FIRST_JOINER
+    def test_one_call_table(self, small_setup, day_table, make):
+        one = CallTable(
+            day_table.configs,
+            day_table.config_idx[:1],
+            day_table.start_slot[:1],
+            day_table.duration_slots[:1],
+            day_table.first_joiner_idx[:1],
+        )
+        scalar = _replay_both(_scaled_copy(small_setup.scenario, 0.2), [one], make)
+        assert scalar.stats.calls == 1
 
 
 def _exhausted_entries(plan, slots):
