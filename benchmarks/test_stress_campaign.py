@@ -5,8 +5,13 @@ fiber cut is replanned onto the WAN, a DC outage drains to the rest of
 the fleet, a 12× flash crowd degrades gracefully through the §6.4
 surge path instead of failing, and the quieter holiday/shock days stay
 feasible.  Campaign metrics (overflow/surge rates, replan rounds, WAN
-peaks) land in ``BENCH_stress_campaign.json`` for nightly tracking.
+peaks) land in ``BENCH_stress_campaign.json`` for nightly tracking,
+with the planning counts of the whole six-timeline family on one setup
+(plan-cache solves, memo hits, and the HiGHS solves between them: the
+distinct LPs a campaign solves).
 """
+
+from dataclasses import replace
 
 import pytest
 from conftest import emit
@@ -100,4 +105,28 @@ def test_stress_holiday_and_shock_stay_feasible(eval_setup, scenarios, baseline_
         baseline_calls=int(baseline_day.stats.calls),
         shock_overflow_rate=round(shock.overflow_rate, 4),
         holiday_sum_of_peaks_gbps=round(holiday.evaluation.sum_of_peaks_gbps, 4),
+    )
+
+
+def test_stress_family_solves_each_distinct_lp_once(eval_setup, record_bench):
+    """The six pinned timelines on one setup plan through its one cache.
+
+    A copy of the setup starts with a cold cache, so the counts cover
+    this campaign only.  A round repeats an earlier LP (and is served
+    from the memo) when its horizon and loaded row bounds match: a
+    round before its timeline's first event, or after a capacity event
+    has ended.
+    """
+    setup = replace(eval_setup)
+    results = [
+        run_campaign_day(setup, timeline, day=DAY)
+        for timeline in campaign_scenarios(setup).values()
+    ]
+    cache = setup.plan_cache()
+    assert cache.solves == sum(len(result.replan_events) for result in results)
+    assert 0 < cache.memo_hits < cache.solves
+    record_bench(
+        plan_solves=cache.solves,
+        plan_memo_hits=cache.memo_hits,
+        highs_solves=cache.solves - cache.memo_hits,
     )

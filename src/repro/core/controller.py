@@ -1512,10 +1512,8 @@ class FirstJoinerTitan:
         self.scenario = scenario
         self.rng = np.random.default_rng(seed)
         self.stats = ControllerStats()
-        total = sum(scenario.compute_caps[dc] for dc in scenario.dc_codes)
-        self._cum_probs = np.cumsum(
-            [scenario.compute_caps[dc] / total for dc in scenario.dc_codes]
-        )
+        # Equal shares when the fleet has no compute (Scenario.compute_shares).
+        self._cum_probs = np.cumsum(scenario.compute_shares())
 
     def _pick_dc(self, u: float) -> int:
         return int(

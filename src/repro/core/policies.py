@@ -29,11 +29,13 @@ DemandTable = Mapping[Tuple[int, CallConfig], float]
 
 
 def _bucket_weights(scenario: Scenario, config: CallConfig) -> Dict[Tuple[str, str], float]:
-    """(DC, option) bucket weights for WRR / Titan (§7.2 example)."""
+    """(DC, option) bucket weights for WRR / Titan (§7.2 example).
+
+    A DC's weight is its compute share (equal shares when the fleet has
+    no compute, see :meth:`Scenario.compute_shares`).
+    """
     weights: Dict[Tuple[str, str], float] = {}
-    total_cores = sum(scenario.compute_caps[dc] for dc in scenario.dc_codes)
-    for dc in scenario.dc_codes:
-        share = scenario.compute_caps[dc] / total_cores
+    for dc, share in zip(scenario.dc_codes, scenario.compute_shares()):
         fraction = scenario.config_internet_fraction(config, dc)
         weights[(dc, INTERNET)] = share * fraction
         weights[(dc, WAN)] = share * (1.0 - fraction)
@@ -68,6 +70,7 @@ class TitanPolicy:
     "Titan selects MP DC through weighted random policy where weights
     are set in proportion to the number of cores in MP DCs.  It then
     randomly selects calls ... based on the capacity calculated in §4."
+    A fleet with no compute draws DCs with equal weights.
     """
 
     name = "titan"
@@ -79,8 +82,7 @@ class TitanPolicy:
     def assign(self, demand: DemandTable) -> AssignmentTable:
         rng = np.random.default_rng(self.seed)
         scenario = self.scenario
-        total_cores = sum(scenario.compute_caps[dc] for dc in scenario.dc_codes)
-        dc_probs = np.array([scenario.compute_caps[dc] / total_cores for dc in scenario.dc_codes])
+        dc_probs = np.array(scenario.compute_shares())
         assignment: AssignmentTable = {}
         for (t, config), count in sorted(demand.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
             n = int(round(count))

@@ -14,12 +14,19 @@ cadence (:func:`~repro.core.stress.run_campaign_day` replans every
 
 Every round solves through the setup's one
 :class:`~repro.core.titan_next.PlanCache`, whose model stays loaded in a
-persistent HiGHS session: a replan is an RHS refresh plus a solve from
-the slack basis, and capacity changes (Titan's fresh Internet fractions,
-an outage, a cut) reach the solver as the round's ``capacity`` factors,
-RHS-only edits too that last that one round.  So the timelines of a
-stress campaign share one structure, and intraday replanning stays
-affordable inside a campaign sweeping many days.
+persistent HiGHS session.  A round at slot *s* solves only the horizon
+it plans (``solve_day(..., from_slot=s)``): the session loads the LP's
+columns for slots ≥ *s* plus the link-peak columns, with every row of
+an earlier slot free, so a late round solves a small LP instead of the
+whole day's.  Consecutive rounds differ in their first column, so each
+reloads that column suffix into the same session (array views of the
+cache's one matrix); a solve then runs from the slack basis.  Capacity
+changes (Titan's fresh Internet fractions, an outage, a cut) reach the
+solver as the round's ``capacity`` factors, RHS-only edits that last
+that one round, and a capacity event that has ended before the round
+touches only free rows.  So the timelines of a stress campaign share
+one structure, and intraday replanning stays affordable inside a
+campaign sweeping many days.
 
 An infeasible round is not an error: the previous plan is kept for the
 remaining slots and the §6.4 surge path absorbs the calls the stale
@@ -49,6 +56,10 @@ class ReplanEvent:
     slot: int
     solved: bool
     sum_of_peaks: Optional[float]
+    #: LP columns of the round's horizon, what a solve of it loads
+    #: (whether HiGHS or the plan memo served it): the x columns of
+    #: slots ≥ ``slot`` plus the link-peak columns; 0 when no demand was
+    #: left to plan and nothing was solved.  Shrinks round by round.
     columns: int
 
 
@@ -74,7 +85,8 @@ class RollingPlanner:
         self.plan = OfflinePlan()
         self.events: List[ReplanEvent] = []
         # One loaded LP structure for every round of the day: a replan
-        # pins past slots' C1 rows to zero demand and re-solves.
+        # loads the columns of the slots it plans, frees every row of an
+        # earlier slot, and re-solves.
         self.plan_cache = setup.plan_cache()
 
     def _remaining_demand(
@@ -90,28 +102,31 @@ class RollingPlanner:
     ) -> bool:
         """Re-solve for slots ≥ ``from_slot`` and splice into the plan.
 
-        ``capacity`` is the round's ``(internet_factor, compute_factor)``
-        pair on the build-time capacities (see
+        ``demand`` may cover the whole day; its entries before
+        ``from_slot`` are ignored.  A negative ``from_slot`` raises
+        ``ValueError``.  ``capacity`` is the round's ``(internet_factor,
+        compute_factor)`` pair on the build-time capacities (see
         :meth:`~repro.core.titan_next.PlanCache.solve_day`); ``None``
         plans at full capacity.  Returns False (and keeps the previous
         plan for those slots) if the LP is infeasible under those
         capacities — the §6.4 surge path then handles calls the stale
         plan cannot place.
         """
+        if from_slot < 0:
+            raise ValueError(f"from_slot must be >= 0, got {from_slot}")
         remaining = self._remaining_demand(demand, from_slot)
         if not remaining:
             self.events.append(ReplanEvent(from_slot, True, 0.0, 0))
             return True
         result = self.plan_cache.solve_day(
-            remaining, e2e_bound_ms=self.e2e_bound_ms, capacity=capacity
+            remaining, e2e_bound_ms=self.e2e_bound_ms, capacity=capacity, from_slot=from_slot
         )
+        columns = self.plan_cache.horizon_columns(from_slot)
         if not result.is_optimal:
-            self.events.append(ReplanEvent(from_slot, False, None, 0))
+            self.events.append(ReplanEvent(from_slot, False, None, columns))
             return False
         self.plan.splice(from_slot, result.assignment)
-        self.events.append(
-            ReplanEvent(from_slot, True, result.sum_of_peaks(), len(result.assignment))
-        )
+        self.events.append(ReplanEvent(from_slot, True, result.sum_of_peaks(), columns))
         return True
 
     @property

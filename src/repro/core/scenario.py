@@ -247,6 +247,20 @@ class Scenario:
 
     # -- capacities -----------------------------------------------------------
 
+    def compute_shares(self) -> List[float]:
+        """Each DC's share of the fleet's compute, in ``dc_codes`` order.
+
+        The weighted-random policies (Titan, and the oracle WRR's bucket
+        weights) pick DCs by these shares.  A fleet with no compute at
+        all (every cap 0) gets equal shares: there is nothing to weigh
+        by, and dividing by the zero total would fail.
+        """
+        caps = [self.compute_caps[dc] for dc in self.dc_codes]
+        total = sum(caps)
+        if total <= 0:
+            return [1.0 / len(caps)] * len(caps)
+        return [cap / total for cap in caps]
+
     def internet_fraction(self, country_code: str, dc_code: str) -> float:
         return self.capacity_book.fraction(country_code, dc_code)
 

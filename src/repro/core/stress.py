@@ -428,11 +428,15 @@ def run_campaign_day(
     campaign share one LP build; each solve installs its own capacity
     factors, so no timeline's events reach another's rounds.  The
     scenario's capacity book is only read (when the cache is built),
-    never written.  A round that repeats a right-hand side the cache
-    already solved — a round before the timeline's first event is
-    visible, or after its demand events end, repeats the unstressed
-    timeline's — is served from the cache's memo instead of re-running
-    HiGHS; the results are bit-identical either way.
+    never written.  Each round solves only its horizon, the slots from
+    the round on (``solve_day(..., from_slot=)``).  A round that repeats
+    a horizon and right-hand side the cache already solved — a round
+    before the timeline's first event is visible, after its demand
+    events end, or after its capacity events end (their factors then
+    touch only the earlier slots' rows, which the horizon frees),
+    repeats the unstressed timeline's — is served from the cache's memo
+    instead of re-running HiGHS; the results are bit-identical either
+    way.
     """
     from ..analysis.metrics import evaluate_batch
     from ..workload.traces import TraceGenerator

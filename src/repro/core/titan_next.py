@@ -370,6 +370,16 @@ class PlanCache:
     A day's demand may cover only some of the configs: C1 pins the
     missing columns to zero.
 
+    **Horizons.** An intraday replan round plans only the slots left
+    (``solve_day(..., from_slot=s)``).  ``_build`` orders the x columns
+    by ``(t, str(config))`` and puts the link-peak columns last, so a
+    round's columns are a suffix of the LP's; the session loads that
+    suffix, with every row no kept x column touches (the earlier slots'
+    C1/C2/C3/C5 rows) unbounded.  A late round is a small LP, served
+    from the same session and the same matrix: changing the horizon
+    reloads the model from views of the matrix's arrays, and a solve at
+    the same horizon as the last one sends only the changed row bounds.
+
     **Concurrency contract.** One cache owns one persistent HiGHS
     session, and a solve is a mutate-RHS-then-run critical section, so
     :meth:`solve_day` serializes callers behind an internal lock:
@@ -377,13 +387,15 @@ class PlanCache:
     result) but never parallel.
 
     **Repeated right-hand sides.** Because a solve's result depends only
-    on the LP and its row bounds, :meth:`solve_day` first looks the row
-    bounds up in the cache's memo (an LRU of :attr:`MEMO_SIZE` solves,
-    keyed on their digest, kept under the same lock) and serves a repeat
-    from there, bit for bit, without running HiGHS; :attr:`memo_hits`
-    counts those solves.  A stress campaign's timelines share the
-    setup's cache, and their rounds before an event is visible solve
-    the unstressed LP again.
+    on the columns it loads and their row bounds, :meth:`solve_day`
+    first looks the horizon and the loaded row bounds up in the cache's
+    memo (an LRU of :attr:`MEMO_SIZE` solves, keyed on their digest,
+    kept under the same lock) and serves a repeat from there, bit for
+    bit, without running HiGHS; :attr:`memo_hits` counts those solves.
+    A stress campaign's timelines share the setup's cache: their rounds
+    before an event is visible solve the unstressed LP again, and so do
+    their rounds after a capacity event has ended, whose factors reach
+    only free rows.
     """
 
     #: Solves the memo keeps, least recently used evicted first.
@@ -435,17 +447,54 @@ class PlanCache:
     def num_constraints(self) -> int:
         return self._lp.num_constraints
 
-    def demand_counts(self, demand: Mapping[Tuple[int, CallConfig], float]) -> np.ndarray:
+    def demand_counts(
+        self, demand: Mapping[Tuple[int, CallConfig], float], from_slot: int = 0
+    ) -> np.ndarray:
         """Per-C1-group call counts for one day's demand table.
 
         A key the structure does not cover (a raw config, a slot past
-        the day) raises ``KeyError``.
+        the day) raises ``KeyError``; a positive count for a slot before
+        ``from_slot`` raises ``ValueError`` naming its key, because a
+        solve from ``from_slot`` frees that slot's C1 rows and would
+        drop the calls silently.
         """
         counts = np.zeros(len(self._artifacts.groups))
         for key, value in demand.items():
             if value > 0:
+                if key[0] < from_slot:
+                    raise ValueError(
+                        f"demand key {key!r} is before the horizon's first slot {from_slot}"
+                    )
                 counts[self._group_index[key]] += value
         return counts
+
+    def horizon_columns(self, from_slot: int) -> int:
+        """LP columns a solve from ``from_slot`` loads: the x columns of
+        slots ≥ ``from_slot`` plus the link-peak columns."""
+        return self.num_variables - self._first_column(from_slot)
+
+    def _first_column(self, from_slot: int) -> int:
+        slots = self.scenario.slots_per_day
+        if not 0 <= from_slot < slots:
+            raise ValueError(f"from_slot {from_slot} is outside the day's slots [0, {slots})")
+        col_t = self._artifacts.col_t
+        # _build orders the x columns by (t, str(config)), so the
+        # columns of slots ≥ from_slot (then the y columns) are a suffix.
+        assert bool((col_t[1:] >= col_t[:-1]).all()), "plan LP columns are not slot-ordered"
+        return int(np.searchsorted(col_t, from_slot))
+
+    def _horizon(self, from_slot: int) -> Tuple[int, np.ndarray]:
+        """(first column, free rows) of a solve from ``from_slot``.
+
+        The free rows are those no kept x column touches: the C1, C2,
+        C3 and C5 rows of earlier slots, which only dropped columns and
+        the link peaks (whose C5 rows read ``-y <= 0``) reach.
+        """
+        first = self._first_column(from_slot)
+        matrix = self._prepared.matrix
+        touched = np.zeros(matrix.shape[0], dtype=bool)
+        touched[matrix.indices[matrix.indptr[first] : matrix.indptr[self._artifacts.y_base]]] = True
+        return first, ~touched
 
     def refresh_capacity_rhs(
         self,
@@ -496,8 +545,10 @@ class PlanCache:
         demand: Mapping[Tuple[int, CallConfig], float],
         e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
         capacity: Optional[CapacityFactors] = None,
+        from_slot: int = 0,
     ) -> JointLpResult:
-        """Solve one day's plan under the C4 bound ``e2e_bound_ms``.
+        """Solve the plan for slots ≥ ``from_slot`` under the C4 bound
+        ``e2e_bound_ms``.
 
         Installs the day's counts (C1), the capacities scaled by
         ``capacity`` (C2/C3, see :meth:`refresh_capacity_rhs`; ``None``
@@ -507,12 +558,23 @@ class PlanCache:
         session's sent-bounds bookkeeping) never ends up describing a
         day it did not solve.
 
-        Right-hand sides this cache already solved are served from its
-        memo without running HiGHS: the same status, objective,
-        iterations and plan, bit for bit.  The persistent session only
-        ever sees the bounds of the solves it runs.
+        ``from_slot`` (in ``[0, slots_per_day)``, else ``ValueError``)
+        is the horizon an intraday replan solves: only the x columns of
+        slots ≥ ``from_slot`` and the link-peak columns are loaded, and
+        every row no kept x column touches is loaded free, so earlier
+        slots' capacities cannot matter.  ``demand`` must then have no
+        positive count before ``from_slot`` (``ValueError``).  The
+        returned plan has no entries before ``from_slot``; 0 plans the
+        whole day.
+
+        Horizons this cache already solved under the same loaded row
+        bounds are served from its memo without running HiGHS: the same
+        status, objective, iterations and plan, bit for bit.  The
+        persistent session only ever sees the bounds of the solves it
+        runs.
         """
-        counts = self.demand_counts(demand)
+        first_col, free_rows = self._horizon(from_slot)
+        counts = self.demand_counts(demand, from_slot)
         internet_factor, compute_factor = capacity if capacity is not None else (None, None)
         artifacts = self._artifacts
         with self._lock:
@@ -522,9 +584,13 @@ class PlanCache:
                 self.refresh_capacity_rhs(internet_factor, compute_factor)
                 artifacts.c1_block.rhs[:] = counts
                 artifacts.c4_block.rhs[0] = e2e_bound_ms * counts.sum()
-                key = _digest(*self._prepared.row_bounds())
+                key = _digest(np.asarray([from_slot]), *self._prepared.row_bounds(free_rows))
                 solved = self._memo.get(key)
-                solution = solved.solution() if solved is not None else self._prepared.solve()
+                solution = (
+                    solved.solution()
+                    if solved is not None
+                    else self._prepared.solve(first_col, free_rows)
+                )
             except BaseException:
                 for block, rhs in zip(self._rhs_blocks, saved):
                     block.rhs[:] = rhs

@@ -382,6 +382,20 @@ class TestFirstJoinerEdgeCases:
         batch = make(scenario).process_table(day_table)
         assert not batch.initial_dc_idx.any() and not batch.initial_option_idx.any()
 
+    def test_titan_without_compute_draws_dcs_equally(self, small_setup, day_table):
+        """All compute caps 0: Titan's DC weights fall back to equal
+        shares instead of dividing by the zero total, and batch ≡
+        scalar call for call."""
+        scenario = _scaled_copy(small_setup.scenario, 1.0, compute_factor=0.0)
+        scalar, batched = FirstJoinerTitan(scenario, seed=4), FirstJoinerTitan(scenario, seed=4)
+        reference = [scalar.process(call) for call in day_table.to_calls()]
+        batch = batched.process_table(day_table)
+        assert _placements(batch) == _placements(reference)
+        assert batched.stats == scalar.stats
+        n_dc = len(scenario.dc_codes)
+        np.testing.assert_allclose(np.diff(batched._cum_probs, prepend=0.0), 1.0 / n_dc)
+        assert set(batch.initial_dc_idx.tolist()) == set(range(n_dc))
+
     @FIRST_JOINER
     def test_zero_internet_gbps(self, small_setup, day_table, make):
         """No Internet capacity: every Internet bucket is refused."""

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.metrics import LoadMatrix, evaluate_assignment, normalize_to, savings_vs
 from repro.analysis.stats import cdf_at, summarize, weighted_percentile
 from repro.core.policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy
+from repro.core.scenario import Scenario
 from repro.core.titan_next import oracle_demand_for_day
 
 
@@ -29,6 +30,43 @@ def policy_results(small_setup, demand_day):
         assignment = policy.assign(demand_day)
         results[policy.name] = evaluate_assignment(small_setup.scenario, assignment, policy.name)
     return results
+
+
+class TestNoCompute:
+    """A fleet with every compute cap 0 weighs its DCs equally."""
+
+    @pytest.fixture(scope="class")
+    def no_compute(self, small_setup):
+        scenario = small_setup.scenario
+        return Scenario(
+            scenario.world,
+            scenario.latency,
+            scenario.country_codes,
+            scenario.dc_codes,
+            scenario.capacity_book,
+            compute_caps={dc: 0.0 for dc in scenario.dc_codes},
+            slots_per_day=scenario.slots_per_day,
+        )
+
+    def test_compute_shares_are_equal(self, small_setup, no_compute):
+        n_dc = len(no_compute.dc_codes)
+        assert no_compute.compute_shares() == [1.0 / n_dc] * n_dc
+        shares = small_setup.scenario.compute_shares()
+        caps = [small_setup.scenario.compute_caps[dc] for dc in small_setup.scenario.dc_codes]
+        assert shares == [cap / sum(caps) for cap in caps]
+
+    @pytest.mark.parametrize("make", [WrrPolicy, TitanPolicy], ids=["wrr", "titan"])
+    def test_policy_spreads_calls_over_every_dc(self, no_compute, demand_day, make):
+        assignment = make(no_compute).assign(demand_day)
+        per_dc = {dc: 0.0 for dc in no_compute.dc_codes}
+        for (_, _, dc, _), count in assignment.items():
+            per_dc[dc] += count
+        total = sum(per_dc.values())
+        assert total == pytest.approx(sum(demand_day.values()), rel=0.01)
+        # WRR splits exactly; Titan's multinomial draws (~130 calls per
+        # DC here) stay within four standard deviations.
+        for count in per_dc.values():
+            assert count == pytest.approx(total / len(per_dc), rel=0.3)
 
 
 class TestPolicyInvariants:

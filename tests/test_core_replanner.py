@@ -77,3 +77,30 @@ class TestRollingPlanner:
         planner = RollingPlanner(small_setup)
         assert planner.replan({}, from_slot=47)
         assert planner.events[-1].solved
+
+    def test_negative_from_slot_raises(self, small_setup, day_demand):
+        """A negative slot would splice the whole day under a replan."""
+        planner = RollingPlanner(small_setup)
+        with pytest.raises(ValueError, match="from_slot must be >= 0"):
+            planner.replan(day_demand, from_slot=-1)
+        assert not planner.events
+        assert not planner.plan._entries
+
+    def test_events_record_each_rounds_shrinking_horizon(self, small_setup, day_demand):
+        """``ReplanEvent.columns`` is the LP columns a round loaded: the
+        whole LP at slot 0, fewer every later round, the same count for
+        an infeasible round, and 0 when nothing was left to plan."""
+        planner = RollingPlanner(small_setup)
+        cache = planner.plan_cache
+        for from_slot in range(0, 48, 8):
+            assert planner.replan(day_demand, from_slot=from_slot)
+        columns = [event.columns for event in planner.events]
+        assert columns[0] == cache.num_variables
+        assert columns == [cache.horizon_columns(slot) for slot in range(0, 48, 8)]
+        assert all(later < earlier for earlier, later in zip(columns, columns[1:]))
+        config = CallConfig.from_counts({"FR": 1}, AUDIO)
+        impossible = {**day_demand, (44, config): 100.0 * sum(day_demand.values())}
+        assert not planner.replan(impossible, from_slot=44)
+        assert planner.events[-1].columns == cache.horizon_columns(44)
+        assert planner.replan({}, from_slot=47)
+        assert planner.events[-1].columns == 0

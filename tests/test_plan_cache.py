@@ -14,7 +14,11 @@ contracts:
 * ``PlanCache.solve_day`` is exception-safe (no stale RHS after a
   failed solve) and serialized (safe under concurrent callers);
 * a right-hand side the cache already solved is served from its memo,
-  bit for bit, and any change to a C1–C4 right-hand side misses it.
+  bit for bit, and any change to a C1–C4 right-hand side misses it;
+* a horizon solve (``solve_day(..., from_slot=s)``, an intraday replan
+  round) reaches the vertex of a full-day solve of the same remaining
+  demand, reloads leak nothing between horizons, and a change confined
+  to the free rows of earlier slots is a memo hit.
 
 The session's ``small_setup`` keeps its cache (and memo) across tests,
 so tests that count solves or memo hits plan on a cold copy
@@ -24,6 +28,7 @@ a ``PlanCache`` built for the test.
 
 import gc
 import pickle
+import re
 import sys
 import threading
 import weakref
@@ -122,6 +127,166 @@ class TestSolveOrderIndependence:
             assert forward[day].iterations == backward[day].iterations
 
 
+HORIZONS = (1, 8, 24, 47)
+
+
+def horizon_rounds(setup, demand, from_slot):
+    """``label -> (demand, capacity)`` of the rounds a horizon test
+    solves from ``from_slot``: the remaining demand as is, under a cut
+    and a compute outage, and with an impossible spike in the last slot."""
+    remaining = {key: value for key, value in demand.items() if key[0] >= from_slot}
+    dc = setup.scenario.dc_codes[0]
+    cut = (lambda slot, country, code: 0.3, lambda slot, code: 0.5 if code == dc else 1.0)
+    last = setup.scenario.slots_per_day - 1
+    spike = next(key for key in remaining if key[0] == last)
+    impossible = {**remaining, spike: 100.0 * sum(remaining.values())}
+    return {
+        "plain": (remaining, None),
+        "capacity": (remaining, cut),
+        "impossible": (impossible, None),
+    }
+
+
+def assert_same_vertex(horizon, full):
+    assert horizon.status == full.status
+    if full.is_optimal:
+        assert abs(horizon.objective - full.objective) <= 1e-12 * abs(full.objective)
+        assert set(horizon.assignment) == set(full.assignment)
+        for key, value in full.assignment.items():
+            assert abs(horizon.assignment[key] - value) <= 1e-12
+
+
+class TestHorizonSolves:
+    @pytest.mark.parametrize("name", ["europe", "emea", "global"])
+    def test_horizon_equals_a_full_day_solve_of_the_remaining_demand(
+        self, small_setup, name
+    ):
+        """One cache walks every horizon (so each round reloads another
+        column suffix); each round lands on the vertex of a fresh
+        cache's full-day solve of the same demand.  The dual simplex
+        path is nearly the same, not always identical: HiGHS's pivots
+        also depend on the dropped columns' entries in the earlier
+        slots' rows, though those columns never enter.  Here the
+        iterations agree on every zoo round but one (39 against 40) and
+        differ by up to 5 on Europe."""
+        if name == "europe":
+            setup = small_setup
+        else:
+            setup = build_scenario(name, daily_calls=5_000, top_n_configs=40)
+        demand = predicted_demand_for_day(setup, 30)
+        bound = day_e2e_bound_ms(30)
+        cache = PlanCache(setup)
+        for from_slot in HORIZONS:
+            for label, (planned, capacity) in horizon_rounds(setup, demand, from_slot).items():
+                horizon = cache.solve_day(
+                    planned, e2e_bound_ms=bound, capacity=capacity, from_slot=from_slot
+                )
+                full = PlanCache(setup).solve_day(planned, e2e_bound_ms=bound, capacity=capacity)
+                assert horizon.is_optimal == (label != "impossible")
+                assert min(key[0] for key in horizon.assignment or [(from_slot,)]) >= from_slot
+                assert_same_vertex(horizon, full)
+                gap = abs(horizon.iterations - full.iterations)
+                assert gap <= max(1, 0.01 * full.iterations)
+        assert cache.memo_hits == 0
+        assert cache._prepared.in_session
+
+    def test_reloads_leak_nothing_between_horizons(self, small_setup, predictions):
+        """Horizons 0 → 24 → 0 → 40 in one cache (one session, a reload
+        each time) equal a fresh cache per solve, bit for bit."""
+        rounds = [
+            (0, predictions[30]),
+            (24, predictions[31]),
+            (0, predictions[32]),
+            (40, predictions[30]),
+        ]
+        cache = PlanCache(small_setup)
+        for from_slot, demand in rounds:
+            remaining = {key: value for key, value in demand.items() if key[0] >= from_slot}
+            shared = cache.solve_day(remaining, from_slot=from_slot)
+            fresh = PlanCache(small_setup).solve_day(remaining, from_slot=from_slot)
+            assert shared.is_optimal
+            assert solved_fields(shared) == solved_fields(fresh)
+            assert cache.horizon_columns(from_slot) == cache._prepared._session[0].getNumCol()
+        assert cache.memo_hits == 0
+
+    def test_past_capacity_change_is_a_memo_hit(self, small_setup, predictions):
+        """Capacity factors on slots before the horizon touch only free
+        rows: the round is the earlier one, served from the memo.  The
+        same factors inside the horizon miss."""
+        cache = PlanCache(small_setup)
+        remaining = {key: value for key, value in predictions[30].items() if key[0] >= 24}
+        solved = cache.solve_day(remaining, from_slot=24)
+        for factor in (0.0, 0.5):
+            ended = (
+                lambda slot, country, dc: factor if slot < 24 else 1.0,
+                lambda slot, dc: factor if slot < 24 else 1.0,
+            )
+            again = cache.solve_day(remaining, capacity=ended, from_slot=24)
+            assert solved_fields(again) == solved_fields(solved)
+        assert cache.memo_hits == 2
+        ongoing = (None, lambda slot, dc: 0.5 if slot < 25 else 1.0)
+        changed = cache.solve_day(remaining, capacity=ongoing, from_slot=24)
+        assert cache.memo_hits == 2
+        assert changed.iterations > 0
+        # The same demand planned from another slot is another LP.
+        cache.solve_day(remaining, from_slot=23)
+        assert cache.memo_hits == 2
+
+    def test_linprog_fallback_solves_the_same_horizon(
+        self, small_setup, predictions, monkeypatch
+    ):
+        """Without the bindings, a horizon solve runs through linprog
+        over the same column suffix, leaving the free rows out."""
+        import repro.solver.scipy_backend as backend
+
+        remaining = {key: value for key, value in predictions[30].items() if key[0] >= 24}
+        session = PlanCache(small_setup).solve_day(remaining, from_slot=24)
+        monkeypatch.setattr(backend, "_highs_core", lambda: None)
+        cache = PlanCache(small_setup)
+        fallback = cache.solve_day(remaining, from_slot=24)
+        assert not cache._prepared.in_session and not cache._memo
+        assert fallback.is_optimal
+        assert abs(fallback.objective - session.objective) <= 1e-9 * abs(session.objective)
+        keys = set(session.assignment) | set(fallback.assignment)
+        assert min(key[0] for key in keys) >= 24
+        for key in keys:
+            assert abs(fallback.assignment.get(key, 0.0) - session.assignment.get(key, 0.0)) <= 1e-6
+
+    @pytest.mark.parametrize("from_slot", [-1, 48, 100])
+    def test_from_slot_outside_the_day_raises(self, small_setup, from_slot):
+        cache = small_setup.plan_cache()
+        solves = cache.solves
+        with pytest.raises(ValueError, match=f"from_slot {from_slot} is outside"):
+            cache.solve_day({}, from_slot=from_slot)
+        assert cache.solves == solves
+
+    def test_demand_before_the_horizon_raises(self, small_setup, one_slot):
+        """``one_slot`` is all in slot 20: planning it from slot 21
+        would free its C1 rows and drop every call."""
+        cache = PlanCache(small_setup)
+        first = next(iter(one_slot))
+        with pytest.raises(ValueError, match=re.escape(f"demand key {first!r}")):
+            cache.solve_day(one_slot, from_slot=21)
+        assert cache.solves == 0
+        assert cache.solve_day(one_slot, from_slot=20).is_optimal
+        # Entries of no calls drop nothing, so they pass.
+        zeros = {(10, key[1]): 0.0 for key in one_slot}
+        assert cache.solve_day({**one_slot, **zeros}, from_slot=20).is_optimal
+        assert cache.memo_hits == 1
+
+    def test_horizon_columns_are_a_shrinking_suffix(self, small_setup):
+        cache = small_setup.plan_cache()
+        artifacts = cache._artifacts
+        n_y = artifacts.n_links
+        assert cache.horizon_columns(0) == cache.num_variables
+        for from_slot in range(small_setup.scenario.slots_per_day):
+            columns = cache.horizon_columns(from_slot)
+            kept = artifacts.col_t >= from_slot
+            assert columns == int(kept.sum()) + n_y
+            assert kept[artifacts.n_cols - (columns - n_y) :].all()
+        assert cache.horizon_columns(47) < cache.horizon_columns(46)
+
+
 class TestSolveDaySafety:
     def test_rhs_restored_when_solve_raises(self, small_setup, predictions):
         healthy = PlanCache(small_setup).solve_day(
@@ -133,7 +298,7 @@ class TestSolveDaySafety:
         assert len(before) == 4  # C1, C2, C3, C4
 
         original = cache._prepared.solve
-        cache._prepared.solve = lambda: (_ for _ in ()).throw(RuntimeError("solver died"))
+        cache._prepared.solve = lambda *args: (_ for _ in ()).throw(RuntimeError("solver died"))
         outage = (lambda slot, country, dc: 0.0, lambda slot, dc: 0.5)
         with pytest.raises(RuntimeError, match="solver died"):
             cache.solve_day(predictions[31], e2e_bound_ms=day_e2e_bound_ms(31), capacity=outage)

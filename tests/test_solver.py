@@ -250,7 +250,7 @@ class TestPersistentHighs:
 
         from repro.solver.scipy_backend import PreparedHighs
 
-        def broken(self, core):
+        def broken(self, core, first_col, free_rows):
             raise AttributeError("'_Highs' object has no attribute 'clearSolver'")
 
         monkeypatch.setattr(PreparedHighs, "_solve_persistent", broken)
