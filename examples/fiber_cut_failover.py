@@ -16,8 +16,9 @@ Two production anecdotes, simulated:
 * **A full campaign day**: the same fiber cut as a
   :class:`~repro.core.stress.StressTimeline` event, replayed end to end
   with intraday replanning at the §6.3 cadence — the planner detects
-  the cut at onset, refreshes the cached LP's capacity RHS, and splices a
-  new plan for the remaining slots.
+  the cut at onset, scales the cached LP's capacity RHS for the slots
+  still to come, and re-solves them from the round's demand estimate;
+  each solved round's columns replace the remaining slots' plan.
 
 Exits with status 1 if the campaign day leaves a replan round unsolved
 or fails to move Internet load back onto the WAN.

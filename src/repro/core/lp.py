@@ -33,7 +33,7 @@ no string-keyed lookups.  The original scalar builder is kept as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -49,7 +49,7 @@ from .scenario import Scenario
 AssignmentTable = Dict[Tuple[int, CallConfig, str, str], float]
 
 #: Column routing options, by integer code (0 = WAN, 1 = Internet).
-_OPTIONS = (WAN, INTERNET)
+COLUMN_OPTIONS = (WAN, INTERNET)
 
 #: Compute-cap relaxation applied in single-DC mode: pinning every
 #: config to one DC cannot pack non-aligned per-country peaks into
@@ -120,16 +120,57 @@ class JointLpOptions:
             raise ValueError(f"unknown objective: {self.objective}")
 
 
-@dataclass
-class JointLpResult:
-    """Solved assignment plan."""
+#: Column values at or below this are left out of an assignment table.
+ASSIGNMENT_EPS = 1e-9
 
-    status: str
-    objective: Optional[float]
-    assignment: AssignmentTable
-    link_peaks: Dict[int, float] = field(default_factory=dict)
-    #: Simplex iterations HiGHS spent on the solve.
-    iterations: int = 0
+
+class JointLpResult:
+    """Solved assignment plan.
+
+    ``x`` holds the solve's values of the LP's x (assignment) columns,
+    aligned with ``artifacts``; ``None`` unless the solve is optimal.
+    :attr:`assignment` is built from them on its first read, so a
+    caller that only needs the column values (a replan round) never
+    builds the table.  A result may also be given its table directly.
+    """
+
+    def __init__(
+        self,
+        status: str,
+        objective: Optional[float],
+        assignment: Optional[AssignmentTable] = None,
+        link_peaks: Optional[Dict[int, float]] = None,
+        iterations: int = 0,
+        x: Optional[np.ndarray] = None,
+        artifacts: Optional["LpArtifacts"] = None,
+    ) -> None:
+        self.status = status
+        self.objective = objective
+        self._assignment = assignment
+        self.link_peaks: Dict[int, float] = link_peaks if link_peaks is not None else {}
+        #: Simplex iterations HiGHS spent on the solve.
+        self.iterations = iterations
+        self.x = x
+        self.artifacts = artifacts
+
+    def __repr__(self) -> str:
+        return (
+            f"JointLpResult(status={self.status!r}, objective={self.objective!r}, "
+            f"iterations={self.iterations})"
+        )
+
+    @property
+    def assignment(self) -> AssignmentTable:
+        """(t, config, dc, option) → calls for every column above
+        :data:`ASSIGNMENT_EPS`, in column order."""
+        if self._assignment is None:
+            table: AssignmentTable = {}
+            if self.x is not None:
+                artifacts = self.artifacts
+                for j in np.flatnonzero(self.x > ASSIGNMENT_EPS):
+                    table[artifacts.key_of(j)] = float(self.x[j])
+            self._assignment = table
+        return self._assignment
 
     @property
     def is_optimal(self) -> bool:
@@ -171,7 +212,7 @@ class LpArtifacts:
     """Index structures tying a built LP back to the planning domain.
 
     Column ``j`` of the LP is
-    ``(col_t[j], configs[col_cfg[j]], dc_codes[col_dc[j]], _OPTIONS[col_opt[j]])``;
+    ``(col_t[j], configs[col_cfg[j]], dc_codes[col_dc[j]], COLUMN_OPTIONS[col_opt[j]])``;
     ``c1_block.rhs`` / ``c4_block.rhs`` are the arrays a multi-day plan
     cache mutates between solves.  The C2 (compute) and C3 (Internet
     capacity) blocks are retained too, with per-row key arrays, so a
@@ -215,7 +256,7 @@ class LpArtifacts:
             int(self.col_t[j]),
             self.configs[self.col_cfg[j]],
             self.dc_codes[self.col_dc[j]],
-            _OPTIONS[self.col_opt[j]],
+            COLUMN_OPTIONS[self.col_opt[j]],
         )
 
 
@@ -299,7 +340,7 @@ class JointAssignmentLp:
         dc_codes = self.scenario.dc_codes
         return np.asarray(
             [
-                [[coefficient(config, dc, option) for option in _OPTIONS] for dc in dc_codes]
+                [[coefficient(config, dc, option) for option in COLUMN_OPTIONS] for dc in dc_codes]
                 for config in self.configs
             ],
             dtype=np.float64,
@@ -375,7 +416,7 @@ class JointAssignmentLp:
             n_cols,
             namer=lambda j: (
                 f"x[{col_t[j]}][{cfg_strs[col_cfg[j]]}]"
-                f"[{dc_codes[col_dc[j]]}][{_OPTIONS[col_opt[j]]}]"
+                f"[{dc_codes[col_dc[j]]}][{COLUMN_OPTIONS[col_opt[j]]}]"
             ),
         )
         if sum_of_peaks:
@@ -633,7 +674,11 @@ class JointAssignmentLp:
 
 
 def extract_result(solution: Solution, artifacts: LpArtifacts) -> JointLpResult:
-    """Index-based extraction of a solved plan (no name round-trips)."""
+    """Index-based extraction of a solved plan (no name round-trips).
+
+    Keeps the x column values; the assignment table is built on its
+    first read (:attr:`JointLpResult.assignment`).
+    """
     if not solution.is_optimal:
         return JointLpResult(
             status=solution.status,
@@ -642,17 +687,14 @@ def extract_result(solution: Solution, artifacts: LpArtifacts) -> JointLpResult:
             iterations=solution.iterations,
         )
     x = solution.x
-    values = x[: artifacts.n_cols]
-    assignment: AssignmentTable = {}
-    for j in np.nonzero(values > 1e-9)[0]:
-        assignment[artifacts.key_of(j)] = float(values[j])
     link_peaks = {
         link: float(x[artifacts.y_base + link]) for link in range(artifacts.n_links)
     }
     return JointLpResult(
         status="optimal",
         objective=solution.objective,
-        assignment=assignment,
         link_peaks=link_peaks,
         iterations=solution.iterations,
+        x=x[: artifacts.n_cols],
+        artifacts=artifacts,
     )

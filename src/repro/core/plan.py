@@ -21,12 +21,12 @@ Two access paths read the same quotas:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, ItemsView, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..workload.configs import CallConfig
-from .lp import AssignmentTable
+from .lp import ASSIGNMENT_EPS, COLUMN_OPTIONS, AssignmentTable, LpArtifacts
 
 #: Quotas at or below this are treated as exhausted when sampling.
 QUOTA_EPS = 1e-9
@@ -85,23 +85,34 @@ class OfflinePlan:
             entry.buckets[key] = entry.buckets.get(key, 0.0) + count
         return plan
 
-    def splice(self, from_slot: int, assignment: AssignmentTable) -> None:
-        """Replace quotas for slots ≥ ``from_slot`` with a fresh plan.
+    @classmethod
+    def from_columns(cls, x: np.ndarray, artifacts: LpArtifacts) -> "OfflinePlan":
+        """The plan of a planning LP's x column values.
 
-        The rolling replanner's primitive (§6.3): every entry at or
-        after ``from_slot`` is dropped and the positive counts of
-        ``assignment`` (restricted to those slots) are installed in its
-        place.  Past slots are never touched — calls already assigned
-        stay assigned.
+        ``x`` is aligned with ``artifacts`` (one value per x column).
+        Equals ``from_assignment`` of the solve's assignment table —
+        every column above :data:`~repro.core.lp.ASSIGNMENT_EPS`, each
+        entry's buckets in column order — without building the table.
         """
-        for key in [k for k in self._entries if k[0] >= from_slot]:
-            del self._entries[key]
-        for (t, config, dc, option), count in assignment.items():
-            if count <= 0 or t < from_slot:
-                continue
-            entry = self._entries.setdefault((t, config), PlanEntry())
-            bucket = (dc, option)
-            entry.buckets[bucket] = entry.buckets.get(bucket, 0.0) + count
+        plan = cls()
+        entries = plan._entries
+        index = np.flatnonzero(x > ASSIGNMENT_EPS)
+        groups, dc_codes = artifacts.groups, artifacts.dc_codes
+        for g, dc, opt, count in zip(
+            artifacts.col_group[index].tolist(),
+            artifacts.col_dc[index].tolist(),
+            artifacts.col_opt[index].tolist(),
+            x[index].tolist(),
+        ):
+            entry = entries.get(groups[g])
+            if entry is None:
+                entry = entries[groups[g]] = PlanEntry()
+            entry.buckets[(dc_codes[dc], COLUMN_OPTIONS[opt])] = count
+        return plan
+
+    def items(self) -> ItemsView[Tuple[int, CallConfig], PlanEntry]:
+        """Every ``((slot, config), entry)`` of the plan, in plan order."""
+        return self._entries.items()
 
     def entry(self, slot: int, config: CallConfig) -> Optional[PlanEntry]:
         return self._entries.get((slot, config))

@@ -12,6 +12,15 @@ rewritten: calls already assigned stay assigned.  The caller owns the
 cadence (:func:`~repro.core.stress.run_campaign_day` replans every
 ``cadence`` slots).
 
+A round's numbers stay arrays from end to end.  Its input is the
+estimate matrix itself (raw configs × slots, as
+``DemandModel.expected_matrix`` returns it), which the cache folds
+straight into the C1 counts.  Its output is the solve's x column
+values: the planner keeps one vector over the LP's x columns and copies
+each solved round's horizon into it, which is the splice.  The
+:class:`~repro.core.plan.OfflinePlan` is built from that vector only
+when :attr:`RollingPlanner.plan` is read.
+
 Every round solves through the setup's one
 :class:`~repro.core.titan_next.PlanCache`, whose model stays loaded in a
 persistent HiGHS session.  A round at slot *s* solves only the horizon
@@ -23,10 +32,10 @@ reloads that column suffix into the same session (array views of the
 cache's one matrix); a solve then runs from the slack basis.  Capacity
 changes (Titan's fresh Internet fractions, an outage, a cut) reach the
 solver as the round's ``capacity`` factors, RHS-only edits that last
-that one round, and a capacity event that has ended before the round
-touches only free rows.  So the timelines of a stress campaign share
-one structure, and intraday replanning stays affordable inside a
-campaign sweeping many days.
+that one round and scale only the rows of the horizon's slots; a
+capacity event that has ended before the round touches only free rows.
+So the timelines of a stress campaign share one structure, and intraday
+replanning stays affordable inside a campaign sweeping many days.
 
 An infeasible round is not an error: the previous plan is kept for the
 remaining slots and the §6.4 surge path absorbs the calls the stale
@@ -37,16 +46,15 @@ replay).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
-from ..workload.configs import CallConfig
+import numpy as np
+
 from .lp import JointLpOptions
 from .plan import OfflinePlan
 
 if TYPE_CHECKING:
     from .titan_next import CapacityFactors, EuropeSetup
-
-DemandTable = Mapping[Tuple[int, CallConfig], float]
 
 
 @dataclass
@@ -68,12 +76,16 @@ class RollingPlanner:
 
     Every round solves through the setup's
     :meth:`~repro.core.titan_next.EuropeSetup.plan_cache` (every slot of
-    the scenario's day × the setup's reduced configs; a demand key
-    outside it raises ``KeyError``) under the C4 bound ``e2e_bound_ms``
-    (the day's §7.5 bound).  A round whose right-hand sides the cache
-    already solved (another timeline's round before its event was
-    visible, say) is served from the cache's memo without running
-    HiGHS.
+    the scenario's day × the setup's reduced configs; an estimate of
+    another shape raises ``ValueError``) under the C4 bound
+    ``e2e_bound_ms`` (the day's §7.5 bound).  A round whose right-hand
+    sides the cache already solved (another timeline's round before its
+    event was visible, say) is served from the cache's memo without
+    running HiGHS.
+
+    The planner keeps one vector of x column values over the cache's
+    LP: each solved round copies its horizon's columns over the
+    previous rounds', and :attr:`plan` is built from that vector.
     """
 
     def __init__(
@@ -82,28 +94,36 @@ class RollingPlanner:
         e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
     ) -> None:
         self.e2e_bound_ms = e2e_bound_ms
-        self.plan = OfflinePlan()
         self.events: List[ReplanEvent] = []
         # One loaded LP structure for every round of the day: a replan
         # loads the columns of the slots it plans, frees every row of an
         # earlier slot, and re-solves.
         self.plan_cache = setup.plan_cache()
+        self._x = np.zeros(self.plan_cache.x_columns)
 
-    def _remaining_demand(
-        self, demand: DemandTable, from_slot: int
-    ) -> Dict[Tuple[int, CallConfig], float]:
-        return {(t, c): v for (t, c), v in demand.items() if t >= from_slot and v > 0}
+    @property
+    def plan(self) -> OfflinePlan:
+        """The day's plan so far: slot *t* as the last solved round at
+        or before *t* planned it.
+
+        Built afresh from the planner's column values on every read, so
+        read it once per replay.
+        """
+        return self.plan_cache.plan_of(self._x)
 
     def replan(
         self,
-        demand: DemandTable,
+        estimate: np.ndarray,
         from_slot: int,
         capacity: Optional["CapacityFactors"] = None,
     ) -> bool:
         """Re-solve for slots ≥ ``from_slot`` and splice into the plan.
 
-        ``demand`` may cover the whole day; its entries before
-        ``from_slot`` are ignored.  A negative ``from_slot`` raises
+        ``estimate`` is the day's ``(raw configs, slots)`` call estimate
+        in the setup's ``universe.top(top_n_configs)`` row order (what
+        ``DemandModel.expected_matrix`` returns); its columns before
+        ``from_slot`` are ignored, and a round with no positive entry
+        left has nothing to plan.  A negative ``from_slot`` raises
         ``ValueError``.  ``capacity`` is the round's ``(internet_factor,
         compute_factor)`` pair on the build-time capacities (see
         :meth:`~repro.core.titan_next.PlanCache.solve_day`); ``None``
@@ -114,8 +134,9 @@ class RollingPlanner:
         """
         if from_slot < 0:
             raise ValueError(f"from_slot must be >= 0, got {from_slot}")
-        remaining = self._remaining_demand(demand, from_slot)
-        if not remaining:
+        remaining = np.array(estimate)
+        remaining[:, :from_slot] = 0
+        if not (remaining > 0).any():
             self.events.append(ReplanEvent(from_slot, True, 0.0, 0))
             return True
         result = self.plan_cache.solve_day(
@@ -125,7 +146,8 @@ class RollingPlanner:
         if not result.is_optimal:
             self.events.append(ReplanEvent(from_slot, False, None, columns))
             return False
-        self.plan.splice(from_slot, result.assignment)
+        first = self.plan_cache.first_column(from_slot)
+        self._x[first:] = result.x[first:]
         self.events.append(ReplanEvent(from_slot, True, result.sum_of_peaks(), columns))
         return True
 

@@ -416,12 +416,15 @@ def run_campaign_day(
     planner re-estimates demand (expected rates × the multipliers of
     events *visible* at the round) and re-solves for the remaining
     slots under the capacity factors of the visible events' schedules
-    — keeping the stale plan when the round is infeasible.  The
-    realized (ground-truth) stressed trace then replays through
-    ``TitanNextController.process_table`` against the final spliced
-    plan, which is faithful in time: replan rounds never rewrite past
-    slots, so slot *t*'s quotas are exactly what the last round at or
-    before *t* produced.  Scored with ``evaluate_batch``.
+    — keeping the stale plan when the round is infeasible.  Each
+    round's estimate goes to the planner as the expected-count matrix
+    itself; no round builds a demand table, an assignment table or a
+    plan.  The realized (ground-truth) stressed trace then replays
+    through ``TitanNextController.process_table`` against the final
+    plan, built once from the rounds' spliced column values, which is
+    faithful in time: replan rounds never rewrite past slots, so slot
+    *t*'s quotas are exactly what the last round at or before *t*
+    produced.  Scored with ``evaluate_batch``.
 
     Every round solves through the setup's one
     :class:`~repro.core.titan_next.PlanCache`, so the timelines of a
@@ -429,7 +432,8 @@ def run_campaign_day(
     factors, so no timeline's events reach another's rounds.  The
     scenario's capacity book is only read (when the cache is built),
     never written.  Each round solves only its horizon, the slots from
-    the round on (``solve_day(..., from_slot=)``).  A round that repeats
+    the round on (``solve_day(..., from_slot=)``), and scales only
+    those slots' capacity rows.  A round that repeats
     a horizon and right-hand side the cache already solved — a round
     before the timeline's first event is visible, after its demand
     events end, or after its capacity events end (their factors then
@@ -442,7 +446,7 @@ def run_campaign_day(
     from ..workload.traces import TraceGenerator
     from .controller import TitanNextController
     from .replanner import RollingPlanner
-    from .titan_next import _table_from_matrix, day_e2e_bound_ms
+    from .titan_next import day_e2e_bound_ms
 
     if cadence < 1:
         raise ValueError("cadence must be >= 1 slot")
@@ -465,12 +469,13 @@ def run_campaign_day(
             start_slot, slots, top_n=setup.top_n_configs, multipliers=visible_multipliers
         )
         planner.replan(
-            _table_from_matrix(estimate, raw_configs, True),
+            estimate,
             from_slot=round_slot,
             capacity=timeline.capacity_factor_fns(scenario, visible_from=round_slot),
         )
 
-    controller = TitanNextController(scenario, planner.plan, seed=seed + 1, reduce_configs=True)
+    plan = planner.plan
+    controller = TitanNextController(scenario, plan, seed=seed + 1, reduce_configs=True)
     batch = controller.process_table(trace)
     evaluation = (
         evaluate_batch(scenario, batch, "titan-next-stress") if evaluate else None
@@ -483,7 +488,7 @@ def run_campaign_day(
         stats=controller.stats,
         batch=batch,
         evaluation=evaluation,
-        overflow_calls=quota_overflow(planner.plan, trace, slots),
+        overflow_calls=quota_overflow(plan, trace, slots),
     )
 
 

@@ -29,7 +29,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -368,17 +368,25 @@ class PlanCache:
     from the slack basis, so no state carries from one solve to the
     next: a day's plan depends only on the arguments it is solved with.
     A day's demand may cover only some of the configs: C1 pins the
-    missing columns to zero.
+    missing columns to zero.  Demand comes as a table keyed by (slot,
+    reduced config), or as a ``(raw configs, slots)`` estimate matrix
+    in the setup's top-config order, which :meth:`estimate_counts`
+    folds straight into the C1 counts (a replan round's input).  A
+    result keeps its x column values, builds its assignment table only
+    when read, and :meth:`plan_of` turns column values into an
+    :class:`~repro.core.plan.OfflinePlan` directly.
 
     **Horizons.** An intraday replan round plans only the slots left
     (``solve_day(..., from_slot=s)``).  ``_build`` orders the x columns
     by ``(t, str(config))`` and puts the link-peak columns last, so a
     round's columns are a suffix of the LP's; the session loads that
     suffix, with every row no kept x column touches (the earlier slots'
-    C1/C2/C3/C5 rows) unbounded.  A late round is a small LP, served
-    from the same session and the same matrix: changing the horizon
-    reloads the model from views of the matrix's arrays, and a solve at
-    the same horizon as the last one sends only the changed row bounds.
+    C1/C2/C3/C5 rows) unbounded.  Those rows are found once per slot,
+    and the capacity factors scale only the rows of the horizon's
+    slots.  A late round is a small LP, served from the same session
+    and the same matrix: changing the horizon reloads the model from
+    views of the matrix's arrays, and a solve at the same horizon as
+    the last one sends only the changed row bounds.
 
     **Concurrency contract.** One cache owns one persistent HiGHS
     session, and a solve is a mutate-RHS-then-run critical section, so
@@ -403,13 +411,25 @@ class PlanCache:
 
     def __init__(self, setup: EuropeSetup) -> None:
         self.scenario = setup.scenario
-        configs = sorted(
-            {item.config.reduced() for item in setup.universe.top(setup.top_n_configs)},
-            key=str,
-        )
+        top = setup.universe.top(setup.top_n_configs)
+        configs = sorted({item.config.reduced() for item in top}, key=str)
         placeholder = {(t, c): 1.0 for t in range(self.scenario.slots_per_day) for c in configs}
         self._lp, self._artifacts = JointAssignmentLp(self.scenario, placeholder)._build()
         self._group_index = {key: g for g, key in enumerate(self._artifacts.groups)}
+        col_t = self._artifacts.col_t
+        # _build orders the x columns by (t, str(config)), so the columns
+        # of slots ≥ s (then the y columns) are a suffix, and the C1
+        # groups run slot-major over the sorted configs: group g is
+        # (g // len(configs), configs[g % len(configs)]).
+        assert bool((col_t[1:] >= col_t[:-1]).all()), "plan LP columns are not slot-ordered"
+        # Raw config i of an estimate matrix (a row of the setup's top
+        # configs) adds its row times its reduction factor to its
+        # reduced config's groups (§6.2).
+        reduced_row = {config: r for r, config in enumerate(self._artifacts.configs)}
+        self._raw_reduced = np.asarray([reduced_row[item.config.reduced()] for item in top])
+        self._raw_factor = np.asarray([float(item.config.reduction_factor()) for item in top])
+        #: (first column, free rows) per horizon slot, computed once.
+        self._horizons: Dict[int, Tuple[int, np.ndarray]] = {}
         from ..solver.scipy_backend import PreparedHighs
 
         # The model stays loaded in one HiGHS instance; each solve_day
@@ -468,38 +488,80 @@ class PlanCache:
                 counts[self._group_index[key]] += value
         return counts
 
+    def estimate_counts(self, estimate: np.ndarray, from_slot: int = 0) -> np.ndarray:
+        """Per-C1-group call counts for a ``(raw configs, slots)`` matrix.
+
+        ``estimate``'s rows follow the setup's ``universe.top(top_n_configs)``
+        (what ``expected_matrix``, ``counts_matrix`` and forecasts return)
+        and its columns the day's slots.  One grouped add in row order
+        scales each row by its reduction factor onto its reduced config
+        (§6.2), and non-positive sums count as no demand: bit for bit the
+        counts :meth:`demand_counts` gives for ``_table_from_matrix``'s
+        table of the same matrix.  A positive sum before ``from_slot``
+        raises ``ValueError`` naming its (slot, reduced config) key.
+        """
+        estimate = np.asarray(estimate)
+        n_configs = len(self._artifacts.configs)
+        shape = (self._raw_reduced.size, self.scenario.slots_per_day)
+        if estimate.shape != shape:
+            raise ValueError(f"estimate matrix has shape {estimate.shape}, expected {shape}")
+        grouped = np.zeros((n_configs, shape[1]))
+        np.add.at(grouped, self._raw_reduced, estimate * self._raw_factor[:, None])
+        counts = grouped.T.ravel()  # the C1 groups' slot-major order
+        counts[~(counts > 0)] = 0.0
+        early = np.flatnonzero(counts[: from_slot * n_configs])
+        if early.size:
+            key = self._artifacts.groups[int(early[0])]
+            raise ValueError(f"demand key {key!r} is before the horizon's first slot {from_slot}")
+        return counts
+
+    @property
+    def x_columns(self) -> int:
+        """The LP's x (assignment) columns, slot-ordered."""
+        return self._artifacts.n_cols
+
+    def plan_of(self, x: np.ndarray) -> OfflinePlan:
+        """The :class:`OfflinePlan` of x column values over this LP."""
+        return OfflinePlan.from_columns(x, self._artifacts)
+
     def horizon_columns(self, from_slot: int) -> int:
         """LP columns a solve from ``from_slot`` loads: the x columns of
         slots ≥ ``from_slot`` plus the link-peak columns."""
-        return self.num_variables - self._first_column(from_slot)
+        return self.num_variables - self.first_column(from_slot)
 
-    def _first_column(self, from_slot: int) -> int:
+    def first_column(self, from_slot: int) -> int:
+        """The first x column of slot ``from_slot``: the x columns from
+        here on are the ones a solve from ``from_slot`` plans."""
         slots = self.scenario.slots_per_day
         if not 0 <= from_slot < slots:
             raise ValueError(f"from_slot {from_slot} is outside the day's slots [0, {slots})")
-        col_t = self._artifacts.col_t
-        # _build orders the x columns by (t, str(config)), so the
-        # columns of slots ≥ from_slot (then the y columns) are a suffix.
-        assert bool((col_t[1:] >= col_t[:-1]).all()), "plan LP columns are not slot-ordered"
-        return int(np.searchsorted(col_t, from_slot))
+        return int(np.searchsorted(self._artifacts.col_t, from_slot))
 
     def _horizon(self, from_slot: int) -> Tuple[int, np.ndarray]:
         """(first column, free rows) of a solve from ``from_slot``.
 
         The free rows are those no kept x column touches: the C1, C2,
         C3 and C5 rows of earlier slots, which only dropped columns and
-        the link peaks (whose C5 rows read ``-y <= 0``) reach.
+        the link peaks (whose C5 rows read ``-y <= 0``) reach.  Computed
+        once per slot; the mask is read-only.
         """
-        first = self._first_column(from_slot)
-        matrix = self._prepared.matrix
-        touched = np.zeros(matrix.shape[0], dtype=bool)
-        touched[matrix.indices[matrix.indptr[first] : matrix.indptr[self._artifacts.y_base]]] = True
-        return first, ~touched
+        horizon = self._horizons.get(from_slot)
+        if horizon is None:
+            first = self.first_column(from_slot)
+            matrix = self._prepared.matrix
+            touched = np.zeros(matrix.shape[0], dtype=bool)
+            kept = slice(matrix.indptr[first], matrix.indptr[self._artifacts.y_base])
+            touched[matrix.indices[kept]] = True
+            free = ~touched
+            free.flags.writeable = False
+            horizon = self._horizons[from_slot] = (first, free)
+        return horizon
 
     def refresh_capacity_rhs(
         self,
         internet_factor=None,
         compute_factor=None,
+        from_slot: int = 0,
     ) -> None:
         """Rewrite the C2/C3 capacity right-hand sides in place.
 
@@ -512,6 +574,11 @@ class PlanCache:
         an RHS-only edit, structurally identical to a demand change, and
         lasts exactly one solve.
 
+        Only the rows of slots ≥ ``from_slot`` are scaled; earlier rows
+        keep their baseline.  A solve from ``from_slot`` loads those rows
+        free, so their factors could not matter: :meth:`solve_day`
+        passes its own ``from_slot``.
+
         Factors can only shrink what the built structure can express:
         pairs with zero build-time Internet capacity have no Internet
         columns, so a factor > 1 on them has nothing to enable.
@@ -521,7 +588,8 @@ class PlanCache:
             rhs = self._base_c2_rhs
             if compute_factor is not None:
                 rhs = rhs.copy()
-                for i in range(rhs.size):
+                # C2 and C3 rows are slot-ordered, like the columns.
+                for i in range(int(np.searchsorted(artifacts.c2_slot, from_slot)), rhs.size):
                     rhs[i] *= compute_factor(
                         int(artifacts.c2_slot[i]),
                         artifacts.dc_codes[int(artifacts.c2_dc[i])],
@@ -532,7 +600,7 @@ class PlanCache:
                 rhs = self._base_c3_rhs
                 if internet_factor is not None:
                     rhs = rhs.copy()
-                    for i in range(rhs.size):
+                    for i in range(int(np.searchsorted(artifacts.c3_slot, from_slot)), rhs.size):
                         rhs[i] *= internet_factor(
                             int(artifacts.c3_slot[i]),
                             country_codes[int(artifacts.c3_country[i])],
@@ -542,7 +610,7 @@ class PlanCache:
 
     def solve_day(
         self,
-        demand: Mapping[Tuple[int, CallConfig], float],
+        demand: Union[Mapping[Tuple[int, CallConfig], float], np.ndarray],
         e2e_bound_ms: float = JointLpOptions.e2e_bound_ms,
         capacity: Optional[CapacityFactors] = None,
         from_slot: int = 0,
@@ -550,13 +618,17 @@ class PlanCache:
         """Solve the plan for slots ≥ ``from_slot`` under the C4 bound
         ``e2e_bound_ms``.
 
-        Installs the day's counts (C1), the capacities scaled by
-        ``capacity`` (C2/C3, see :meth:`refresh_capacity_rhs`; ``None``
-        keeps the build-time capacities) and the bound (C4) on the
-        cached blocks, then solves.  If the solve *raises*, the previous
-        right-hand sides are restored, so the cache (and its persistent
-        session's sent-bounds bookkeeping) never ends up describing a
-        day it did not solve.
+        ``demand`` is either a table keyed by (slot of day, reduced
+        config) (:meth:`demand_counts`) or a ``(raw configs, slots)``
+        estimate matrix in the setup's top-config order
+        (:meth:`estimate_counts`, what a replan round passes); both give
+        the same C1 counts for the same numbers.  Installs the day's
+        counts (C1), the capacities scaled by ``capacity`` (C2/C3, see
+        :meth:`refresh_capacity_rhs`; ``None`` keeps the build-time
+        capacities) and the bound (C4) on the cached blocks, then solves.
+        If the solve *raises*, the previous right-hand sides are
+        restored, so the cache (and its persistent session's sent-bounds
+        bookkeeping) never ends up describing a day it did not solve.
 
         ``from_slot`` (in ``[0, slots_per_day)``, else ``ValueError``)
         is the horizon an intraday replan solves: only the x columns of
@@ -565,7 +637,9 @@ class PlanCache:
         slots' capacities cannot matter.  ``demand`` must then have no
         positive count before ``from_slot`` (``ValueError``).  The
         returned plan has no entries before ``from_slot``; 0 plans the
-        whole day.
+        whole day.  The result keeps its x column values
+        (``JointLpResult.x``) and builds its assignment table only when
+        it is read.
 
         Horizons this cache already solved under the same loaded row
         bounds are served from its memo without running HiGHS: the same
@@ -574,14 +648,17 @@ class PlanCache:
         runs.
         """
         first_col, free_rows = self._horizon(from_slot)
-        counts = self.demand_counts(demand, from_slot)
+        if isinstance(demand, np.ndarray):
+            counts = self.estimate_counts(demand, from_slot)
+        else:
+            counts = self.demand_counts(demand, from_slot)
         internet_factor, compute_factor = capacity if capacity is not None else (None, None)
         artifacts = self._artifacts
         with self._lock:
             saved = [block.rhs.copy() for block in self._rhs_blocks]
             self.solves += 1
             try:
-                self.refresh_capacity_rhs(internet_factor, compute_factor)
+                self.refresh_capacity_rhs(internet_factor, compute_factor, from_slot=from_slot)
                 artifacts.c1_block.rhs[:] = counts
                 artifacts.c4_block.rhs[0] = e2e_bound_ms * counts.sum()
                 key = _digest(np.asarray([from_slot]), *self._prepared.row_bounds(free_rows))

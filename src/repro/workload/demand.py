@@ -86,19 +86,42 @@ def _poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         pmf = np.exp(-ls)
         cdf = pmf.copy()
         counts = np.zeros(ls.shape, dtype=np.int64)
-        unresolved = us >= cdf
         # Past lam + 12*sqrt(lam) the residual tail mass is below the
         # resolution of a 53-bit uniform; the cap also guards against
         # the accumulated CDF rounding to just under a u close to 1.
         peak = float(ls.max())
         k_max = int(math.ceil(peak + 12.0 * math.sqrt(peak) + 20.0))
+        # Walk only the entries still unresolved, compacted whenever
+        # half of them resolve.  Each entry keeps its own pmf/cdf
+        # recurrence, so its count is what walking every entry to the
+        # largest lam's end would give.  Until the first compaction the
+        # walk runs on ``counts`` itself (``live`` is None), so a
+        # one-entry call (``sample_count``) costs what the plain walk
+        # did; afterwards ``live`` maps walked entries to ``counts``.
+        unresolved = us >= cdf
+        n_live = int(np.count_nonzero(unresolved))
+        live = None
+        live_counts = counts
         k = 0
-        while k < k_max and unresolved.any():
+        while k < k_max and n_live:
+            if 2 * n_live <= unresolved.size:
+                keep = np.flatnonzero(unresolved)
+                if live is None:
+                    live = keep
+                else:
+                    counts[live] = live_counts
+                    live = live[keep]
+                ls, us, pmf, cdf = ls[keep], us[keep], pmf[keep], cdf[keep]
+                live_counts = live_counts[keep]
+                unresolved = np.ones(keep.size, dtype=bool)
             k += 1
-            counts += unresolved
+            live_counts += unresolved
             pmf *= ls / k
             cdf += pmf
             unresolved &= us >= cdf
+            n_live = int(np.count_nonzero(unresolved))
+        if live is not None:
+            counts[live] = live_counts
         out[small] = counts
     large = ~small
     if large.any():

@@ -377,18 +377,25 @@ class TraceGenerator:
             return CallTable(configs, empty, empty, empty, empty, id_offset)
 
         part_counts = np.asarray([part[3] for part in parts], dtype=np.int64)
-        config_idx = np.repeat(np.asarray([part[2] for part in parts], dtype=np.int64), part_counts)
+        part_configs = np.asarray([part[2] for part in parts], dtype=np.int64)
+        config_idx = np.repeat(part_configs, part_counts)
         start_slots = np.repeat(
             start_slot + np.asarray([part[0] for part in parts], dtype=np.int64), part_counts
         )
         uniforms = np.concatenate([part[4] for part in parts])
         u_first = uniforms[0::2]
         durations = duration_from_uniform(uniforms[1::2])
+        # A single-country config always draws index 0 (its cumulative
+        # weights are [1.0] and u < 1), so only the parts of
+        # multi-country configs search: each one's calls are a
+        # contiguous run.
         first_idx = np.zeros(len(config_idx), dtype=np.int64)
-        for i in np.unique(config_idx):
-            mask = config_idx == i
-            draw = self._draw(configs[i])
-            first_idx[mask] = first_joiner_from_uniform(draw.cum_weights, u_first[mask])
+        part_end = np.cumsum(part_counts)
+        multi = np.asarray([len(config.countries) > 1 for config in configs])
+        for k in np.flatnonzero(multi[part_configs]):
+            calls = slice(part_end[k] - part_counts[k], part_end[k])
+            draw = self._draw(configs[part_configs[k]])
+            first_idx[calls] = first_joiner_from_uniform(draw.cum_weights, u_first[calls])
         return CallTable(configs, config_idx, start_slots, durations, first_idx, id_offset)
 
     def table_for_day(self, day: int, multipliers: Optional[np.ndarray] = None) -> CallTable:

@@ -18,7 +18,10 @@ contracts:
 * a horizon solve (``solve_day(..., from_slot=s)``, an intraday replan
   round) reaches the vertex of a full-day solve of the same remaining
   demand, reloads leak nothing between horizons, and a change confined
-  to the free rows of earlier slots is a memo hit.
+  to the free rows of earlier slots is a memo hit;
+* an estimate matrix folds into the same C1 counts as its demand
+  table, bit for bit, and a result's lazily built assignment table is
+  the eagerly built one.
 
 The session's ``small_setup`` keeps its cache (and memo) across tests,
 so tests that count solves or memo hits plan on a cold copy
@@ -37,16 +40,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.lp import JointAssignmentLp, JointLpOptions
+from repro.core.forecast import HoltWinters
+from repro.core.lp import JointAssignmentLp, JointLpOptions, extract_result
 from repro.core.stress import campaign_scenarios, run_campaign_day
 from repro.core.titan_next import (
+    HISTORY_WEEKS,
     PlanCache,
     _SolvedPlan,
+    _table_from_matrix,
     day_e2e_bound_ms,
     predicted_demand_for_day,
 )
 from repro.scenarios import build_scenario
 from repro.solver.model import Solution
+from repro.workload.demand import SLOTS_PER_DAY
 
 DAYS = [30, 31, 32]
 
@@ -534,3 +541,129 @@ class TestPlanMemo:
         assert (restored.status, restored.objective, restored.iterations) == ("optimal", 2.5, 7)
         infeasible = _SolvedPlan.of(Solution("infeasible", None, iterations=3)).solution()
         assert (infeasible.status, infeasible.objective, infeasible.x) == ("infeasible", None, None)
+
+
+def estimate_matrices(setup, day):
+    """Day ``day``'s (raw configs, slots) matrices of every kind a plan
+    reads: expected counts, sampled counts, the Holt-Winters forecast
+    (clipped at 0), a signed matrix (the forecast minus each row's
+    mean), and the sampled counts with every third row zeroed."""
+    top_n = setup.top_n_configs
+    start = day * SLOTS_PER_DAY
+    expected = setup.demand.expected_matrix(start, SLOTS_PER_DAY, top_n=top_n)
+    sampled = setup.demand.counts_matrix(start, SLOTS_PER_DAY, top_n=top_n)
+    history_slots = HISTORY_WEEKS * 7 * SLOTS_PER_DAY
+    history = setup.demand.counts_matrix(start - history_slots, history_slots, top_n=top_n)
+    keep = history.max(axis=1) > 0
+    forecast = np.zeros(expected.shape)
+    model = HoltWinters(alpha=0.3, beta=0.01, gamma=0.3)
+    forecast[keep] = model.fit_many(history[keep].astype(float)).forecast(SLOTS_PER_DAY)
+    zero_rows = sampled.copy()
+    zero_rows[::3] = 0
+    return {
+        "expected": expected,
+        "sampled": sampled,
+        "forecast": forecast,
+        "signed": forecast - forecast.mean(axis=1, keepdims=True),
+        "zero-rows": zero_rows,
+    }
+
+
+class TestEstimateMatrices:
+    """``solve_day``'s matrix form: the estimate matrix folds straight
+    into the C1 counts, with no demand table in between."""
+
+    @pytest.mark.parametrize("name", ["europe", "emea"])
+    def test_matrix_counts_equal_the_table_counts(self, small_setup, name):
+        if name == "europe":
+            setup = small_setup
+        else:
+            setup = build_scenario(name, daily_calls=5_000, top_n_configs=40)
+        top = setup.universe.top(setup.top_n_configs)
+        raw_configs = [item.config for item in top]
+        # Raw configs share reduced groups, with factors above 1.
+        members = {}
+        for config in raw_configs:
+            members.setdefault(config.reduced(), []).append(config.reduction_factor())
+        assert any(len(f) > 1 and max(f) > 1 for f in members.values())
+        cache = PlanCache(setup)
+        matrices = estimate_matrices(setup, 30)
+        assert (matrices["signed"] < 0).any()
+        for label, matrix in matrices.items():
+            table = _table_from_matrix(matrix, raw_configs, True)
+            for from_slot in (0, 1, 24, 47):
+                remaining = {k: v for k, v in table.items() if k[0] >= from_slot and v > 0}
+                zeroed = matrix.copy()
+                zeroed[:, :from_slot] = 0
+                folded = cache.estimate_counts(zeroed, from_slot)
+                reference = cache.demand_counts(remaining, from_slot)
+                assert folded.tobytes() == reference.tobytes(), (label, from_slot)
+
+    def test_positive_demand_before_the_horizon_raises(self, small_setup):
+        cache = PlanCache(small_setup)
+        raw_configs = [item.config for item in small_setup.universe.top(small_setup.top_n_configs)]
+        matrix = estimate_matrices(small_setup, 30)["expected"]
+        table = _table_from_matrix(matrix, raw_configs, True)
+        for demand in (matrix, table):
+            with pytest.raises(ValueError, match="before the horizon's first slot 24"):
+                cache.solve_day(demand, from_slot=24)
+        assert cache.solves == 0
+        # Non-positive sums before the horizon are no demand.
+        signed = matrix.copy()
+        signed[:, :24] = -1.0
+        assert cache.estimate_counts(signed, 24)[: 24 * len(cache._artifacts.configs)].sum() == 0
+
+    def test_matrix_of_another_shape_raises(self, small_setup):
+        cache = PlanCache(small_setup)
+        matrix = estimate_matrices(small_setup, 30)["expected"]
+        for bad in (matrix[1:], matrix[:, 1:], matrix[0]):
+            with pytest.raises(ValueError, match="estimate matrix has shape"):
+                cache.solve_day(bad)
+        assert cache.solves == 0
+
+    def test_matrix_and_table_solve_alike(self, small_setup):
+        raw_configs = [item.config for item in small_setup.universe.top(small_setup.top_n_configs)]
+        matrix = estimate_matrices(small_setup, 30)["expected"]
+        table = _table_from_matrix(matrix, raw_configs, True)
+        cache = PlanCache(small_setup)
+        from_table = cache.solve_day(table, e2e_bound_ms=day_e2e_bound_ms(30))
+        from_matrix = cache.solve_day(matrix, e2e_bound_ms=day_e2e_bound_ms(30))
+        assert cache.memo_hits == 1
+        assert solved_fields(from_matrix) == solved_fields(from_table)
+
+    def test_horizon_is_computed_once_per_slot(self, small_setup):
+        cache = PlanCache(small_setup)
+        first, free = cache._horizon(24)
+        assert cache._horizon(24)[1] is free
+        assert first == cache.first_column(24)
+        assert not free.flags.writeable
+
+
+def eager_assignment(solution, artifacts):
+    """The assignment table as extraction used to build it up front."""
+    values = solution.x[: artifacts.n_cols]
+    return {artifacts.key_of(j): float(values[j]) for j in np.nonzero(values > 1e-9)[0]}
+
+
+class TestLazyAssignment:
+    def test_cached_solve_builds_the_eager_table(self, small_setup, predictions):
+        cache = PlanCache(small_setup)
+        result = cache.solve_day(predictions[30], e2e_bound_ms=day_e2e_bound_ms(30))
+        solution = next(reversed(cache._memo.values())).solution()
+        assert result.x.tobytes() == solution.x[: cache.x_columns].tobytes()
+        eager = eager_assignment(solution, cache._artifacts)
+        assert list(result.assignment.items()) == list(eager.items())
+        assert result.assignment is result.assignment
+
+    def test_one_shot_lp_builds_the_eager_table(self, small_setup, predictions):
+        lp, artifacts = JointAssignmentLp(small_setup.scenario, predictions[31])._build()
+        solution = lp.solve()
+        result = extract_result(solution, artifacts)
+        assert result.is_optimal
+        eager = eager_assignment(solution, artifacts)
+        assert list(result.assignment.items()) == list(eager.items())
+
+    def test_failed_solve_has_no_columns(self, small_setup, predictions):
+        result = PlanCache(small_setup).solve_day(predictions[30], e2e_bound_ms=1e-3)
+        assert not result.is_optimal
+        assert result.x is None and result.assignment == {}

@@ -4,9 +4,12 @@ Pins the contracts the stress layer is built on: demand multipliers
 scale Poisson rates without disturbing unstressed draws, capacity
 factors reach the cached LP's RHS for one solve but never the shared
 capacity book, the timelines of a campaign share the setup's one
-planning LP yet plan exactly as they would alone, plan splice rewrites
-only the future, infeasible replan rounds degrade gracefully, and the
-quota-overflow metric accounts for the §6.4 surge load.
+planning LP yet plan exactly as they would alone, a campaign day's
+rounds carry arrays only (estimate matrix in, column values out, one
+plan built for the replay), infeasible replan rounds degrade
+gracefully, and the quota-overflow metric accounts for the §6.4 surge
+load.  The splice itself (only the future is rewritten) is pinned in
+``test_core_replanner.py``.
 """
 
 from dataclasses import replace
@@ -14,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.lp import JointLpResult
 from repro.core.plan import OfflinePlan
 from repro.core.stress import (
     DcOutageEvent,
@@ -27,7 +31,7 @@ from repro.core.stress import (
     run_campaign_day,
 )
 from repro.core.sweep import SweepRunner
-from repro.core.titan_next import PlanCache
+from repro.core.titan_next import PlanCache, _digest
 from tests.test_sweep_parallel import assert_same_day_result, titan_next_days
 
 DAY = 2
@@ -166,6 +170,36 @@ class TestCapacityPlumbing:
             cache._artifacts.c3_block.rhs.tobytes(),
         ) == ones
 
+    @pytest.mark.parametrize("round_slot", [24, 40])
+    def test_horizon_refresh_loads_the_bounds_of_a_full_refresh(
+        self, small_setup, scenarios, round_slot
+    ):
+        """A fiber-cut round scales only its horizon's capacity rows.
+        The earlier rows keep their baseline, but the round loads them
+        free either way, so the loaded bounds and the memo key match
+        the full refresh bit for bit: at slot 24 mid-cut, and at slot
+        40 after the cut ended (when the horizon refresh scales
+        nothing)."""
+        cache = PlanCache(small_setup)
+        artifacts = cache._artifacts
+        internet_fn, compute_fn = scenarios["fiber-cut"].capacity_factor_fns(
+            small_setup.scenario, visible_from=round_slot
+        )
+        _, free = cache._horizon(round_slot)
+        loaded, keys, c3 = {}, {}, {}
+        for from_slot in (0, round_slot):
+            cache.refresh_capacity_rhs(internet_fn, compute_fn, from_slot=from_slot)
+            bounds = cache._prepared.row_bounds(free)
+            loaded[from_slot] = [bound.tobytes() for bound in bounds]
+            keys[from_slot] = _digest(np.asarray([round_slot]), *bounds)
+            c3[from_slot] = artifacts.c3_block.rhs.copy()
+        assert loaded[0] == loaded[round_slot]
+        assert keys[0] == keys[round_slot]
+        earlier = artifacts.c3_slot < round_slot
+        assert not np.array_equal(c3[0][earlier], cache._base_c3_rhs[earlier])
+        assert np.array_equal(c3[round_slot][earlier], cache._base_c3_rhs[earlier])
+        assert np.array_equal(c3[0][~earlier], c3[round_slot][~earlier])
+
     def test_campaign_day_leaves_the_capacity_book_alone(self, small_setup, scenarios):
         """Capacity events reach only the planner's LP: the shared book
         keeps its values and the very pair objects callers hold."""
@@ -229,25 +263,36 @@ class TestSharedPlanCache:
         assert_same_day_result(after[30], fresh[30])
 
 
-class TestSplice:
-    def test_splice_rewrites_only_future_slots(self):
-        plan = OfflinePlan.from_assignment(
-            {(0, "cfg", "dc1", "wan"): 5.0, (3, "cfg", "dc1", "wan"): 7.0}
+class TestArrayRounds:
+    def test_rounds_build_no_tables_and_one_plan_per_day(
+        self, small_setup, scenarios, monkeypatch
+    ):
+        """A campaign day's rounds pass the estimate matrix in and take
+        the column values out: no demand table is folded, no round's
+        assignment table is read, and one plan is built for the replay
+        and the overflow count."""
+        seen = []
+        monkeypatch.setattr(
+            PlanCache, "demand_counts", lambda *args, **kwargs: seen.append("table")
         )
-        plan.splice(2, {(3, "cfg", "dc2", "internet"): 4.0})
-        assert plan.entry(0, "cfg").buckets == {("dc1", "wan"): 5.0}
-        assert plan.entry(3, "cfg").buckets == {("dc2", "internet"): 4.0}
+        eager = JointLpResult.assignment
+        monkeypatch.setattr(
+            JointLpResult,
+            "assignment",
+            property(lambda result: seen.append("assignment") or eager.fget(result)),
+        )
+        init = OfflinePlan.__init__
 
-    def test_splice_drops_stale_entries_without_replacement(self):
-        plan = OfflinePlan.from_assignment({(4, "cfg", "dc1", "wan"): 5.0})
-        plan.splice(2, {})
-        assert plan.entry(4, "cfg") is None
+        def counting(plan):
+            seen.append("plan")
+            init(plan)
 
-    def test_splice_ignores_past_and_nonpositive_counts(self):
-        plan = OfflinePlan()
-        plan.splice(2, {(1, "cfg", "dc1", "wan"): 5.0, (3, "cfg", "dc1", "wan"): 0.0})
-        assert plan.entry(1, "cfg") is None
-        assert plan.entry(3, "cfg") is None
+        monkeypatch.setattr(OfflinePlan, "__init__", counting)
+        result = run_campaign_day(
+            replace(small_setup), scenarios["fiber-cut"], day=DAY, evaluate=False
+        )
+        assert seen == ["plan"]
+        assert len(result.replan_events) == SLOTS // 8
 
 
 class TestQuotaOverflow:

@@ -56,6 +56,21 @@ class TestCallTableEquivalence:
         assert len(table) == len(calls)
         assert table.to_calls() == calls
 
+    def test_table_matches_scalar_on_one_two_and_three_country_configs(self):
+        """Only multi-country configs search for their first joiner (a
+        single-country config's is always its one country).  A universe
+        of one international pair has 2- and 3-country configs and no
+        duplicates."""
+        universe = ConfigUniverse(default_world().europe_countries, max_international_pairs=1)
+        two_pairs = DemandModel(universe, daily_calls=10_000)
+        start = 30 * SLOTS_PER_DAY + 20
+        table = TraceGenerator(two_pairs, seed=5).table_for_window(start, 2)
+        calls = TraceGenerator(two_pairs, seed=5).calls_for_window(start, 2)
+        assert table.to_calls() == calls
+        assert {len(call.config.countries) for call in calls} == {1, 2, 3}
+        joiners = {call.config.countries.index(call.first_joiner_country) for call in calls}
+        assert joiners == {0, 1, 2}
+
     def test_lazy_call_views(self, demand):
         generator = TraceGenerator(demand, top_n_configs=50, seed=11)
         table = generator.table_for_window(20, 2)

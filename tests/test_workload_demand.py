@@ -1,7 +1,10 @@
 """Tests for the synthetic demand process and trace generator."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.geo.world import default_world
 from repro.workload.configs import CallConfig
@@ -14,6 +17,39 @@ from repro.workload.demand import (
 )
 from repro.workload.media import AUDIO
 from repro.workload.traces import Call, TraceGenerator
+
+
+def full_poisson_walk(u, lam):
+    """Poisson inverse CDF walking every small-rate entry until the
+    largest rate resolves: the sampler's counts before it compacted
+    resolved entries away, kept as the reference."""
+    from repro.workload.demand import _SMALL_LAMBDA
+
+    out = np.zeros(lam.shape, dtype=np.int64)
+    small = lam <= _SMALL_LAMBDA
+    if small.any():
+        ls, us = lam[small], u[small]
+        pmf = np.exp(-ls)
+        cdf = pmf.copy()
+        counts = np.zeros(ls.shape, dtype=np.int64)
+        unresolved = us >= cdf
+        peak = float(ls.max())
+        k_max = int(math.ceil(peak + 12.0 * math.sqrt(peak) + 20.0))
+        k = 0
+        while k < k_max and unresolved.any():
+            k += 1
+            counts += unresolved
+            pmf *= ls / k
+            cdf += pmf
+            unresolved &= us >= cdf
+        out[small] = counts
+    large = ~small
+    if large.any():
+        ll, ul = lam[large], u[large]
+        vals = np.ceil(special.pdtrik(ul, ll))
+        vals1 = np.maximum(vals - 1.0, 0.0)
+        out[large] = np.where(special.pdtr(vals1, ll) >= ul, vals1, vals).astype(np.int64)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +232,33 @@ class TestBatchDemand:
         low = _poisson_from_uniform(u, np.full(2000, 128.0))
         high = _poisson_from_uniform(u, np.full(2000, np.nextafter(128.0, 129.0)))
         assert np.abs(low - high).max() <= 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compacted_poisson_walk_matches_the_full_walk(self, seed):
+        """The walk that compacts its resolved entries gives the counts
+        of the walk that carries every entry to the largest rate's end,
+        on rates either side of the small/large threshold."""
+        from repro.workload.demand import _poisson_from_uniform
+
+        rng = np.random.default_rng(seed)
+        rates = np.array([0.0, 1e-3, 0.5, 3.0, 30.0, 127.9, 128.0, 129.0, 500.0])
+        lam = rng.choice(rates, size=(40, 300))
+        u = rng.random(lam.shape)
+        u[:, 0] = 0.0
+        u[:, 1] = 1.0 - 2.0**-53
+        u[0] = 1.0 - 2.0**-53
+        expected = full_poisson_walk(u, lam)
+        assert np.array_equal(_poisson_from_uniform(u, lam), expected)
+        for rate in rates:
+            flat = np.full(u.shape, rate)
+            assert np.array_equal(_poisson_from_uniform(u, flat), full_poisson_walk(u, flat))
+        # One- and two-entry calls (``sample_count``) finish before any
+        # compaction, so they exercise the walk on ``counts`` itself.
+        for i in range(lam.shape[1]):
+            one = (u[1:2, i], lam[1:2, i])
+            two = (u[1:3, i], lam[1:3, i])
+            assert np.array_equal(_poisson_from_uniform(*one), full_poisson_walk(*one))
+            assert np.array_equal(_poisson_from_uniform(*two), full_poisson_walk(*two))
 
     def test_sampled_mean_tracks_rate(self, demand, universe):
         # Aggregate over a peak fortnight: the sampled mean stays close
