@@ -155,11 +155,6 @@ class EvaluationResult:
         total = internet + self.wan_edge_traffic
         return internet / total if total > 0 else 0.0
 
-    @property
-    def e2e_samples(self) -> List[Tuple[float, float]]:
-        """The latency samples as legacy (value, weight) tuples."""
-        return [(float(v), float(w)) for v, w in zip(self.e2e_values, self.e2e_weights)]
-
     def mean_e2e_ms(self) -> float:
         if self.e2e_values.size == 0:
             return 0.0

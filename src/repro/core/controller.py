@@ -27,6 +27,13 @@ Each controller has two processing paths over one sample stream:
   transform of raw uniforms, drawn in the same order as the scalar
   loop, so the batch path reproduces the scalar assignments and
   :class:`ControllerStats` call for call.
+
+Both paths place only the scenario's own traffic.  A first-joiner
+baseline raises :class:`KeyError` on a call whose config has a country
+outside ``scenario.country_codes`` (the error scoring raises for it),
+and the Titan-Next batch path on a plan DC outside
+``scenario.dc_codes``, so every :class:`AssignmentBatch` indexes the
+scenario's own DC list.
 """
 
 from __future__ import annotations
@@ -302,8 +309,7 @@ class _ConfigLoad:
     """Interned per-config resource profile for the capacity tracker."""
 
     cores: float
-    country_idx: Tuple[int, ...]  # -1 for countries outside the scenario
-    country_codes: Tuple[str, ...]
+    country_idx: Tuple[int, ...]
     bandwidths: Tuple[float, ...]
 
 
@@ -317,13 +323,14 @@ class _CapacityTracker:
     row ``n_dc * (1 + c) + d`` the Internet Gbps from country ``c`` to
     DC ``d``, in the scenario's DC and country order, so one slot's
     usage is one contiguous row.  Capacity caps are snapshotted at
-    construction.  The string-keyed methods serve the scalar
-    controllers; the ``*_at`` methods and :meth:`admit_table` are the
-    integer-indexed batch path over the same array.
+    construction.  Every config it is handed must keep to the
+    scenario's countries (:meth:`load_for` raises otherwise).  The
+    string-keyed methods, over the integer-indexed ``*_at`` steps,
+    serve the scalar controllers; :meth:`admit_table` is the bulk path
+    over the same array.
     """
 
     def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
         self.dc_codes = list(scenario.dc_codes)
         self.dc_index = {dc: i for i, dc in enumerate(self.dc_codes)}
         self.country_index = {c: i for i, c in enumerate(scenario.country_codes)}
@@ -341,10 +348,6 @@ class _CapacityTracker:
         self._usage = np.zeros(
             (self._slots, (1 + len(scenario.country_codes)) * len(self.dc_codes))
         )
-        #: Internet usage for participant countries outside the
-        #: scenario's country list (no dense row): a sparse side ledger
-        #: keyed (country, dc index, slot).
-        self._extra_internet: Dict[Tuple[str, int, int], float] = {}
         self._loads: Dict[CallConfig, _ConfigLoad] = {}
 
     @property
@@ -358,10 +361,6 @@ class _CapacityTracker:
         n_dc = len(self.dc_codes)
         return self._usage[:, n_dc:].reshape(self._slots, -1, n_dc).transpose(1, 2, 0)
 
-    def reserve(self, slots: int) -> None:
-        """Pre-grow the slot axis (one resize instead of many)."""
-        self._ensure(slots)
-
     def _ensure(self, slots: int) -> None:
         if slots <= self._slots:
             return
@@ -373,19 +372,22 @@ class _CapacityTracker:
         self._usage, self._slots = usage, new
 
     def load_for(self, config: CallConfig) -> _ConfigLoad:
-        """The interned resource profile of a config."""
+        """The interned resource profile of a config; :class:`KeyError`
+        for a country outside the scenario, as in scoring."""
         load = self._loads.get(config)
         if load is None:
+            for country in config.countries:
+                if country not in self.country_index:
+                    raise KeyError(f"config country {country!r} is not part of the scenario")
             load = _ConfigLoad(
                 config.compute_cores(),
-                tuple(self.country_index.get(c, -1) for c in config.countries),
-                config.countries,
+                tuple(self.country_index[c] for c in config.countries),
                 tuple(config.country_bandwidth_gbps(c) for c in config.countries),
             )
             self._loads[config] = load
         return load
 
-    # -- integer-indexed batch path ---------------------------------------
+    # -- integer-indexed steps of the scalar API --------------------------
 
     def compute_headroom_at(self, dc_i: int, slot: int, cores: float) -> bool:
         self._ensure(slot + 1)
@@ -394,14 +396,8 @@ class _CapacityTracker:
     def internet_headroom_at(self, load: _ConfigLoad, dc_i: int, slot: int) -> bool:
         self._ensure(slot + 1)
         n_dc = len(self.dc_codes)
-        for ci, code, bw in zip(load.country_idx, load.country_codes, load.bandwidths):
-            if ci >= 0:
-                cap = self._pair_caps[ci, dc_i]
-                used = self._usage[slot, n_dc * (1 + ci) + dc_i]
-            else:
-                cap = self.scenario.internet_cap_gbps(code, self.dc_codes[dc_i])
-                used = self._extra_internet.get((code, dc_i, slot), 0.0)
-            if used + bw > cap + 1e-12:
+        for ci, bw in zip(load.country_idx, load.bandwidths):
+            if self._usage[slot, n_dc * (1 + ci) + dc_i] + bw > self._pair_caps[ci, dc_i] + 1e-12:
                 return False
         return True
 
@@ -412,13 +408,10 @@ class _CapacityTracker:
         self._usage[start:end, dc_i] += load.cores
         if internet:
             n_dc = len(self.dc_codes)
-            for ci, code, bw in zip(load.country_idx, load.country_codes, load.bandwidths):
-                if ci >= 0:
-                    self._usage[start:end, n_dc * (1 + ci) + dc_i] += bw
-                else:
-                    for slot in range(start, end):
-                        key = (code, dc_i, slot)
-                        self._extra_internet[key] = self._extra_internet.get(key, 0.0) + bw
+            for ci, bw in zip(load.country_idx, load.bandwidths):
+                self._usage[start:end, n_dc * (1 + ci) + dc_i] += bw
+
+    # -- bulk admission ---------------------------------------------------
 
     def bucket_matrix(self, key_lists: Sequence[Sequence[Tuple[str, str]]]) -> np.ndarray:
         """``(dc, option)`` key lists as rows of bucket ids
@@ -431,30 +424,6 @@ class _CapacityTracker:
         for row, keys in enumerate(key_lists):
             rows[row, : len(keys)] = [2 * self.dc_index[dc] + (opt == INTERNET) for dc, opt in keys]
         return rows
-
-    def walk_at(
-        self, load: _ConfigLoad, buckets: np.ndarray, start: int, end: int, overflow_dc: int
-    ) -> Tuple[int, bool, bool]:
-        """Sequential first fit of one call over its bucket order.
-
-        ``buckets`` is a :meth:`bucket_matrix` row.  Admits the call to
-        the first bucket with compute (and, for the Internet,
-        per-country) headroom at ``start``, else to ``overflow_dc`` over
-        the WAN.  Returns ``(dc, internet, placed)``.
-        """
-        marker = 2 * len(self.dc_codes)
-        for bucket in buckets.tolist():
-            if bucket == marker:
-                break
-            d, inet = bucket >> 1, bool(bucket & 1)
-            if not self.compute_headroom_at(d, start, load.cores):
-                continue
-            if inet and not self.internet_headroom_at(load, d, start):
-                continue
-            self.admit_at(load, d, inet, start, end)
-            return d, inet, True
-        self.admit_at(load, overflow_dc, False, start, end)
-        return overflow_dc, False, False
 
     def admit_table(
         self,
@@ -469,10 +438,15 @@ class _CapacityTracker:
         Call ``i`` tries the buckets of ``orders[order_row[i]]`` (a
         :meth:`bucket_matrix`): in column order, or, given ``keys``, by
         ascending ``keys(lo, hi)[i - lo]`` (one int64 per column for the
-        calls ``lo..hi-1``), ties to the lower column.  The result is
-        exactly that of :meth:`walk_at` run call by call in table order:
-        the same placements and the same usage, bit for bit.  Returns
-        ``(dc, option, unplanned)`` with ``option`` 1 for the Internet.
+        calls ``lo..hi-1``), ties to the lower column, and overflows
+        onto ``overflow_dc``'s WAN when no bucket has headroom.  The
+        result is exactly that of the scalar ``process`` loop, which
+        tries each bucket with :meth:`compute_headroom` and
+        :meth:`internet_headroom` and admits with :meth:`admit`, call by
+        call in table order: the same placements and the same usage,
+        bit for bit.  Returns ``(dc, option, unplanned)`` with
+        ``option`` 1 for the Internet.  A config outside the scenario's
+        countries raises :class:`KeyError` before anything is admitted.
 
         Headroom is checked only at a call's start slot, and within one
         start slot usage only grows.  So each run of rows sharing a
@@ -496,10 +470,8 @@ class _CapacityTracker:
 
         Loads on the slots after the start slot are read only by later
         runs, so they are committed, in call order, when the run ends.
-        Calls with a participant country outside the scenario, whose
-        Internet usage lives in the side ledger, are walked.  Rounds
-        restart at :data:`_FIRST_ROUND` after a break and double while
-        they commit whole.
+        Rounds restart at :data:`_FIRST_ROUND` after a break and double
+        while they commit whole.
         """
         n = len(table)
         dc_out = np.zeros(n, dtype=np.int64)
@@ -507,7 +479,7 @@ class _CapacityTracker:
         if n == 0:
             return dc_out, inet_out, 0
         n_dc = len(self.dc_codes)
-        self.reserve(int(table.end_slot.max()))
+        self._ensure(int(table.end_slot.max()))
         usage = self._usage
         width = usage.shape[1]
         usage_flat = usage.reshape(-1)
@@ -528,11 +500,9 @@ class _CapacityTracker:
         has = np.zeros((len(loads), k_max), dtype=bool)
         for c, load in enumerate(loads):
             k = len(load.bandwidths)
-            # Side-ledger configs are always walked; clamp their rows.
-            countries[c, :k] = np.maximum(load.country_idx, 0)
+            countries[c, :k] = load.country_idx
             gbps[c, :k] = load.bandwidths
             has[c, :k] = True
-        side_cfg = np.asarray([min(load.country_idx) < 0 for load in loads])
         marker = 2 * n_dc
         n_cell = marker + 1
         bucket_dc = np.append(np.arange(marker) >> 1, overflow_dc)
@@ -578,7 +548,7 @@ class _CapacityTracker:
         feasible = np.ones(len(ent_row), dtype=bool)
         roomiest = np.full(width + 1, -np.inf)
 
-        cfg_of, starts, ends = table.config_idx, table.start_slot, table.end_slot
+        cfg_of, starts = table.config_idx, table.start_slot
         ramp = np.arange(n)
         if keys is None:
             # Calls of one (config, order row) pair share their pick: a
@@ -609,22 +579,6 @@ class _CapacityTracker:
                 pick[stale] = np.take(grid, ramp[: len(stale)] * grid.shape[1] + best)
 
         chosen = np.zeros(n, dtype=np.intp)
-
-        def finish(lo: int, hi: int, slot: int) -> int:
-            """Write back the slot's usage and settle calls ``lo..hi-1``:
-            outputs, loads on later slots; returns their overflows."""
-            usage[slot] = cur[:width]
-            bucket = chosen[lo:hi] % n_cell
-            dc_out[lo:hi] = bucket_dc[bucket]
-            inet_out[lo:hi] = bucket_inet[bucket]
-            long = lo + np.flatnonzero(table.duration_slots[lo:hi] > 1)
-            _commit_later(
-                usage_flat, slot, width, np.take(ent_row, chosen[long], axis=0),
-                np.take(ent_load, chosen[long], axis=0), table.duration_slots[long],
-            )
-            return int(np.count_nonzero(bucket == marker))
-
-        side_calls = np.flatnonzero(side_cfg[cfg_of])
         bounds = (np.flatnonzero(np.diff(starts)) + 1).tolist()
         unplanned = 0
         for lo, hi in zip([0] + bounds, bounds + [n]):
@@ -636,66 +590,60 @@ class _CapacityTracker:
                 run_keys = keys(lo, hi)
                 best = order_row[lo:hi] * orders.shape[1] + run_keys.argmin(axis=1)
                 first = np.take(orders, best) + cfg_of[lo:hi] * n_cell
-            stops = side_calls[
-                np.searchsorted(side_calls, lo) : np.searchsorted(side_calls, hi)
-            ].tolist()
-            seg_lo = pos = lo
+            pos = lo
             size = _FIRST_ROUND
-            for stop in stops + [hi]:
-                while pos < stop:
-                    cut = min(pos + size, stop)
-                    # (a) Each call's first bucket with headroom.
-                    if keys is None:
-                        cells = np.take(pick, pair_of[pos:cut])
-                    else:
-                        # Calls whose best cell has no headroom take the
-                        # best key among the cells that have.
-                        cells = first[pos - lo : cut - lo].copy()
-                        miss = pos + np.flatnonzero(~np.take(feasible, cells))
-                        if len(miss):
-                            grid = np.take(orders, order_row[miss], axis=0)
-                            grid = grid + cfg_of[miss, None] * n_cell
-                            best = np.where(
-                                np.take(feasible, grid), np.take(run_keys, miss - lo, axis=0), 0
-                            ).argmin(axis=1)
-                            best += ramp[: len(miss)] * grid.shape[1]
-                            cells[miss - pos] = np.take(grid, best)
-                    # (b) Totals in call order; flag the rows that may refuse.
-                    rows = np.take(ent_row, cells, axis=0)
-                    amount = np.take(ent_load, cells, axis=0)
-                    np.copyto(total, cur)
-                    np.add.at(total, rows.reshape(-1), amount.reshape(-1))
-                    flagged = np.flatnonzero(total + roomiest > cap)
-                    brk = cut - pos
-                    if len(flagged):
-                        brk = _first_refused(
-                            cur, flagged, rows, amount, np.take(ent_cap, cells, axis=0)
-                        )
-                    # (c) Commit the calls before the break, in call order.
-                    if brk == cut - pos:
-                        np.copyto(cur, total)
-                        size *= 2
-                    else:
-                        np.add.at(cur, rows[:brk].reshape(-1), amount[:brk].reshape(-1))
-                        size = _FIRST_ROUND
-                    if len(flagged):
-                        refresh(flagged)
-                    chosen[pos : pos + brk] = cells[:brk]
-                    pos += brk
-                if stop < hi:
-                    unplanned += finish(seg_lo, pos, slot)
-                    order = orders[order_row[pos]]
-                    if keys is not None:
-                        order = order[np.argsort(run_keys[pos - lo], kind="stable")]
-                    d, on_inet, ok = self.walk_at(
-                        loads[cfg_of[pos]], order, slot, int(ends[pos]), overflow_dc
+            while pos < hi:
+                cut = min(pos + size, hi)
+                # (a) Each call's first bucket with headroom.
+                if keys is None:
+                    cells = np.take(pick, pair_of[pos:cut])
+                else:
+                    # Calls whose best cell has no headroom take the best
+                    # key among the cells that have.
+                    cells = first[pos - lo : cut - lo].copy()
+                    miss = pos + np.flatnonzero(~np.take(feasible, cells))
+                    if len(miss):
+                        grid = np.take(orders, order_row[miss], axis=0)
+                        grid = grid + cfg_of[miss, None] * n_cell
+                        best = np.where(
+                            np.take(feasible, grid), np.take(run_keys, miss - lo, axis=0), 0
+                        ).argmin(axis=1)
+                        best += ramp[: len(miss)] * grid.shape[1]
+                        cells[miss - pos] = np.take(grid, best)
+                # (b) Totals in call order; flag the rows that may refuse.
+                rows = np.take(ent_row, cells, axis=0)
+                amount = np.take(ent_load, cells, axis=0)
+                np.copyto(total, cur)
+                np.add.at(total, rows.reshape(-1), amount.reshape(-1))
+                flagged = np.flatnonzero(total + roomiest > cap)
+                brk = cut - pos
+                if len(flagged):
+                    brk = _first_refused(
+                        cur, flagged, rows, amount, np.take(ent_cap, cells, axis=0)
                     )
-                    dc_out[pos], inet_out[pos] = d, on_inet
-                    unplanned += not ok
-                    cur[:width] = usage[slot]
-                    refresh(all_rows)
-                    pos = seg_lo = pos + 1
-            unplanned += finish(seg_lo, hi, slot)
+                # (c) Commit the calls before the break, in call order.
+                if brk == cut - pos:
+                    np.copyto(cur, total)
+                    size *= 2
+                else:
+                    np.add.at(cur, rows[:brk].reshape(-1), amount[:brk].reshape(-1))
+                    size = _FIRST_ROUND
+                if len(flagged):
+                    refresh(flagged)
+                chosen[pos : pos + brk] = cells[:brk]
+                pos += brk
+            # Write back the slot's usage and settle the run: outputs,
+            # overflows and loads on later slots.
+            usage[slot] = cur[:width]
+            bucket = chosen[lo:hi] % n_cell
+            dc_out[lo:hi] = bucket_dc[bucket]
+            inet_out[lo:hi] = bucket_inet[bucket]
+            unplanned += int(np.count_nonzero(bucket == marker))
+            long = lo + np.flatnonzero(table.duration_slots[lo:hi] > 1)
+            _commit_later(
+                usage_flat, slot, width, np.take(ent_row, chosen[long], axis=0),
+                np.take(ent_load, chosen[long], axis=0), table.duration_slots[long],
+            )
         return dc_out, inet_out, unplanned
 
     # -- string-keyed scalar API ------------------------------------------
@@ -714,24 +662,6 @@ class _CapacityTracker:
             call.start_slot,
             call.end_slot,
         )
-
-
-class _DcInterner:
-    """Grows a DC code list as batch paths meet plan-only DCs."""
-
-    __slots__ = ("codes", "index")
-
-    def __init__(self, codes: Sequence[str]) -> None:
-        self.codes = list(codes)
-        self.index = {dc: i for i, dc in enumerate(self.codes)}
-
-    def __call__(self, dc: str) -> int:
-        i = self.index.get(dc)
-        if i is None:
-            i = len(self.codes)
-            self.index[dc] = i
-            self.codes.append(dc)
-        return i
 
 
 def _intra_country_guess(country: str, media: str) -> CallConfig:
@@ -996,7 +926,7 @@ def _replay_round(
 
 
 def _snapshot_rows(
-    index: QuotaIndex, touched: np.ndarray, dc_of: _DcInterner
+    index: QuotaIndex, touched: np.ndarray, dc_index: Dict[str, int]
 ) -> Tuple[List[QuotaEntry], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows for the plan entries among the dense ``slot * key_count +
     key`` codes marked in ``touched``.
@@ -1004,7 +934,9 @@ def _snapshot_rows(
     Returns ``(entries, row_of, quota, bucket_dc, bucket_opt)``: the
     entries that exist, each code's row (``len(entries)``, an empty
     sentinel row, where none exists), and per row the quotas and the
-    buckets' DC and option indices, padded with empty buckets.
+    buckets' DC (by ``dc_index``, the scenario's) and option indices,
+    padded with empty buckets.  A bucket on a DC ``dc_index`` lacks
+    raises :class:`KeyError` with the DC code, as scoring does.
     """
     row_of = np.full(len(touched), -1, dtype=np.int32)
     entries: List[QuotaEntry] = []
@@ -1021,33 +953,9 @@ def _snapshot_rows(
     for i, entry in enumerate(entries):
         k = len(entry.keys)
         quota[i, :k] = entry.quota
-        bucket_dc[i, :k] = [dc_of(dc) for dc, _ in entry.keys]
+        bucket_dc[i, :k] = [dc_index[dc] for dc, _ in entry.keys]
         bucket_opt[i, :k] = [_OPTION_INDEX[option] for _, option in entry.keys]
     return entries, row_of, quota, bucket_dc, bucket_opt
-
-
-def _first_use_order(
-    codes: List[str], fixed: int, initial_dc: np.ndarray, final_dc: np.ndarray
-) -> List[str]:
-    """Renumber DCs past the first ``fixed`` in order of first use.
-
-    ``codes`` interns every DC the plan's touched buckets name; a call
-    by call loop would have interned the plan-only ones as placements
-    first used them, initial before final.  Rewrites the two index
-    arrays in place and returns the DC codes in that order.
-    """
-    if len(codes) == fixed:
-        return codes
-    used = np.stack((initial_dc, final_dc), axis=1).reshape(-1)
-    extra = used[used >= fixed]
-    ids, first = np.unique(extra, return_index=True)
-    ids = ids[np.argsort(first)]
-    mapping = np.arange(len(codes))
-    mapping[ids] = fixed + np.arange(len(ids))
-    if len(ids):
-        initial_dc[:] = mapping[initial_dc]
-        final_dc[:] = mapping[final_dc]
-    return codes[:fixed] + [codes[i] for i in ids.tolist()]
 
 
 class TitanNextController:
@@ -1227,17 +1135,21 @@ class TitanNextController:
           :meth:`_CapacityTracker.admit_table`.
 
         Quota accounting runs on the snapshot, so do not interleave
-        with scalar :meth:`process` calls on one controller.
+        with scalar :meth:`process` calls on one controller.  The batch
+        indexes ``scenario.dc_codes``: a plan entry the table reads with
+        a bucket on any other DC raises :class:`KeyError` with that DC's
+        code, the error scoring raises for it.
         """
         n = len(table)
         scenario = self.scenario
-        dc_of = _DcInterner(scenario.dc_codes)
         initial_dc = np.zeros(n, dtype=np.int64)
         initial_opt = np.zeros(n, dtype=np.int64)
         final_dc = np.zeros(n, dtype=np.int64)
         final_opt = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_of.codes)
+            return AssignmentBatch(
+                table, initial_dc, initial_opt, final_dc, final_opt, scenario.dc_codes
+            )
 
         if self._quota_index is None:
             self._quota_index = QuotaIndex(self.plan)
@@ -1254,7 +1166,7 @@ class TitanNextController:
             dtype=np.int32,
         ).reshape(len(codes), len(GUESS_MEDIA))
         fallback = np.asarray(
-            [(dc_of(dc), _OPTION_INDEX[option])
+            [(scenario.dc_index[dc], _OPTION_INDEX[option])
              for dc, option in map(self._fallback_for_country, codes)],
             dtype=np.int64,
         )
@@ -1282,7 +1194,7 @@ class TitanNextController:
         pair_slot, pair_country = np.divmod(np.flatnonzero(seen), n_codes)
         touched[pair_slot[:, None] * n_keys + intra[pair_country]] = True
         entries, row_of, quota, bucket_dc, bucket_opt = _snapshot_rows(
-            index, touched, dc_of
+            index, touched, scenario.dc_index
         )
 
         # Each call's candidates: the row of its first guess, then
@@ -1322,14 +1234,13 @@ class TitanNextController:
 
         for entry, row in zip(entries, quota):
             entry.quota[:] = row[: len(entry.keys)]
-        dc_codes = _first_use_order(
-            dc_of.codes, len(scenario.dc_codes), initial_dc, final_dc
-        )
         self.stats.calls += n
         self.stats.dc_migrations += int(np.count_nonzero(initial_dc != final_dc))
         self.stats.option_migrations += int(np.count_nonzero(initial_opt != final_opt))
         self.stats.unplanned += unplanned
-        return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_codes)
+        return AssignmentBatch(
+            table, initial_dc, initial_opt, final_dc, final_opt, scenario.dc_codes
+        )
 
 
 class FirstJoinerWrr:

@@ -113,6 +113,7 @@ from .scenario import EVAL_OPTION_ORDER
 
 if TYPE_CHECKING:
     from ..analysis.metrics import EvaluationResult
+    from .controller import AssignmentBatch
     from .scenario import Scenario
     from .titan_next import EuropeSetup, PredictionDayResult
 
@@ -535,7 +536,7 @@ class SummaryDayResult:
         return self.summary.stats
 
     @property
-    def assignments(self) -> object:
+    def assignments(self) -> "AssignmentBatch":
         return self.full_result().assignments
 
     def full_result(self) -> "PredictionDayResult":

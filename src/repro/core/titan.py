@@ -67,6 +67,11 @@ class TitanParams:
     gates: QualityGates = field(default_factory=QualityGates)
 
 
+#: Path-median entries :class:`SyntheticPathProber` keeps before it
+#: starts over (one A|B window reads at most 2 options × 24 slots).
+_PATH_MEDIAN_MEMO = 1024
+
+
 class SyntheticPathProber:
     """Adapter that samples per-user path metrics from the net models.
 
@@ -87,6 +92,7 @@ class SyntheticPathProber:
         self.jitter = jitter if jitter is not None else JitterModel(latency.world)
         self.elasticity = elasticity if elasticity is not None else ElasticityModel(latency.world)
         self.mos = mos if mos is not None else MosModel()
+        self._medians: Dict[Tuple[str, str, str, int, int], Tuple[float, float, float]] = {}
 
     def user_metrics(
         self,
@@ -98,10 +104,19 @@ class SyntheticPathProber:
         rng: np.random.Generator,
     ) -> Tuple[float, float, float]:
         """(latency_ms, loss_pct, jitter_ms) for one user in one slot."""
-        hour = slot // 2
-        latency = self.latency.hourly_median_rtt_ms(country_code, dc_code, option, hour)
-        loss = self.loss.slot_loss_pct(country_code, dc_code, option, slot)
-        jitter = self.jitter.slot_jitter_ms(country_code, dc_code, option, slot)
+        # The path medians are pure functions of their arguments and the
+        # WAN topology, so every user of an A|B window shares its slot's.
+        key = (country_code, dc_code, option, slot, self.latency.topology.version)
+        medians = self._medians.get(key)
+        if medians is None:
+            if len(self._medians) >= _PATH_MEDIAN_MEMO:
+                self._medians.clear()
+            medians = self._medians[key] = (
+                self.latency.hourly_median_rtt_ms(country_code, dc_code, option, slot // 2),
+                self.loss.slot_loss_pct(country_code, dc_code, option, slot),
+                self.jitter.slot_jitter_ms(country_code, dc_code, option, slot),
+            )
+        latency, loss, jitter = medians
         if option == INTERNET:
             latency += self.elasticity.rtt_inflation_ms(country_code, dc_code, fraction)
             loss += self.elasticity.loss_inflation_pct(country_code, dc_code, fraction)

@@ -29,7 +29,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from ..workload.traces import CallTable, TraceGenerator
 from .capacity import InternetCapacityBook
 from .controller import (
     AssignmentBatch,
-    CallAssignment,
     ControllerStats,
     FirstJoinerLf,
     FirstJoinerTitan,
@@ -764,13 +763,13 @@ def run_oracle_day(
 class PredictionDayResult:
     """Outcome of one §8 prediction-mode day for one controller.
 
-    ``assignments`` is either a scalar list of
-    :class:`CallAssignment` or an :class:`AssignmentBatch` (the batch
-    controllers' structure-of-arrays output); both iterate as
-    :class:`CallAssignment` views.  ``evaluation`` holds the §7.1
-    score when it was computed where the result was produced (a sweep
-    run with ``evaluate=True`` scores in-pool, against the
-    sweep setup's scenario, so the metric work parallelizes too);
+    ``assignments`` is the controller's :class:`AssignmentBatch`, its
+    structure-of-arrays output, which iterates as
+    :class:`~repro.core.controller.CallAssignment` views.
+    ``evaluation`` holds the §7.1 score when it was computed where the
+    result was produced (a sweep run with ``evaluate=True`` scores
+    in-pool, against the sweep setup's scenario, so the metric work
+    parallelizes too);
     consumers that want the pooled score read it directly —
     :meth:`evaluate` always re-scores against the scenario it is
     given, so scoring a *modified* scenario (the ablation pattern)
@@ -778,27 +777,19 @@ class PredictionDayResult:
     """
 
     policy: str
-    assignments: "List[CallAssignment] | AssignmentBatch"
+    assignments: AssignmentBatch
     stats: Optional[ControllerStats] = None
     evaluation: Optional[object] = None
 
     def realized_table(self, slots_per_day: int = SLOTS_PER_DAY) -> AssignmentTable:
-        if isinstance(self.assignments, AssignmentBatch):
-            from ..analysis.metrics import realized_assignment_table
+        from ..analysis.metrics import realized_assignment_table
 
-            return realized_assignment_table(self.assignments, slots_per_day)
-        table: AssignmentTable = {}
-        for a in self.assignments:
-            key = (a.call.start_slot % slots_per_day, a.call.config, a.final_dc, a.final_option)
-            table[key] = table.get(key, 0.0) + 1.0
-        return table
+        return realized_assignment_table(self.assignments, slots_per_day)
 
     def evaluate(self, scenario: Scenario, slots_per_day: int = SLOTS_PER_DAY):
-        """Score this day through the vectorized evaluation path.
-
-        An :class:`AssignmentBatch` is scored straight off its parallel
-        arrays (no dict-table round trip); a scalar assignment list
-        falls back to its realized table.  Returns an
+        """Score this day through the vectorized evaluation path,
+        straight off the batch's parallel arrays (no dict-table round
+        trip).  Returns an
         :class:`~repro.analysis.metrics.EvaluationResult`.
 
         Always recomputes against the given ``scenario`` — a pooled
@@ -808,11 +799,7 @@ class PredictionDayResult:
         """
         from ..analysis.metrics import evaluate_batch
 
-        if isinstance(self.assignments, AssignmentBatch):
-            return evaluate_batch(
-                scenario, self.assignments, self.policy, slots_per_day=slots_per_day
-            )
-        return evaluate_batch(scenario, self.realized_table(slots_per_day), self.policy)
+        return evaluate_batch(scenario, self.assignments, self.policy, slots_per_day=slots_per_day)
 
 
 def _baseline_controller(setup: EuropeSetup, name: str, seed: int):

@@ -114,6 +114,47 @@ def weighted_difference(
     return differences
 
 
+def _hourly_medians(
+    model: LatencyModel, country_code: str, dc_code: str, hours: int
+) -> List[Tuple[float, float]]:
+    """(Internet, WAN) hourly-median RTTs for hours ``0..hours-1``."""
+    return [
+        (
+            model.hourly_median_rtt_ms(country_code, dc_code, INTERNET, hour),
+            model.hourly_median_rtt_ms(country_code, dc_code, WAN, hour),
+        )
+        for hour in range(hours)
+    ]
+
+
+def _group_fraction_f(
+    model: LatencyModel,
+    medians: Sequence[Tuple[float, float]],
+    country_code: str,
+    city_index: Optional[int],
+    asn_number: Optional[int],
+    threshold_ms: float,
+) -> float:
+    """F for one client group over its country's hourly medians."""
+    # A city's distance from the country centroid shifts both options,
+    # but the hot-potato path feels it slightly more (its peering point
+    # sits near the client).
+    offset = model.city_offset_ms(country_code, city_index) if city_index is not None else None
+    multiplier = (
+        model.asn_multiplier(country_code, asn_number) if asn_number is not None else None
+    )
+    good = 0
+    for internet, wan in medians:
+        if offset is not None:
+            internet += offset
+            wan += 0.85 * offset
+        if multiplier is not None:
+            internet *= multiplier
+        if internet <= wan + threshold_ms:
+            good += 1
+    return good / float(len(medians))
+
+
 def model_fraction_f(
     model: LatencyModel,
     country_code: str,
@@ -129,22 +170,8 @@ def model_fraction_f(
     membership scales the Internet RTT by the ASN's quality multiplier
     (last-mile providers affect the hot-potato path, not the WAN's).
     """
-    good = 0
-    for hour in range(hours):
-        internet = model.hourly_median_rtt_ms(country_code, dc_code, INTERNET, hour)
-        wan = model.hourly_median_rtt_ms(country_code, dc_code, WAN, hour)
-        if city_index is not None:
-            # A city's distance from the country centroid shifts both
-            # options, but the hot-potato path feels it slightly more
-            # (its peering point sits near the client).
-            offset = model.city_offset_ms(country_code, city_index)
-            internet += offset
-            wan += 0.85 * offset
-        if asn_number is not None:
-            internet *= model.asn_multiplier(country_code, asn_number)
-        if internet <= wan + threshold_ms:
-            good += 1
-    return good / float(hours)
+    medians = _hourly_medians(model, country_code, dc_code, hours)
+    return _group_fraction_f(model, medians, country_code, city_index, asn_number, threshold_ms)
 
 
 def model_granularity_summary(
@@ -161,15 +188,20 @@ def model_granularity_summary(
     campaign before group-level F estimates stabilize; this variant
     computes each group's F deterministically from the hourly medians
     and weights groups by population / market share, isolating the true
-    sub-country heterogeneity the figure is about.
+    sub-country heterogeneity the figure is about.  Each (country, DC)
+    cell's hourly medians are computed once and shared by its groups.
     """
     world = model.world
     summary: Dict[str, Dict[str, float]] = {}
+    cells: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
     for granularity in granularities:
         values: List[float] = []
         for dc in dcs:
             for country in countries:
-                f_c = model_fraction_f(model, country, dc, hours=hours, threshold_ms=threshold_ms)
+                medians = cells.get((country, dc))
+                if medians is None:
+                    medians = cells[(country, dc)] = _hourly_medians(model, country, dc, hours)
+                f_c = _group_fraction_f(model, medians, country, None, None, threshold_ms)
                 if f_c <= 0:
                     continue
                 cities = world.cities(country)
@@ -189,8 +221,8 @@ def model_granularity_summary(
                     ]
                 d = 0.0
                 for weight, city_index, asn_number in groups:
-                    f_i = model_fraction_f(
-                        model, country, dc, city_index, asn_number, hours, threshold_ms
+                    f_i = _group_fraction_f(
+                        model, medians, country, city_index, asn_number, threshold_ms
                     )
                     d += abs(f_i - f_c) * weight / f_c
                 values.append(d)

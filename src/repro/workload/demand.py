@@ -19,8 +19,10 @@ APIs are thin views of the same stream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -131,6 +133,14 @@ def _poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         vals1 = np.maximum(vals - 1.0, 0.0)
         out[large] = np.where(special.pdtr(vals1, ll) >= ul, vals1, vals).astype(np.int64)
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _day_shock(seed: int, sigma: float, day: int) -> float:
+    """:meth:`DemandModel.day_shock`, memoized: a pure function of its
+    arguments, read once per (config, slot) by the scalar samplers."""
+    rng = np.random.default_rng((seed, 0xD45, day))
+    return float(np.exp(rng.normal(0.0, sigma)))
 
 
 def diurnal_factor(slot_of_day: int) -> float:
@@ -306,8 +316,7 @@ class DemandModel:
 
     def day_shock(self, day: int) -> float:
         """Market-wide demand multiplier for a day (shared across configs)."""
-        rng = np.random.default_rng((self.seed, 0xD45, day))
-        return float(np.exp(rng.normal(0.0, self.day_shock_sigma)))
+        return _day_shock(self.seed, self.day_shock_sigma, operator.index(day))
 
     def day_shocks(self, start_day: int, days: int) -> np.ndarray:
         """``day_shock`` for a run of days, as an array."""

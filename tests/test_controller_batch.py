@@ -6,14 +6,16 @@ the same :class:`ControllerStats` *and* the same per-call placements.
 The first-joiner baselines admit in bulk, so they are also checked
 where that is hardest: under heavy contention on Europe and the four
 zoo scenarios, on tables that are not slot-major, across split tables,
-with participant countries outside the scenario (the tracker's side
-ledger), and on WRR's tie cases and degenerate capacity — down to the
-tracker's usage arrays, bit for bit.
+and on WRR's tie cases and degenerate capacity — down to the tracker's
+usage arrays, bit for bit.  Traffic outside the scenario is rejected,
+not replayed: a participant country outside it raises in both WRR and
+LF paths, and a plan DC outside it in Titan-Next's batch path.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import evaluate_batch
 from repro.core.capacity import InternetCapacityBook
 from repro.core.controller import (
     AssignmentBatch,
@@ -32,6 +34,7 @@ from repro.core.titan_next import (
     predicted_demand_for_day,
     run_prediction_day,
 )
+from repro.net.latency import WAN
 from repro.scenarios.factory import build_scenario
 from repro.workload.configs import CallConfig
 from repro.workload.traces import CallTable, TraceGenerator
@@ -165,11 +168,10 @@ class TestBatchEquivalence:
             assert batch.to_list() == []
 
 
-def _scaled_copy(scenario, factor, extra_gbps=None, fractions=None, compute_factor=None):
+def _scaled_copy(scenario, factor, fractions=None, compute_factor=None):
     """``scenario`` with every pair's Internet Gbps scaled by ``factor``
     and compute caps by ``compute_factor`` (default ``factor``);
-    ``extra_gbps`` sets ``{(country, dc): Gbps}`` and ``fractions``
-    ``{(country, dc): Internet fraction}``."""
+    ``fractions`` sets ``{(country, dc): Internet fraction}``."""
     book = InternetCapacityBook()
     book.restore(
         {
@@ -177,8 +179,6 @@ def _scaled_copy(scenario, factor, extra_gbps=None, fractions=None, compute_fact
             for key, (fraction, gbps, disabled) in scenario.capacity_book.snapshot().items()
         }
     )
-    for (country, dc), gbps in (extra_gbps or {}).items():
-        book.set_gbps(country, dc, gbps)
     for (country, dc), fraction in (fractions or {}).items():
         book.set_fraction(country, dc, fraction)
     compute_factor = factor if compute_factor is None else compute_factor
@@ -218,7 +218,6 @@ def _replay_both(scenario, tables, make):
         ours, theirs = getattr(batched.tracker, usage), getattr(scalar.tracker, usage)
         assert ours.shape == theirs.shape
         assert ours.tobytes() == theirs.tobytes()
-    assert batched.tracker._extra_internet == scalar.tracker._extra_internet
     return scalar
 
 
@@ -313,24 +312,31 @@ class TestBulkAdmissionEquivalence:
         _replay_both(contended, [first, second], make)
 
     @FIRST_JOINER
-    def test_side_ledger_matches_scalar(self, small_setup, make):
-        """A participant country outside the scenario has no dense
-        usage row: its Internet load goes to the tracker's side ledger,
-        which must fill (and refuse) exactly as in the scalar loop."""
+    def test_outside_country_rejected(self, small_setup, make):
+        """A participant country outside the scenario has no usage row:
+        the scalar loop and the bulk path both raise the KeyError that
+        scoring raises for it."""
         scenario = small_setup.scenario
         outside = "US"
         assert outside not in scenario.country_codes
-        scaled = _scaled_copy(
-            scenario, 0.5, {(outside, dc): 0.02 for dc in scenario.dc_codes}
-        )
         configs = [
-            CallConfig.from_counts({"GB": 2, outside: 1}, "video"),
             CallConfig.from_counts({"GB": 3}, "video"),
-            CallConfig.from_counts({"FR": 1, outside: 2}, "audio"),
+            CallConfig.from_counts({"GB": 2, outside: 1}, "video"),
         ]
-        table = _mixed_table(configs, 600, seed=2)  # first joiners GB / FR
-        scalar = _replay_both(scaled, [table], make)
-        assert scalar.tracker._extra_internet
+        table = _mixed_table(configs, 50, seed=2)  # first joiners GB
+        assert (table.config_idx == 1).any()
+        message = (f"config country {outside!r} is not part of the scenario",)
+        with pytest.raises(KeyError) as scoring:
+            scenario.eval_tables(configs)
+        assert scoring.value.args == message
+        scalar = make(scenario)
+        with pytest.raises(KeyError) as loop:
+            for call in table.to_calls():
+                scalar.process(call)
+        assert loop.value.args == message
+        with pytest.raises(KeyError) as bulk:
+            make(scenario).process_table(table)
+        assert bulk.value.args == message
 
 
 class TestFirstJoinerEdgeCases:
@@ -429,9 +435,9 @@ def _exhausted_entries(plan, slots):
 def _titan_next_both(scenario, assignment, tables, reduce_configs=True):
     """Scalar :meth:`process` over every table vs one ``process_table``
     per table on a twin controller: equal placements and stats after
-    each table, and DC codes that start with the scenario's.  The last
-    table replays against the carried state (quota snapshot, stream
-    position, recent keys).  Returns the scalar controller."""
+    each table, and the scenario's DC codes.  The last table replays
+    against the carried state (quota snapshot, stream position, recent
+    keys).  Returns the scalar controller."""
     scalar, batched = (
         TitanNextController(
             scenario, OfflinePlan.from_assignment(assignment), seed=7,
@@ -444,7 +450,7 @@ def _titan_next_both(scenario, assignment, tables, reduce_configs=True):
         batch = batched.process_table(table)
         assert _placements(batch) == _placements(reference)
         assert batched.stats == scalar.stats
-        assert batch.dc_codes[: len(scenario.dc_codes)] == tuple(scenario.dc_codes)
+        assert batch.dc_codes == tuple(scenario.dc_codes)
     return scalar
 
 
@@ -529,31 +535,22 @@ class TestTitanNextBulkEquivalence:
             reduce_configs=False,
         )
 
-    def test_plan_dc_outside_scenario(self, small_setup, plan_assignment, day_table):
-        """Plan-only DCs are numbered after the scenario's, in order of
-        first use (initial before final), as a call-by-call loop would."""
+    def test_rejects_plan_dc_outside_scenario(self, small_setup, plan_assignment, day_table):
+        """The batch indexes the scenario's DCs: a plan moved onto
+        another DC raises the KeyError scoring raises for it."""
         scenario = small_setup.scenario
-        outside = [dc.code for dc in scenario.world.dcs if dc.code not in scenario.dc_codes]
-        moved = {"ireland": outside[0], "uk-south": outside[1]}
-        assignment = dict(plan_assignment)
-        for (slot, config, dc, option), count in plan_assignment.items():
-            if dc in moved:
-                assignment[(slot, config, moved[dc], option)] = count / 2
-            # A bucket too small to pick: its DC is never used.
-            assignment[(slot, config, outside[2], option)] = QUOTA_EPS / 2
-        scalar = TitanNextController(scenario, OfflinePlan.from_assignment(assignment), seed=7)
-        reference = [scalar.process(call) for call in day_table.to_calls()]
-        _titan_next_both(scenario, assignment, [day_table])
-        batched = TitanNextController(scenario, OfflinePlan.from_assignment(assignment), seed=7)
-        first_use = []
-        for a in reference:
-            for dc in (a.initial_dc, a.final_dc):
-                if dc not in scenario.dc_codes and dc not in first_use:
-                    first_use.append(dc)
-        assert sorted(first_use) == sorted(outside[:2])
-        assert batched.process_table(day_table).dc_codes == tuple(scenario.dc_codes) + tuple(
-            first_use
-        )
+        outside = next(dc.code for dc in scenario.world.dcs if dc.code not in scenario.dc_codes)
+        assignment = {
+            (slot, config, outside if dc == "ireland" else dc, option): count
+            for (slot, config, dc, option), count in plan_assignment.items()
+        }
+        controller = TitanNextController(scenario, OfflinePlan.from_assignment(assignment), seed=7)
+        with pytest.raises(KeyError) as error:
+            controller.process_table(day_table)
+        assert error.value.args == (outside,)
+        with pytest.raises(KeyError) as scoring:
+            evaluate_batch(scenario, {(30, day_table.configs[0], outside, WAN): 1.0})
+        assert scoring.value.args == (outside,)
 
     def test_chain_picks_reproduce_weighted_pick(self):
         """The lockstep walk against :func:`weighted_pick` and the
@@ -604,16 +601,19 @@ class TestAssignmentBatch:
         assert all(not a.dc_migrated for a in batch)
 
     def test_realized_table_matches_per_call_accumulation(self, small_setup, day_table):
+        """The group-by fold equals a per-call dict accumulation, on the
+        day's own slot grid and on a coarser one."""
         from repro.analysis.metrics import realized_assignment_table
 
         controller = FirstJoinerWrr(small_setup.scenario, seed=3)
         batch = controller.process_table(day_table)
-        vectorized = realized_assignment_table(batch, slots_per_day=48)
-        manual = {}
-        for a in batch:
-            key = (a.call.start_slot % 48, a.call.config, a.final_dc, a.final_option)
-            manual[key] = manual.get(key, 0.0) + 1.0
-        assert vectorized == manual
+        for slots_per_day in (48, 16):
+            vectorized = realized_assignment_table(batch, slots_per_day=slots_per_day)
+            manual = {}
+            for a in batch:
+                key = (a.call.start_slot % slots_per_day, a.call.config, a.final_dc, a.final_option)
+                manual[key] = manual.get(key, 0.0) + 1.0
+            assert vectorized == manual
 
 
 @pytest.mark.slow

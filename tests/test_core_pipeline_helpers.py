@@ -172,25 +172,3 @@ class TestPlanningError:
         error = PlanningError("LF LP failed at slot 7: error", status="error", slot=7)
         copy = pickle.loads(pickle.dumps(error))
         assert (str(copy), copy.status, copy.day, copy.slot) == (str(error), "error", None, 7)
-
-
-class TestRealizedTableFallback:
-    def test_scalar_assignment_list_matches_batch_table(self, small_setup):
-        """PredictionDayResult.realized_table: list fallback == batch path."""
-        from repro.core.controller import FirstJoinerLf
-        from repro.core.titan_next import PredictionDayResult
-        from repro.workload.traces import TraceGenerator
-
-        generator = TraceGenerator(
-            small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=71
-        )
-        table = generator.table_for_window(30 * 48, 4)
-        batch = FirstJoinerLf(small_setup.scenario).process_table(table)
-        assert len(batch) > 0
-        batch_result = PredictionDayResult("lf", batch)
-        scalar_result = PredictionDayResult("lf", batch.to_list())
-        assert scalar_result.realized_table() == batch_result.realized_table()
-        # Same fold-back on a non-default slot grid, too.
-        assert scalar_result.realized_table(slots_per_day=16) == batch_result.realized_table(
-            slots_per_day=16
-        )

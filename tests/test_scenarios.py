@@ -1,6 +1,6 @@
 """Scenario-zoo suite: the RTT table, the fit, the factory, the sweeps.
 
-Four contracts pinned here:
+Five contracts pinned here:
 
 * the shipped RTT snapshot is well-formed — symmetric, plausible units,
   every key a known Azure region of a catalog DC;
@@ -13,7 +13,9 @@ Four contracts pinned here:
   (the stream regression ``build_europe_setup`` shipped a fix for);
 * every registered scenario survives the process boundary: pickle
   round-trip, and a pooled sweep with compact results
-  (``return_tables=False``) reproducing the serial loop byte for byte.
+  (``return_tables=False``) reproducing the serial loop byte for byte;
+* every setup's config universe keeps to the scenario's countries,
+  which is what lets replay reject any other country.
 """
 
 import pickle
@@ -233,6 +235,19 @@ class TestScenarioBundleShape:
         assert clone.scenario.latency.base_rtt_ms(
             country, dc, INTERNET
         ) == zoo[name].scenario.latency.base_rtt_ms(country, dc, INTERNET)
+
+
+class TestScenarioTraffic:
+    @pytest.mark.parametrize("name", ["europe"] + list(SCENARIO_SPECS))
+    def test_every_config_country_is_a_scenario_country(self, name):
+        """Replay and scoring reject a config country outside the
+        scenario (``KeyError``), so every config a setup's universe can
+        emit keeps to the scenario's client countries."""
+        setup = build_europe_setup() if name == "europe" else build_scenario(name)
+        emitted = {
+            country for demand in setup.universe.demands for country in demand.config.countries
+        }
+        assert emitted <= set(setup.scenario.country_codes)
 
 
 class TestScenarioSweeps:
