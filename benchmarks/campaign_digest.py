@@ -7,7 +7,9 @@ timeline).  Each digest covers everything a campaign day produces: the
 placement arrays of the replayed ``AssignmentBatch`` and its
 ``dc_codes``, the ``ControllerStats``, ``overflow_calls``,
 ``infeasible_rounds``, the evaluation's sum of peaks, and every
-``ReplanEvent`` (its floats by ``repr``).
+``ReplanEvent`` (its floats by ``repr``).  Index arrays are hashed by
+value, as int64 (:func:`update_index_array`), so a change to their
+storage dtype leaves the digests as they are.
 
 The package is imported from ``--src DIR`` (the directory that holds
 ``repro``), so a parent commit extracted with ``git archive`` can be
@@ -27,6 +29,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 #: (label, builder, keyword arguments, campaign days).
 SETUPS = (
     ("emea-50k-top200", "emea", {"daily_calls": 50_000, "top_n_configs": 200}, (30,)),
@@ -35,6 +39,16 @@ SETUPS = (
 )
 
 BATCH_ARRAYS = ("initial_dc_idx", "initial_option_idx", "final_dc_idx", "final_option_idx")
+
+
+def update_index_array(digest, name: str, array) -> None:
+    """Feed one integer index array to ``digest`` by value: its int64
+    copy, under the int64 dtype string, so the digest does not depend
+    on the dtype the array is stored in (for int64 input it is the
+    array's own bytes)."""
+    wide = np.ascontiguousarray(array, dtype=np.int64)
+    digest.update(f"{name}{wide.dtype.str}{wide.shape}".encode())
+    digest.update(wide.tobytes())
 
 
 def _build(name: str, sizes: dict):
@@ -56,9 +70,7 @@ def campaign_digest(result) -> str:
     """sha256 over one ``StressCampaignResult``'s outputs."""
     digest = hashlib.sha256()
     for name in BATCH_ARRAYS:
-        array = getattr(result.batch, name)
-        digest.update(f"{name}{array.dtype.str}{array.shape}".encode())
-        digest.update(array.tobytes())
+        update_index_array(digest, name, getattr(result.batch, name))
     stats = result.stats
     digest.update(repr(tuple(result.batch.dc_codes)).encode())
     digest.update(

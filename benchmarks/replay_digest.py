@@ -9,7 +9,11 @@ controller's ``ControllerStats`` and, for the capacity-tracked
 baselines (WRR, LF), the tracker's usage array.  Titan-Next replays the
 plan ``plan_day`` solves on the day's Holt-Winters forecast.  The
 controllers take the seeds ``run_prediction_day`` gives them for trace
-seed 71.
+seed 71.  Before them, one ``<label> day30 table`` line per setup
+digests the trace itself: the ``CallTable``'s four columns, its
+``id_offset`` and its config tuple.  Index arrays are hashed by value,
+as int64, so a change to their storage dtype leaves every digest as it
+is.
 
 The package is imported from ``--src DIR`` (the directory that holds
 ``repro``), so a parent commit extracted with ``git archive`` can be
@@ -29,7 +33,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from campaign_digest import BATCH_ARRAYS, _build
+from campaign_digest import BATCH_ARRAYS, _build, update_index_array
 
 #: (label, builder, keyword arguments).
 SETUPS = (
@@ -41,14 +45,23 @@ SETUPS = (
 DAY = 30
 TRACE_SEED = 71
 
+TABLE_ARRAYS = ("config_idx", "start_slot", "duration_slots", "first_joiner_idx")
+
+
+def table_digest(table) -> str:
+    """sha256 over one trace's columns, id offset and configs."""
+    digest = hashlib.sha256()
+    for name in TABLE_ARRAYS:
+        update_index_array(digest, name, getattr(table, name))
+    digest.update(f"{table.id_offset}|{list(map(str, table.configs))}".encode())
+    return digest.hexdigest()
+
 
 def replay_digest(controller, batch) -> str:
     """sha256 over one replay's placements, stats and tracker usage."""
     digest = hashlib.sha256()
     for name in BATCH_ARRAYS:
-        array = getattr(batch, name)
-        digest.update(f"{name}{array.dtype.str}{array.shape}".encode())
-        digest.update(array.tobytes())
+        update_index_array(digest, name, getattr(batch, name))
     digest.update(repr(tuple(batch.dc_codes)).encode())
     digest.update(repr(controller.stats).encode())
     tracker = getattr(controller, "tracker", None)
@@ -105,6 +118,7 @@ def main(argv=None) -> int:
         table = TraceGenerator(
             setup.demand, top_n_configs=setup.top_n_configs, seed=TRACE_SEED
         ).table_for_day(DAY)
+        print(f"{label} day{DAY} table {table_digest(table)}")
         plan = plan_day(setup, predicted_demand_for_day(setup, DAY), DAY)
         for policy, controller in _controllers(setup, plan):
             batch = controller.process_table(table)

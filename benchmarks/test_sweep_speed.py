@@ -12,11 +12,13 @@ The fan-out's result channel: at millions of calls per day a pooled
 sweep spends much of its time pickling every day's full tables back
 to the parent.  ``return_tables=False`` ships compact ``DaySummary``
 rows instead, and a summary must pickle at least 10x smaller than the
-full result it summarizes.  (Measured on a 2-vCPU host at 1M
-calls/day x 4 days on 2 workers, the compact channel used 6.3-6.7 CPU-s
-and 360 MiB peak RSS against 7.7-8.6 CPU-s and 895 MiB with full
-results; setup shipping is ~0.2-0.3 MB per worker and not worth a
-shared-memory arena.)
+full result it summarizes.  Both store their index columns narrow:
+on the 55k-call day below the summary pickles to ~21 kB and the full
+result to ~499 kB, 23.8x.  (Measured on a 2-vCPU host at 1M
+calls/day x 4 days on 2 workers, before the columns were narrowed, the
+compact channel used 6.3-6.7 CPU-s and 360 MiB peak RSS against
+7.7-8.6 CPU-s and 895 MiB with full results; setup shipping is
+~0.2-0.3 MB per worker and not worth a shared-memory arena.)
 
 Needs real CPUs: the speedup pin is skipped when fewer than 4 are
 available to this process (the nightly CI runners have them; a 1-core

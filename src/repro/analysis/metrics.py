@@ -188,7 +188,7 @@ def realized_assignment_table(
     calls = batch.table
     rows = np.stack(
         [
-            calls.start_slot % slots_per_day,
+            np.remainder(calls.start_slot, slots_per_day, dtype=np.int64),
             calls.config_idx,
             batch.final_dc_idx,
             batch.final_option_idx,
@@ -330,14 +330,18 @@ def _rows_from_batch(scenario, batch, slots_per_day: Optional[int]):
 
     The (slot, config, dc, option) rows are packed into one int64 key
     per call — a 1-D ``np.unique`` is several times faster than the
-    row-wise (``axis=0``) variant on these widths.
+    row-wise (``axis=0``) variant on these widths.  The batch's and the
+    table's columns are narrow (:func:`~repro.workload.traces.index_dtype`),
+    so the key is built from the slot widened to int64: every product
+    and sum after it is int64 too.  The returned index arrays are int64
+    and the counts float64.
     """
     table = batch.table
     if not len(batch):
         empty = np.zeros(0, dtype=np.int64)
         return table.configs, empty, empty, empty, empty, np.zeros(0)
     fold = slots_per_day if slots_per_day is not None else scenario.slots_per_day
-    slots = table.start_slot % fold
+    slots = np.remainder(table.start_slot, fold, dtype=np.int64)
     n_cfg = len(table.configs)
     n_dc = len(batch.dc_codes)
     n_opt = len(batch.options)

@@ -45,13 +45,15 @@ import numpy as np
 
 from ..net.latency import INTERNET, WAN
 from ..workload.configs import CallConfig
-from ..workload.traces import Call, CallTable
+from ..workload.traces import Call, CallTable, index_column, index_dtype
 from .plan import QUOTA_EPS, OfflinePlan, QuotaEntry, QuotaIndex
 from .scenario import Scenario
 
 #: Routing options in batch index order (0 = WAN, 1 = INTERNET).
 ROUTING_OPTION_ORDER: Tuple[str, str] = (WAN, INTERNET)
 _OPTION_INDEX: Dict[str, int] = {opt: i for i, opt in enumerate(ROUTING_OPTION_ORDER)}
+#: The dtype of every batch's option columns.
+_OPTION_DTYPE = index_dtype(len(ROUTING_OPTION_ORDER))
 
 #: Media order the controller tries for its intra-country guesses —
 #: shared by the scalar and batch TitanNext paths, whose call-for-call
@@ -111,6 +113,15 @@ class AssignmentBatch:
     placements.  :class:`CallAssignment` objects are lazy views
     (indexing, iteration), so scalar consumers keep working while batch
     consumers aggregate straight off the arrays.
+
+    The DC columns are stored in
+    :func:`~repro.workload.traces.index_dtype` ``(len(dc_codes))`` and
+    the option columns in ``index_dtype(len(options))``: one byte each
+    per call for up to 127 DCs, where int64 took eight.  The
+    constructor accepts any integer arrays or lists and raises
+    :class:`ValueError` naming the column for an index outside
+    ``[0, bound)``.  Widen a column to int64 before combining it with
+    other indices.
     """
 
     __slots__ = (
@@ -134,12 +145,16 @@ class AssignmentBatch:
         options: Tuple[str, str] = ROUTING_OPTION_ORDER,
     ) -> None:
         self.table = table
-        self.initial_dc_idx = np.asarray(initial_dc_idx, dtype=np.int64)
-        self.initial_option_idx = np.asarray(initial_option_idx, dtype=np.int64)
-        self.final_dc_idx = np.asarray(final_dc_idx, dtype=np.int64)
-        self.final_option_idx = np.asarray(final_option_idx, dtype=np.int64)
         self.dc_codes: Tuple[str, ...] = tuple(dc_codes)
         self.options = options
+        n_dc, n_opt = len(self.dc_codes), len(options)
+        self.initial_dc_idx = index_column(initial_dc_idx, "initial_dc_idx", n_dc)
+        self.initial_option_idx = index_column(initial_option_idx, "initial_option_idx", n_opt)
+        self.final_dc_idx = index_column(final_dc_idx, "final_dc_idx", n_dc)
+        self.final_option_idx = index_column(final_option_idx, "final_option_idx", n_opt)
+        for name in ("initial_dc_idx", "initial_option_idx", "final_dc_idx", "final_option_idx"):
+            if len(getattr(self, name)) != len(table):
+                raise ValueError(f"{name} must have one entry per call")
 
     def __len__(self) -> int:
         return len(self.table)
@@ -313,6 +328,10 @@ class _ConfigLoad:
     bandwidths: Tuple[float, ...]
 
 
+#: The load :meth:`_CapacityTracker.admit_table` gives a config no call uses.
+_NO_LOAD = _ConfigLoad(0.0, (), ())
+
+
 class _CapacityTracker:
     """Concurrent compute usage per (DC, slot) and Internet Gbps per
     (country, DC, slot) — what first-joiner baselines check before
@@ -445,8 +464,9 @@ class _CapacityTracker:
         :meth:`internet_headroom` and admits with :meth:`admit`, call by
         call in table order: the same placements and the same usage,
         bit for bit.  Returns ``(dc, option, unplanned)`` with
-        ``option`` 1 for the Internet.  A config outside the scenario's
-        countries raises :class:`KeyError` before anything is admitted.
+        ``option`` 1 for the Internet.  A config some call uses that
+        leaves the scenario's countries raises :class:`KeyError` before
+        anything is admitted; configs no call uses are not read.
 
         Headroom is checked only at a call's start slot, and within one
         start slot usage only grows.  So each run of rows sharing a
@@ -474,11 +494,11 @@ class _CapacityTracker:
         while they commit whole.
         """
         n = len(table)
-        dc_out = np.zeros(n, dtype=np.int64)
-        inet_out = np.zeros(n, dtype=np.int64)
+        n_dc = len(self.dc_codes)
+        dc_out = np.zeros(n, dtype=index_dtype(n_dc))
+        inet_out = np.zeros(n, dtype=_OPTION_DTYPE)
         if n == 0:
             return dc_out, inet_out, 0
-        n_dc = len(self.dc_codes)
         self._ensure(int(table.end_slot.max()))
         usage = self._usage
         width = usage.shape[1]
@@ -493,7 +513,13 @@ class _CapacityTracker:
         # Internet bucket each country's Gbps on its (country, DC) row.
         # The last bucket is the overflow onto ``overflow_dc``'s WAN,
         # never refused (cap ``inf``).
-        loads = [self.load_for(config) for config in table.configs]
+        # Configs no call uses take a zero load, so they need not keep
+        # to the scenario's countries.
+        used = np.bincount(table.config_idx, minlength=len(table.configs)) > 0
+        loads = [
+            self.load_for(config) if use else _NO_LOAD
+            for config, use in zip(table.configs, used)
+        ]
         k_max = max(len(load.bandwidths) for load in loads)
         countries = np.zeros((len(loads), k_max), dtype=np.intp)
         gbps = np.zeros((len(loads), k_max))
@@ -548,12 +574,14 @@ class _CapacityTracker:
         feasible = np.ones(len(ent_row), dtype=bool)
         roomiest = np.full(width + 1, -np.inf)
 
+        # The table's narrow index columns are widened wherever they
+        # join other indices in a cell or pair code.
         cfg_of, starts = table.config_idx, table.start_slot
         ramp = np.arange(n)
         if keys is None:
             # Calls of one (config, order row) pair share their pick: a
             # table kept exact as cells lose their headroom.
-            pair_id = cfg_of * len(orders) + order_row
+            pair_id = cfg_of.astype(np.intp) * len(orders) + order_row
             lookup = np.zeros(len(loads) * len(orders), dtype=np.intp)
             lookup[pair_id] = 1
             pairs = np.flatnonzero(lookup)
@@ -588,8 +616,9 @@ class _CapacityTracker:
             if keys is not None:
                 # The run's keys, and each call's cell of its best key.
                 run_keys = keys(lo, hi)
+                run_cell0 = cfg_of[lo:hi].astype(np.intp) * n_cell
                 best = order_row[lo:hi] * orders.shape[1] + run_keys.argmin(axis=1)
-                first = np.take(orders, best) + cfg_of[lo:hi] * n_cell
+                first = np.take(orders, best) + run_cell0
             pos = lo
             size = _FIRST_ROUND
             while pos < hi:
@@ -604,7 +633,7 @@ class _CapacityTracker:
                     miss = pos + np.flatnonzero(~np.take(feasible, cells))
                     if len(miss):
                         grid = np.take(orders, order_row[miss], axis=0)
-                        grid = grid + cfg_of[miss, None] * n_cell
+                        grid = grid + run_cell0[miss - lo, None]
                         best = np.where(
                             np.take(feasible, grid), np.take(run_keys, miss - lo, axis=0), 0
                         ).argmin(axis=1)
@@ -948,8 +977,9 @@ def _snapshot_rows(
     row_of[row_of < 0] = len(entries)
     shape = (len(entries) + 1, max((len(entry.keys) for entry in entries), default=1))
     quota = np.zeros(shape)
-    bucket_dc = np.zeros(shape, dtype=np.int64)
-    bucket_opt = np.zeros(shape, dtype=np.int64)
+    # In the dtypes of the batch's DC and option columns.
+    bucket_dc = np.zeros(shape, dtype=index_dtype(len(dc_index)))
+    bucket_opt = np.zeros(shape, dtype=_OPTION_DTYPE)
     for i, entry in enumerate(entries):
         k = len(entry.keys)
         quota[i, :k] = entry.quota
@@ -1142,10 +1172,11 @@ class TitanNextController:
         """
         n = len(table)
         scenario = self.scenario
-        initial_dc = np.zeros(n, dtype=np.int64)
-        initial_opt = np.zeros(n, dtype=np.int64)
-        final_dc = np.zeros(n, dtype=np.int64)
-        final_opt = np.zeros(n, dtype=np.int64)
+        dc_dtype = index_dtype(len(scenario.dc_codes))
+        initial_dc = np.zeros(n, dtype=dc_dtype)
+        initial_opt = np.zeros(n, dtype=_OPTION_DTYPE)
+        final_dc = np.zeros(n, dtype=dc_dtype)
+        final_opt = np.zeros(n, dtype=_OPTION_DTYPE)
         if n == 0:
             return AssignmentBatch(
                 table, initial_dc, initial_opt, final_dc, final_opt, scenario.dc_codes
@@ -1184,7 +1215,7 @@ class TitanNextController:
         # ``slot * n_keys + key``, snapshotted into the rows of one quota
         # matrix whose last row is an empty sentinel for the rest.
         n_keys, n_codes = index.key_count, len(codes)
-        slot = (table.start_slot % scenario.slots_per_day).astype(np.int32)
+        slot = np.remainder(table.start_slot, scenario.slots_per_day, dtype=np.int32)
         touched = np.zeros(scenario.slots_per_day * n_keys, dtype=bool)
         touched[slot * n_keys + true_key] = True
         touched[(slot * n_keys + guess)[guess >= 0]] = True
@@ -1458,11 +1489,11 @@ class FirstJoinerTitan:
         dc_idx = np.minimum(
             np.searchsorted(self._cum_probs, uniforms[0::2], side="right"),
             len(dc_codes) - 1,
-        ).astype(np.int64)
+        ).astype(index_dtype(len(dc_codes)))
         fractions = np.asarray(
             [[scenario.internet_fraction(code, dc) for dc in dc_codes] for code in codes]
         )
-        option_idx = (uniforms[1::2] < fractions[country_of_call, dc_idx]).astype(np.int64)
+        option_idx = (uniforms[1::2] < fractions[country_of_call, dc_idx]).astype(_OPTION_DTYPE)
         self.stats.calls += n
         return AssignmentBatch(
             table, dc_idx, option_idx, dc_idx.copy(), option_idx.copy(), dc_codes

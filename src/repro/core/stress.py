@@ -376,7 +376,9 @@ def quota_overflow(plan, table, slots_per_day: int, reduce_configs: bool = True)
     batch replay (the batch controller consumes a snapshot, not the
     plan itself).
     """
-    slot_of_day = np.asarray(table.start_slot) % slots_per_day
+    # Widened: the table's columns are narrow, and the key below
+    # multiplies the slot by the number of plan keys.
+    slot_of_day = np.remainder(table.start_slot, slots_per_day, dtype=np.int64)
     # Realized counts aggregate over each *planning* config's raw
     # members (several raw configs reduce to one plan key), matching
     # the granularity the quota was budgeted at.
@@ -389,8 +391,7 @@ def quota_overflow(plan, table, slots_per_day: int, reduce_configs: bool = True)
             key_id[key] = len(plan_keys)
             plan_keys.append(key)
         raw_to_key[i] = key_id[key]
-    cfg_idx = np.asarray(table.config_idx)
-    flat = slot_of_day * len(plan_keys) + raw_to_key[cfg_idx]
+    flat = slot_of_day * len(plan_keys) + raw_to_key[table.config_idx]
     realized = np.bincount(flat, minlength=slots_per_day * len(plan_keys))
     overflow = 0.0
     for flat_key in np.nonzero(realized)[0]:

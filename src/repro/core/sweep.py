@@ -107,7 +107,7 @@ import numpy as np
 
 from ..workload.configs import CallConfig
 from ..workload.demand import SLOTS_PER_DAY
-from ..workload.traces import TraceGenerator
+from ..workload.traces import TraceGenerator, index_dtype
 from .lp import AssignmentTable, PlanningError
 from .scenario import EVAL_OPTION_ORDER
 
@@ -441,6 +441,14 @@ class DaySummary:
     (``universe.top(top_n_configs)`` order — the ``CallTable.configs``
     tuple); the configs themselves are deliberately *not* shipped,
     since the parent holds an equal universe.
+
+    Every row array is stored narrow, in
+    :func:`~repro.workload.traces.index_dtype` of its bound:
+    ``slots_per_day``, the number of configs, of DCs and of options,
+    and the largest count (the counts are whole calls, so an integer
+    column holds them exactly).  On a Europe top-100 day that is 6
+    bytes per row, not 40.  :class:`SummaryDayResult` widens them back
+    to int64 and the counts to float64 before scoring.
     """
 
     policy: str
@@ -482,17 +490,18 @@ def summarize_day_result(
         evaluation = _evaluate_rows(
             scenario, configs, slot, cfg, dc, opt, counts, policy_name=result.policy
         )
+    dc_codes = tuple(scenario.dc_codes)
     return DaySummary(
         policy=result.policy,
         day=day,
         seed=seed,
         slots_per_day=SLOTS_PER_DAY,
-        row_slot=slot,
-        row_cfg=cfg,
-        row_dc=dc,
-        row_opt=opt,
-        row_count=counts,
-        dc_codes=tuple(scenario.dc_codes),
+        row_slot=slot.astype(index_dtype(SLOTS_PER_DAY)),
+        row_cfg=cfg.astype(index_dtype(len(configs))),
+        row_dc=dc.astype(index_dtype(len(dc_codes))),
+        row_opt=opt.astype(index_dtype(len(EVAL_OPTION_ORDER))),
+        row_count=counts.astype(index_dtype(int(counts.max(initial=0)))),
+        dc_codes=dc_codes,
         stats=result.stats,
         evaluation=evaluation,
     )
@@ -554,12 +563,21 @@ class SummaryDayResult:
             self._full = full
         return full
 
+    def _rows(self) -> Tuple[np.ndarray, ...]:
+        """The summary's rows widened back to the int64 index arrays and
+        float64 counts ``_rows_from_batch`` produced."""
+        s = self.summary
+        return (
+            *(a.astype(np.int64) for a in (s.row_slot, s.row_cfg, s.row_dc, s.row_opt)),
+            s.row_count.astype(np.float64),
+        )
+
     def realized_table(self, slots_per_day: int = SLOTS_PER_DAY) -> AssignmentTable:
         s = self.summary
         if slots_per_day != s.slots_per_day:
             return self.full_result().realized_table(slots_per_day)
         table: AssignmentTable = {}
-        for t, ci, di, oi, n in zip(s.row_slot, s.row_cfg, s.row_dc, s.row_opt, s.row_count):
+        for t, ci, di, oi, n in zip(*self._rows()):
             key = (
                 int(t),
                 self._configs[int(ci)],
@@ -577,16 +595,7 @@ class SummaryDayResult:
             return self.full_result().evaluate(scenario, slots_per_day)
         from ..analysis.metrics import _evaluate_rows
 
-        return _evaluate_rows(
-            scenario,
-            self._configs,
-            s.row_slot,
-            s.row_cfg,
-            s.row_dc,
-            s.row_opt,
-            s.row_count,
-            policy_name=s.policy,
-        )
+        return _evaluate_rows(scenario, self._configs, *self._rows(), policy_name=s.policy)
 
 
 # ---------------------------------------------------------------------------

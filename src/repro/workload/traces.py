@@ -43,18 +43,59 @@ DURATION_P = 0.6
 MAX_DURATION_SLOTS = 6
 _LOG_1MP = float(np.log1p(-DURATION_P))
 
+_INDEX_DTYPES = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def index_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every value in
+    ``[0, bound]``.
+
+    The per-call index columns of :class:`CallTable`,
+    :class:`~repro.core.controller.AssignmentBatch` and the sweep's
+    ``DaySummary`` are stored in it.  ``bound`` itself fits, so
+    ``idx + 1`` does too; any other arithmetic that combines indices
+    (packed keys, ``slot * width + row``) must widen to int64 first:
+    NumPy keeps the narrow dtype for ``narrow * python_int`` and wraps
+    silently, or raises :class:`OverflowError` when the Python int
+    itself does not fit.
+    """
+    for dtype in _INDEX_DTYPES:
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"index bound {bound} does not fit in int64")
+
+
+def index_column(values, name: str, bound: int, low: int = 0) -> np.ndarray:
+    """``values`` as an :func:`index_dtype` ``(bound)`` array, checked to
+    lie in ``[low, bound)``; :class:`ValueError` naming the column
+    otherwise.  An array already in that dtype is not copied."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        array = array.astype(np.int64)
+    if array.size and (int(array.min()) < low or int(array.max()) >= bound):
+        raise ValueError(
+            f"{name} must lie in [{low}, {bound}), got [{array.min()}, {array.max()}]"
+        )
+    return array.astype(index_dtype(bound), copy=False)
+
+
+#: The dtype of :class:`CallTable`'s duration column, whose values lie
+#: in ``[1, MAX_DURATION_SLOTS]``.
+_DURATION_DTYPE = index_dtype(MAX_DURATION_SLOTS + 1)
+
 
 def duration_from_uniform(u):
     """Clipped-geometric duration(s) from uniform(s), by inverse CDF.
 
     ``geometric(p)`` has CDF ``1 - (1-p)**k``, so the smallest ``k``
     with ``u < CDF(k)`` is ``ceil(log(1-u)/log(1-p))``; the result is
-    clipped to ``[1, MAX_DURATION_SLOTS]``.  Works elementwise on
-    arrays and on scalars, with identical float behaviour — which is
-    what keeps the scalar and batched trace paths on one stream.
+    clipped to ``[1, MAX_DURATION_SLOTS]``, in the table's duration dtype.
+    Works elementwise on arrays and on scalars, with identical float
+    behaviour — which is what keeps the scalar and batched trace paths
+    on one stream.
     """
     k = np.ceil(np.log1p(-u) / _LOG_1MP)
-    return np.clip(k, 1, MAX_DURATION_SLOTS).astype(np.int64)
+    return np.clip(k, 1, MAX_DURATION_SLOTS).astype(_DURATION_DTYPE)
 
 
 def first_joiner_from_uniform(cum_weights: np.ndarray, u):
@@ -106,6 +147,18 @@ class CallTable:
     index column points into (rows of the generating
     ``counts_matrix``); :class:`Call` objects are lazy views
     (:meth:`call`, iteration) so scalar consumers keep working.
+
+    Each index column is stored in :func:`index_dtype` of its bound —
+    ``len(configs)`` for ``config_idx``, the most countries in a config
+    for ``first_joiner_idx``, one past :data:`MAX_DURATION_SLOTS` for
+    ``duration_slots`` and the largest end slot for ``start_slot`` —
+    so a Europe top-100 day takes 5 bytes per call, not 32.  The
+    constructor accepts any integer arrays or lists and raises
+    :class:`ValueError` naming the column for a value out of range
+    (an index outside ``[0, bound)``, a duration outside ``[1,
+    MAX_DURATION_SLOTS]``, a negative start).  Widen a column to int64
+    before combining it with other indices; :attr:`end_slot` and
+    :attr:`call_ids` are int64 already.
     """
 
     __slots__ = (
@@ -127,17 +180,34 @@ class CallTable:
         id_offset: int = 0,
     ) -> None:
         self.configs: Tuple[CallConfig, ...] = tuple(configs)
-        self.config_idx = np.asarray(config_idx, dtype=np.int64)
-        self.start_slot = np.asarray(start_slot, dtype=np.int64)
-        self.duration_slots = np.asarray(duration_slots, dtype=np.int64)
-        self.first_joiner_idx = np.asarray(first_joiner_idx, dtype=np.int64)
-        self.id_offset = int(id_offset)
-        n = len(self.config_idx)
-        for name in ("start_slot", "duration_slots", "first_joiner_idx"):
-            if len(getattr(self, name)) != n:
+        n = len(config_idx)
+        for name, column in (
+            ("start_slot", start_slot),
+            ("duration_slots", duration_slots),
+            ("first_joiner_idx", first_joiner_idx),
+        ):
+            if len(column) != n:
                 raise ValueError(f"{name} must have one entry per call")
-        if n and (self.duration_slots < 1).any():
-            raise ValueError("calls last at least one slot")
+        self.config_idx = index_column(config_idx, "config_idx", len(self.configs))
+        self.first_joiner_idx = index_column(
+            first_joiner_idx,
+            "first_joiner_idx",
+            max((len(config.countries) for config in self.configs), default=0),
+        )
+        self.duration_slots = index_column(
+            duration_slots, "duration_slots", MAX_DURATION_SLOTS + 1, low=1
+        )
+        start = np.asarray(start_slot)
+        if start.dtype.kind not in "iu":
+            start = start.astype(np.int64)
+        last_end = 0
+        if n:
+            # Summed in a dtype that holds the largest start plus the
+            # longest duration, so the largest end slot is exact.
+            wide = index_dtype(max(int(start.max()), 0) + MAX_DURATION_SLOTS)
+            last_end = int(np.add(start, self.duration_slots, dtype=wide).max())
+        self.start_slot = index_column(start, "start_slot", last_end)
+        self.id_offset = int(id_offset)
 
     def __len__(self) -> int:
         return len(self.config_idx)
@@ -148,7 +218,8 @@ class CallTable:
 
     @property
     def end_slot(self) -> np.ndarray:
-        return self.start_slot + self.duration_slots
+        """Each call's end slot, as int64."""
+        return np.add(self.start_slot, self.duration_slots, dtype=np.int64)
 
     def config(self, i: int) -> CallConfig:
         return self.configs[self.config_idx[i]]
@@ -191,7 +262,11 @@ class CallTable:
         """
         if not len(self):
             return {}
-        slots = self.start_slot % slots_per_day if slots_per_day else self.start_slot
+        slots = (
+            np.remainder(self.start_slot, slots_per_day, dtype=np.int64)
+            if slots_per_day
+            else self.start_slot
+        )
         rows = np.stack([slots, self.config_idx], axis=1)
         uniq, counts = np.unique(rows, axis=0, return_counts=True)
         table: Dict[Tuple[int, CallConfig], float] = {}
@@ -373,14 +448,24 @@ class TraceGenerator:
         parts.sort(key=lambda part: (part[0], part[1]))
 
         if not parts:
-            empty = np.zeros(0, dtype=np.int64)
+            empty = np.zeros(0, dtype=np.int8)
             return CallTable(configs, empty, empty, empty, empty, id_offset)
 
+        # Columns are built in the dtypes CallTable stores.  The start
+        # column's dtype holds the window's last start plus the longest
+        # duration; CallTable narrows it further only when the actual
+        # end slots fit a narrower dtype than that bound.
         part_counts = np.asarray([part[3] for part in parts], dtype=np.int64)
-        part_configs = np.asarray([part[2] for part in parts], dtype=np.int64)
+        part_configs = np.asarray(
+            [part[2] for part in parts], dtype=index_dtype(len(configs))
+        )
         config_idx = np.repeat(part_configs, part_counts)
         start_slots = np.repeat(
-            start_slot + np.asarray([part[0] for part in parts], dtype=np.int64), part_counts
+            np.asarray(
+                [start_slot + part[0] for part in parts],
+                dtype=index_dtype(start_slot + slots - 1 + MAX_DURATION_SLOTS),
+            ),
+            part_counts,
         )
         uniforms = np.concatenate([part[4] for part in parts])
         u_first = uniforms[0::2]
@@ -389,7 +474,10 @@ class TraceGenerator:
         # weights are [1.0] and u < 1), so only the parts of
         # multi-country configs search: each one's calls are a
         # contiguous run.
-        first_idx = np.zeros(len(config_idx), dtype=np.int64)
+        first_idx = np.zeros(
+            len(config_idx),
+            dtype=index_dtype(max(len(config.countries) for config in configs)),
+        )
         part_end = np.cumsum(part_counts)
         multi = np.asarray([len(config.countries) > 1 for config in configs])
         for k in np.flatnonzero(multi[part_configs]):

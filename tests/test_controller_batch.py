@@ -9,7 +9,8 @@ zoo scenarios, on tables that are not slot-major, across split tables,
 and on WRR's tie cases and degenerate capacity — down to the tracker's
 usage arrays, bit for bit.  Traffic outside the scenario is rejected,
 not replayed: a participant country outside it raises in both WRR and
-LF paths, and a plan DC outside it in Titan-Next's batch path.
+LF paths, and a plan DC outside it in Titan-Next's batch path.  A
+config outside it that no call uses is not read by either path.
 """
 
 import numpy as np
@@ -337,6 +338,21 @@ class TestBulkAdmissionEquivalence:
         with pytest.raises(KeyError) as bulk:
             make(scenario).process_table(table)
         assert bulk.value.args == message
+
+    @FIRST_JOINER
+    def test_unused_outside_config_is_not_read(self, small_setup, make):
+        """A config outside the scenario that no call uses is never
+        loaded: the bulk path places every call as the scalar loop does.
+        Scoring the batch still reads every config of the table."""
+        scenario = small_setup.scenario
+        configs = [
+            CallConfig.from_counts({"GB": 3}, "video"),
+            CallConfig.from_counts({"GB": 2, "US": 1}, "video"),
+        ]
+        table = CallTable(configs, [0] * 5, [30 * 48 + 14] * 5, [1, 2, 1, 3, 1], [0] * 5)
+        _replay_both(scenario, [table], make)
+        with pytest.raises(KeyError):
+            evaluate_batch(scenario, make(scenario).process_table(table))
 
 
 class TestFirstJoinerEdgeCases:
