@@ -1,6 +1,6 @@
 """Parallel sweep speed — multi-worker day fan-out vs the serial loop.
 
-The ISSUE-5 tentpole: on a high-volume multi-day §8 window, fanning the
+On a high-volume multi-day §8 window, fanning the
 per-day forecast and replay phases over 4 process workers must cut
 wall-clock by at least 2x versus the serial loop (``workers=1``, the
 pinned reference path) — while reproducing the serial results exactly.
@@ -15,9 +15,10 @@ rows instead, and a summary must pickle at least 10x smaller than the
 full result it summarizes.  Both store their index columns narrow:
 on the 55k-call day below the summary pickles to ~21 kB and the full
 result to ~499 kB, 23.8x.  (Measured on a 2-vCPU host at 1M
-calls/day x 4 days on 2 workers, before the columns were narrowed, the
-compact channel used 6.3-6.7 CPU-s and 360 MiB peak RSS against
-7.7-8.6 CPU-s and 895 MiB with full results; setup shipping is
+calls/day x 4 days, Europe top-100, four policies scored in the pool,
+on 2 workers: the compact channel used 4.0-4.8 CPU-s and 304 MiB peak
+RSS against 4.2-4.3 CPU-s and 353-365 MiB with full results, so with
+narrow columns it saves memory, not CPU.  Setup shipping is
 ~0.2-0.3 MB per worker and not worth a shared-memory arena.)
 
 Needs real CPUs: the speedup pin is skipped when fewer than 4 are

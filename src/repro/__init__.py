@@ -10,7 +10,7 @@ The package implements, from scratch:
   forecasting and an LP over reduced call configs
   (:mod:`repro.core`);
 * the synthetic substrates that stand in for production data:
-  call workloads (:mod:`repro.workload`), telemetry
+  call workloads (:mod:`repro.workload`), MOS telemetry
   (:mod:`repro.telemetry`), and an LP solver (:mod:`repro.solver`);
 * the evaluation harnesses regenerating every table and figure
   (:mod:`repro.experiments`, driven from ``benchmarks/``).
@@ -18,7 +18,6 @@ The package implements, from scratch:
 Quickstart::
 
     from repro.core import build_europe_setup, run_oracle_day
-    from repro.analysis import evaluate_assignment
 
     setup = build_europe_setup(daily_calls=20_000)
     results = run_oracle_day(setup, day=2)

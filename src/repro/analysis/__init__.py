@@ -12,8 +12,6 @@ from .metrics import (
 from .reporting import bar_chart, cdf_sparkline, format_table, policy_comparison
 from .stats import (
     cdf_at,
-    cdf_points,
-    hourly_medians,
     summarize,
     weighted_percentile,
     weighted_percentiles,
@@ -37,8 +35,6 @@ __all__ = [
     "normalize_to",
     "savings_vs",
     "cdf_at",
-    "cdf_points",
-    "hourly_medians",
     "summarize",
     "weighted_percentile",
     "weighted_percentiles",

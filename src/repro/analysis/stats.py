@@ -1,19 +1,10 @@
-"""Statistics helpers: CDFs, percentiles, hourly-median aggregation."""
+"""Statistics helpers: empirical CDFs, (weighted) percentiles, summaries."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
-
-
-def cdf_points(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF as (sorted values, cumulative probabilities)."""
-    data = np.sort(np.asarray(values, dtype=float))
-    if data.size == 0:
-        raise ValueError("empty sample")
-    probs = np.arange(1, data.size + 1) / data.size
-    return data, probs
 
 
 def cdf_at(values: Sequence[float], threshold: float) -> float:
@@ -57,11 +48,6 @@ def weighted_percentiles(
 def weighted_percentile(values: Sequence[float], weights: Sequence[float], q: float) -> float:
     """Weighted percentile (q in [0, 100]) by cumulative weight."""
     return float(weighted_percentiles(values, weights, [q])[0])
-
-
-def hourly_medians(samples: Dict[int, List[float]]) -> Dict[int, float]:
-    """Median per hour for {hour: [samples]} maps."""
-    return {hour: float(np.median(vals)) for hour, vals in samples.items() if vals}
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

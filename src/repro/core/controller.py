@@ -76,10 +76,6 @@ class CallAssignment:
         """Inter-DC migration — the damaging kind (§8.4)."""
         return self.initial_dc != self.final_dc
 
-    @property
-    def option_migrated(self) -> bool:
-        return self.initial_option != self.final_option
-
 
 @dataclass
 class ControllerStats:

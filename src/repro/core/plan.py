@@ -120,9 +120,6 @@ class OfflinePlan:
     def configs_for_slot(self, slot: int) -> List[CallConfig]:
         return [c for (t, c) in self._entries if t == slot]
 
-    def has_plan(self, slot: int, config: CallConfig) -> bool:
-        return (slot, config) in self._entries
-
     def sample(
         self, slot: int, config: CallConfig, rng: np.random.Generator
     ) -> Optional[Tuple[str, str]]:
@@ -219,9 +216,6 @@ class QuotaIndex:
             self._key_index[config] = idx
             self._key_configs.append(config)
         return idx
-
-    def key_config(self, key: int) -> CallConfig:
-        return self._key_configs[key]
 
     def entry(self, slot: int, key: int) -> Optional[QuotaEntry]:
         """The (slot, key) entry, snapshotted lazily from the plan."""

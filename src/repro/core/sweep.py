@@ -59,11 +59,12 @@ results through a supervision loop governed by :class:`FaultPolicy`:
   :class:`SweepFailure` records on the raised :class:`SweepError` —
   naming the phase, day, attempt count, and last error.
 
-``inject_fault=`` accepts a picklable callable (see
-:class:`KillWorkerFault`, :class:`HangFault`) invoked worker-side
-before every pooled task — the deterministic chaos hook the recovery
-tests drive.  The inline ``workers=1`` path never injects and never
-retries: it *is* the reference the recovered runs are compared to.
+``inject_fault=`` accepts a picklable ``(kind, task, attempt)``
+callable invoked worker-side before every pooled task — the seam
+through which ``tests/test_sweep_faults.py`` kills, hangs or fails a
+chosen day deterministically.  The inline ``workers=1`` path never
+injects and never retries: it *is* the reference the recovered runs
+are compared to.
 
 **Result channel.** ``return_tables=False`` (per call, on
 :meth:`SweepRunner.replay_days` and the windows built on it) makes
@@ -145,7 +146,7 @@ def _resolve_workers(workers: int | str | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fault tolerance: policy, failure reports, chaos injectors
+# Fault tolerance: policy, failure reports
 # ---------------------------------------------------------------------------
 
 
@@ -213,62 +214,6 @@ def _task_day(task: object) -> Optional[int]:
     if isinstance(task, tuple) and task and isinstance(task[0], int):
         return task[0]
     return None
-
-
-@dataclass(frozen=True)
-class KillWorkerFault:
-    """Chaos injector: hard-kill the worker running a chosen task.
-
-    ``os._exit`` mimics an OOM-kill/SIGKILL — no cleanup, no exception,
-    the pool just loses a process and every pending future breaks.
-    Fires once (attempt 0 only), so the rebuilt pool's resubmission
-    completes.
-    """
-
-    day: int
-    kind: str = "replay"
-    exit_code: int = 13
-
-    def __call__(self, kind: str, task: object, attempt: int) -> None:
-        if kind == self.kind and attempt == 0 and _task_day(task) == self.day:
-            os._exit(self.exit_code)
-
-
-@dataclass(frozen=True)
-class FlakyTaskFault:
-    """Chaos injector: raise a transient error on a task's first attempt.
-
-    The mildest failure mode — the worker survives, the pool survives,
-    only the task dies — exercising the in-place retry-with-backoff
-    path rather than a pool rebuild.
-    """
-
-    day: int
-    kind: str = "replay"
-    message: str = "injected transient failure"
-
-    def __call__(self, kind: str, task: object, attempt: int) -> None:
-        if kind == self.kind and attempt == 0 and _task_day(task) == self.day:
-            raise RuntimeError(f"{self.message} (day={self.day})")
-
-
-@dataclass(frozen=True)
-class HangFault:
-    """Chaos injector: stall a chosen task far past any sane timeout.
-
-    Sleeps ``seconds`` on attempt 0, simulating a wedged solver or
-    deadlocked worker; the supervision loop's ``timeout_s`` watchdog
-    must kill the pool and the resubmitted attempt runs clean.  The
-    sleep is finite so an un-watched run still terminates.
-    """
-
-    day: int
-    seconds: float = 60.0
-    kind: str = "replay"
-
-    def __call__(self, kind: str, task: object, attempt: int) -> None:
-        if kind == self.kind and attempt == 0 and _task_day(task) == self.day:
-            time.sleep(self.seconds)
 
 
 # ---------------------------------------------------------------------------

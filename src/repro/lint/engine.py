@@ -184,16 +184,6 @@ def call_args(node: ast.Call) -> Iterable[ast.expr]:
         yield kw.value
 
 
-def enclosing_function(node: ast.AST) -> Optional[ast.AST]:
-    """The nearest enclosing FunctionDef/AsyncFunctionDef, if any."""
-    current = parent_of(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parent_of(current)
-    return None
-
-
 def inside_try(node: ast.AST) -> bool:
     """True when the node sits inside any ``try`` block's body.
 
@@ -208,14 +198,3 @@ def inside_try(node: ast.AST) -> bool:
             return True
         current, parent = parent, parent_of(parent)
     return False
-
-
-def statement_of(node: ast.AST) -> ast.AST:
-    """The statement node an expression belongs to."""
-    current = node
-    while not isinstance(current, ast.stmt):
-        up = parent_of(current)
-        if up is None:
-            return current
-        current = up
-    return current

@@ -21,13 +21,6 @@ from .calibration import (
     render_calibration_module,
 )
 from .campaign import CampaignStats, MeasurementCampaign
-from .dataset import (
-    CSV_COLUMNS,
-    read_records,
-    records_from_csv_string,
-    records_to_csv_string,
-    write_records,
-)
 from .granularity import (
     model_fraction_f,
     model_granularity_summary,
@@ -56,11 +49,6 @@ __all__ = [
     "paper_fraction_f",
     "render_calibration_module",
     "CampaignStats",
-    "CSV_COLUMNS",
-    "read_records",
-    "records_from_csv_string",
-    "records_to_csv_string",
-    "write_records",
     "MeasurementCampaign",
     "GRANULARITIES",
     "model_fraction_f",

@@ -13,7 +13,6 @@ from .latency import (
     default_richness_calibration,
 )
 from .loss import SLOTS_PER_DAY, SLOTS_PER_HOUR, SLOTS_PER_WEEK, LossModel, LossModelParams
-from .pathsim import PathSimulator, StreamResult
 from .topology import WanLink, WanTopology, dc_node, pop_node
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "SLOTS_PER_HOUR",
     "SLOTS_PER_WEEK",
     "LossModel",
-    "PathSimulator",
-    "StreamResult",
     "LossModelParams",
     "WanLink",
     "WanTopology",

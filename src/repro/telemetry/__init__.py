@@ -1,20 +1,8 @@
-"""Telemetry substrate: call records, RTP loss accounting, MOS feedback."""
+"""Telemetry substrate: the MOS model behind Fig 11 and Titan's quality gates."""
 
-from .jitterbuffer import AdaptiveJitterBuffer, JitterBufferParams, PlayoutStats
 from .mos import MosModel, MosModelParams
-from .records import CallRecordStore, ParticipantRecord
-from .rtp import SEQ_SPACE, RtpLossAccountant, RtpLossStats, simulate_stream
 
 __all__ = [
-    "AdaptiveJitterBuffer",
-    "JitterBufferParams",
-    "PlayoutStats",
     "MosModel",
     "MosModelParams",
-    "CallRecordStore",
-    "ParticipantRecord",
-    "SEQ_SPACE",
-    "RtpLossAccountant",
-    "RtpLossStats",
-    "simulate_stream",
 ]

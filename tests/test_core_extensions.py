@@ -1,15 +1,10 @@
-"""Tests for the extension modules: split routing, granular rollout, CLI."""
+"""Tests for the extension modules: split routing, CLI."""
 
 import pytest
 
 from repro.cli import _collect_overrides, _parse_value, main
-from repro.core.rollout import STAGES, GranularRollout, RolloutState, stage_share
 from repro.core.split_lp import SplitLpOptions, SplitRoutingLp
-from repro.core.titan import SyntheticPathProber
 from repro.core.titan_next import oracle_demand_for_day
-from repro.geo.world import default_world
-from repro.net.latency import LatencyModel
-from repro.net.loss import LossModel
 
 
 @pytest.fixture(scope="module")
@@ -62,56 +57,6 @@ class TestSplitRouting:
     def test_empty_demand_rejected(self, small_setup):
         with pytest.raises(ValueError):
             SplitRoutingLp(small_setup.scenario, {})
-
-
-class TestGranularRollout:
-    @pytest.fixture(scope="class")
-    def prober(self):
-        world = default_world()
-        return SyntheticPathProber(LatencyModel(world), LossModel(world))
-
-    def test_stage_ladder(self):
-        assert [name for name, _ in STAGES] == ["cohort", "metro", "asn", "country"]
-        shares = [share for _, share in STAGES]
-        assert shares == sorted(shares)
-        assert stage_share("country") == 1.0
-        with pytest.raises(ValueError):
-            stage_share("planet")
-
-    def test_good_pairs_reach_country_level(self, prober):
-        world = default_world()
-        rollout = GranularRollout(world, prober, [("NL", "westeurope"), ("FR", "france-central")])
-        rollout.run(16)
-        ready = rollout.ready_for_percentage_ramp()
-        assert ("NL", "westeurope") in ready or ("FR", "france-central") in ready
-
-    def test_bad_pairs_get_parked_or_stuck(self, prober):
-        world = default_world()
-        rollout = GranularRollout(world, prober, [("DE", "westeurope"), ("AT", "westeurope")])
-        rollout.run(20)
-        ready = rollout.ready_for_percentage_ramp()
-        # Germany/Austria should not breeze to country level.
-        assert len(ready) <= 1
-
-    def test_parked_pairs_have_zero_exposure(self, prober):
-        state = RolloutState("DE", "westeurope", parked=True)
-        assert state.exposed_share == 0.0
-
-    def test_history_recorded(self, prober):
-        world = default_world()
-        rollout = GranularRollout(world, prober, [("GB", "ireland")])
-        rollout.run(5)
-        assert len(rollout.states[("GB", "ireland")].history) == 5
-
-    def test_validation(self, prober):
-        world = default_world()
-        with pytest.raises(ValueError):
-            GranularRollout(world, prober, [])
-        with pytest.raises(ValueError):
-            GranularRollout(world, prober, [("GB", "ireland")], promotions_needed=0)
-        rollout = GranularRollout(world, prober, [("GB", "ireland")])
-        with pytest.raises(ValueError):
-            rollout.run(-1)
 
 
 class TestCli:

@@ -1,11 +1,10 @@
-"""Tests for Titan: capacity book, ECS, ramp state machine, monitor."""
+"""Tests for Titan: capacity book, ECS, ramp state machine."""
 
 import numpy as np
 import pytest
 
 from repro.core.capacity import InternetCapacityBook, PairCapacity, split_capacity_by_priority
 from repro.core.ecs import ArmMetrics, Experiment, QualityGates, Scorecard
-from repro.core.monitor import RouteMonitor
 from repro.core.titan import (
     DISABLED,
     HOLDING,
@@ -271,34 +270,3 @@ class TestEmptyTreatmentBaseline:
         assert not card.moderate_regression
         assert not card.severe_regression
         assert card.healthy
-
-
-class TestRouteMonitor:
-    def test_loss_threshold_triggers_failback(self, world):
-        monitor = RouteMonitor(world, LatencyModel(world), LossModel(world))
-        assert monitor.should_failback("FR", "westeurope", 20.0, 1.5)
-        assert not monitor.should_failback("FR", "westeurope", 20.0, 0.1)
-
-    def test_latency_threshold_scales_with_distance(self, world):
-        monitor = RouteMonitor(world, LatencyModel(world), LossModel(world))
-        near = monitor.latency_threshold_ms("NL", "westeurope")
-        far = monitor.latency_threshold_ms("AU", "westeurope")
-        assert far > 2 * near
-
-    def test_negative_observations_rejected(self, world):
-        monitor = RouteMonitor(world, LatencyModel(world), LossModel(world))
-        with pytest.raises(ValueError):
-            monitor.should_failback("FR", "westeurope", -1.0, 0.0)
-
-    def test_moved_fraction_plausible(self, world):
-        """§6.4: median share of Internet users with loss >= 1% was ~4%."""
-        monitor = RouteMonitor(world, LatencyModel(world), LossModel(world))
-        rng = np.random.default_rng(3)
-        for country in ("GB", "FR", "NL", "IT", "ES", "PL"):
-            for slot in range(0, 300, 3):
-                monitor.check_user(country, "westeurope", slot, rng)
-        assert 0.0 < monitor.moved_fraction < 0.15
-
-    def test_counter_starts_empty(self, world):
-        monitor = RouteMonitor(world, LatencyModel(world), LossModel(world))
-        assert monitor.moved_fraction == 0.0

@@ -6,12 +6,10 @@ plan, the controller assigns live calls.  These tests run the loop end
 to end, with no pre-canned capacity book.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.metrics import evaluate_assignment
 from repro.core.lp import JointAssignmentLp
-from repro.core.monitor import RouteMonitor
 from repro.core.scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
 from repro.core.titan import SyntheticPathProber, Titan
 from repro.core.titan_next import (
@@ -22,7 +20,6 @@ from repro.core.titan_next import (
 )
 from repro.geo.world import default_world
 from repro.net.latency import INTERNET, LatencyModel
-
 from repro.net.loss import LossModel
 from repro.workload.demand import ConfigUniverse, DemandModel
 
@@ -98,25 +95,3 @@ class TestClosedLoop:
             for name, r in results.items()
         }
         assert peaks["titan-next"] < peaks["wrr"]
-
-
-class TestRouteMonitorIntegration:
-    def test_failback_rate_matches_paper_ballpark(self):
-        """§6.4: median share of Internet users with loss ≥ 1% ≈ 3.96%."""
-        world = default_world()
-        monitor = RouteMonitor(world, LatencyModel(world), LossModel(world))
-        rng = np.random.default_rng(17)
-        per_country = {}
-        for country in [c.code for c in world.europe_countries]:
-            checked_before = monitor.users_checked
-            moved_before = monitor.users_moved
-            for dc in EUROPE_EVAL_DCS[:3]:
-                for slot in range(0, 300, 2):
-                    monitor.check_user(country, dc, slot, rng)
-            checked = monitor.users_checked - checked_before
-            moved = monitor.users_moved - moved_before
-            per_country[country] = moved / checked
-        median_rate = float(np.median(list(per_country.values())))
-        assert 0.005 < median_rate < 0.12
-        # Germany fails back more often than France (worse loss quality).
-        assert per_country["DE"] > per_country["FR"]

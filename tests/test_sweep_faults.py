@@ -7,20 +7,20 @@ loop and still reproduce the serial ``workers=1`` reference byte for
 byte — retries are sound because per-day work is a pure function of
 the task tuple (Philox counter-keying).  Marked ``slow``: each test
 spawns process pools.
+
+The chaos injectors below reach the workers through
+``SweepRunner(inject_fault=)``; the pools fork, so classes defined in
+this module unpickle there.
 """
+
+import os
+import time
+from dataclasses import dataclass
 
 import pytest
 
 from repro.core.lp import PlanningError
-from repro.core.sweep import (
-    FaultPolicy,
-    FlakyTaskFault,
-    HangFault,
-    KillWorkerFault,
-    SummaryDayResult,
-    SweepError,
-    SweepRunner,
-)
+from repro.core.sweep import FaultPolicy, SummaryDayResult, SweepError, SweepRunner
 from tests.test_sweep_parallel import (
     assert_same_day_result,
     assert_same_evaluation,
@@ -30,6 +30,57 @@ from tests.test_sweep_parallel import (
 DAYS = [30, 31, 32]
 
 pytestmark = pytest.mark.slow
+
+
+@dataclass(frozen=True)
+class KillWorkerFault:
+    """Chaos injector: hard-kill the worker replaying a chosen day.
+
+    ``os._exit`` mimics an OOM-kill/SIGKILL — no cleanup, no exception,
+    the pool just loses a process and every pending future breaks.
+    Fires once (attempt 0 only), so the rebuilt pool's resubmission
+    completes.
+    """
+
+    day: int
+
+    def __call__(self, kind, task, attempt):
+        if kind == "replay" and attempt == 0 and task[0] == self.day:
+            os._exit(13)
+
+
+@dataclass(frozen=True)
+class FlakyTaskFault:
+    """Chaos injector: fail a chosen day's replay on its first attempt.
+
+    The mildest failure mode — the worker survives, the pool survives,
+    only the task dies — exercising the in-place retry-with-backoff
+    path rather than a pool rebuild.
+    """
+
+    day: int
+
+    def __call__(self, kind, task, attempt):
+        if kind == "replay" and attempt == 0 and task[0] == self.day:
+            raise RuntimeError(f"injected transient failure (day={self.day})")
+
+
+@dataclass(frozen=True)
+class HangFault:
+    """Chaos injector: stall a chosen day's replay past the timeout.
+
+    Sleeps ``seconds`` on attempt 0, simulating a wedged solver or
+    deadlocked worker; the supervision loop's ``timeout_s`` watchdog
+    must kill the pool and the resubmitted attempt runs clean.  The
+    sleep is finite so an un-watched run still terminates.
+    """
+
+    day: int
+    seconds: float
+
+    def __call__(self, kind, task, attempt):
+        if kind == "replay" and attempt == 0 and task[0] == self.day:
+            time.sleep(self.seconds)
 
 
 @pytest.fixture(scope="module")
