@@ -19,6 +19,11 @@ compared with the working tree::
     python benchmarks/campaign_digest.py > change.txt   # this checkout's src
     diff parent.txt change.txt
 
+The committed output is ``tests/golden/campaign_digest.txt``; CI diffs
+a full run against it, and ``benchmarks/test_golden_digests.py``
+recomputes the lines of the two small setups.  Regenerate it only by
+redirecting this tool's output into it, and say why in CHANGES.md.
+
 A run takes a few seconds; the emea 50k/top-200 day dominates it.
 """
 
@@ -83,6 +88,19 @@ def campaign_digest(result) -> str:
     return digest.hexdigest()
 
 
+def lines(setups=SETUPS):
+    """One ``<label> day<N> <timeline> <sha256>`` line per campaign day
+    of ``setups`` (rows of :data:`SETUPS`)."""
+    from repro.core.stress import campaign_scenarios, run_campaign_day
+
+    for label, name, sizes, days in setups:
+        setup = _build(name, sizes)
+        for day in days:
+            for timeline_name, timeline in campaign_scenarios(setup).items():
+                result = run_campaign_day(setup, timeline, day=day)
+                yield f"{label} day{day} {timeline_name} {campaign_digest(result)}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -97,15 +115,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
 
     import repro
-    from repro.core.stress import campaign_scenarios, run_campaign_day
 
     print(f"repro from {Path(repro.__file__).resolve().parent}", file=sys.stderr)
-    for label, name, sizes, days in SETUPS:
-        setup = _build(name, sizes)
-        for day in days:
-            for timeline_name, timeline in campaign_scenarios(setup).items():
-                result = run_campaign_day(setup, timeline, day=day)
-                print(f"{label} day{day} {timeline_name} {campaign_digest(result)}")
+    for line in lines():
+        print(line)
     return 0
 
 

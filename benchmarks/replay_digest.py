@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """One sha256 per (setup, controller) replay: a quick outcome check for replay changes.
 
-Replays one day-30 trace (seed 71) through the four controllers' batch
-``process_table`` paths on three pinned setups and prints one digest per
+Replays one day-30 trace (seed 71) through the four controllers'
+``process_table`` on five pinned setups and prints one digest per
 (setup, controller).  Each digest covers the four index arrays of the
 returned ``AssignmentBatch``, its ``dc_codes``, ``repr`` of the
 controller's ``ControllerStats`` and, for the capacity-tracked
@@ -23,6 +23,11 @@ compared with the working tree::
     python benchmarks/replay_digest.py > change.txt   # this checkout's src
     diff parent.txt change.txt
 
+The committed output is ``tests/golden/replay_digest.txt``; CI diffs a
+full run against it, and ``benchmarks/test_golden_digests.py``
+recomputes the lines of the two small setups.  Regenerate it only by
+redirecting this tool's output into it, and say why in CHANGES.md.
+
 A run takes a few seconds; the Europe 1M-call day dominates it.
 """
 
@@ -40,6 +45,8 @@ SETUPS = (
     ("europe-1m-top100", "europe", {"daily_calls": 1_000_000, "top_n_configs": 100}),
     ("global-50k-top200", "global", {"daily_calls": 50_000, "top_n_configs": 200}),
     ("emea-50k-top200", "emea", {"daily_calls": 50_000, "top_n_configs": 200}),
+    ("europe-6k-top60", "europe", {"daily_calls": 6_000, "top_n_configs": 60}),
+    ("emea-5k-top40", "emea", {"daily_calls": 5_000, "top_n_configs": 40}),
 )
 
 DAY = 30
@@ -95,6 +102,25 @@ def _controllers(setup, plan):
     )
 
 
+def lines(setups=SETUPS):
+    """One ``<label> day30 table <sha256>`` line per setup of ``setups``
+    (rows of :data:`SETUPS`), then one ``<label> day30 <policy>
+    <sha256>`` line per controller."""
+    from repro.core.titan_next import plan_day, predicted_demand_for_day
+    from repro.workload.traces import TraceGenerator
+
+    for label, name, sizes in setups:
+        setup = _build(name, sizes)
+        table = TraceGenerator(
+            setup.demand, top_n_configs=setup.top_n_configs, seed=TRACE_SEED
+        ).table_for_day(DAY)
+        yield f"{label} day{DAY} table {table_digest(table)}"
+        plan = plan_day(setup, predicted_demand_for_day(setup, DAY), DAY)
+        for policy, controller in _controllers(setup, plan):
+            batch = controller.process_table(table)
+            yield f"{label} day{DAY} {policy} {replay_digest(controller, batch)}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -109,20 +135,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
 
     import repro
-    from repro.core.titan_next import plan_day, predicted_demand_for_day
-    from repro.workload.traces import TraceGenerator
 
     print(f"repro from {Path(repro.__file__).resolve().parent}", file=sys.stderr)
-    for label, name, sizes in SETUPS:
-        setup = _build(name, sizes)
-        table = TraceGenerator(
-            setup.demand, top_n_configs=setup.top_n_configs, seed=TRACE_SEED
-        ).table_for_day(DAY)
-        print(f"{label} day{DAY} table {table_digest(table)}")
-        plan = plan_day(setup, predicted_demand_for_day(setup, DAY), DAY)
-        for policy, controller in _controllers(setup, plan):
-            batch = controller.process_table(table)
-            print(f"{label} day{DAY} {policy} {replay_digest(controller, batch)}")
+    for line in lines():
+        print(line)
     return 0
 
 

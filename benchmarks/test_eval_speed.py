@@ -2,26 +2,23 @@
 
 The ISSUE-4 tentpole: on the default intra-Europe scenario (150
 configs, ~40k calls/day), ``evaluate_batch`` must score a day at least
-3x faster than the pinned scalar ``evaluate_assignment`` reference —
-both on an oracle-mode assignment table and on a §8 controller day's
-``AssignmentBatch`` (where the scalar path also pays the dict-table
-round trip) — while reproducing every metric.
+3x faster than the scalar ``evaluate_assignment`` reference of
+``tests/scalar_reference.py`` — both on an oracle-mode assignment table
+and on a §8 controller day's ``AssignmentBatch`` (where the scalar path
+also pays the dict-table round trip) — while reproducing every metric.
 """
 
 import time
 
 import pytest
 
-from repro.analysis.metrics import (
-    evaluate_assignment,
-    evaluate_batch,
-    realized_assignment_table,
-)
+from repro.analysis.metrics import evaluate_batch, realized_assignment_table
 from repro.core.controller import FirstJoinerWrr
 from repro.core.policies import WrrPolicy
 from repro.core.titan_next import build_europe_setup, oracle_demand_for_day
 from repro.workload.demand import SLOTS_PER_DAY
 from repro.workload.traces import TraceGenerator
+from tests.scalar_reference import evaluate_assignment
 
 pytestmark = pytest.mark.slow
 

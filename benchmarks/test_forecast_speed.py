@@ -3,10 +3,11 @@
 The ISSUE-2 tentpole: on the default 150-config intra-Europe scenario
 the batched forecast pipeline (``counts_matrix`` history window +
 ``fit_many`` + matrix regrouping) must make ``predicted_demand_for_day``
-at least 5x faster than the per-config scalar reference, and the
-end-to-end ``run_prediction_day`` at least 3x faster than the same day
-driven by the scalar forecaster — while producing the same tables,
-plans, and realized assignment statistics.  A Titan-Next window through
+at least 5x faster than the per-config scalar reference
+(``tests/scalar_reference.py``), and the end-to-end
+``run_prediction_day`` at least 3x faster than the same day driven by
+the scalar forecaster — while producing the same tables, plans, and
+realized assignment statistics.  A Titan-Next window through
 ``SweepRunner`` must place every call as ``run_prediction_day`` does for
 each day on this default Europe setup (150 configs, 40k calls/day, days
 30-32): both plan through the setup's one cached LP structure (RHS
@@ -21,16 +22,18 @@ from dataclasses import replace
 import pytest
 
 from repro.core.lp import JointAssignmentLp, JointLpOptions
-from repro.core.plan import OfflinePlan
 from repro.core.sweep import SweepRunner
 from repro.core.titan_next import (
     build_europe_setup,
     predicted_demand_for_day,
-    predicted_demand_for_day_reference,
     run_prediction_day,
 )
-from repro.core.controller import TitanNextController
-from repro.workload.traces import TraceGenerator
+from tests.scalar_reference import (
+    ScalarPlan,
+    ScalarTitanNext,
+    ScalarTraceGenerator,
+    predicted_demand_for_day_reference,
+)
 from tests.test_sweep_parallel import titan_next_days
 
 pytestmark = pytest.mark.slow
@@ -63,9 +66,9 @@ def _reference_prediction_day(setup, day, seed=71):
     predicted = predicted_demand_for_day_reference(setup, day)
     solved = JointAssignmentLp(setup.scenario, predicted, options).solve()
     assert solved.is_optimal
-    plan = OfflinePlan.from_assignment(solved.assignment)
-    controller = TitanNextController(setup.scenario, plan, seed=seed + 1)
-    trace = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=seed)
+    plan = ScalarPlan.from_assignment(solved.assignment)
+    controller = ScalarTitanNext(setup.scenario, plan, seed=seed + 1)
+    trace = ScalarTraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=seed)
     return [controller.process(call) for call in trace.calls_for_day(day)], controller.stats
 
 

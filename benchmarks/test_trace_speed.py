@@ -2,12 +2,13 @@
 
 On the default 150-config intra-Europe scenario (~40k calls/day),
 ``TraceGenerator.table_for_day`` must synthesize one day's calls at
-least 5x faster than the scalar per-call reference, and a full
-Titan-Next controller day through ``process_table`` — an exact bulk
-replay, no per-call loop — must run at least 8x faster than the scalar
-per-call loop (~14x measured on a 2-vCPU host; the per-call batch loop
-it replaced ran ~4x) — while reproducing the scalar calls, placements,
-and :class:`ControllerStats` exactly.  The controller speedup is
+least 5x faster than the scalar per-call reference
+(``tests/scalar_reference.py``), and a full Titan-Next controller day
+through ``process_table`` — an exact bulk replay, no per-call loop —
+must run at least 8x faster than the scalar per-call loop (~14x
+measured on a 2-vCPU host; the per-call batch loop it replaced ran ~4x)
+— while reproducing the scalar calls, placements, and
+:class:`ControllerStats` exactly.  The controller speedup is
 recorded in ``BENCH_trace_speed.json``.
 
 The first-joiner WRR and LF baselines admit a day in bulk: on a
@@ -25,6 +26,13 @@ from repro.core.lp import JointAssignmentLp, JointLpOptions
 from repro.core.plan import OfflinePlan
 from repro.core.titan_next import build_europe_setup, predicted_demand_for_day
 from repro.workload.traces import TraceGenerator
+from tests.scalar_reference import (
+    ScalarLf,
+    ScalarPlan,
+    ScalarTitanNext,
+    ScalarTraceGenerator,
+    ScalarWrr,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -53,7 +61,7 @@ def _best_of(fn, rounds=2):
 
 def test_table_synthesis_is_5x_faster_with_identical_calls(default_setup):
     setup = default_setup
-    reference = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=71)
+    reference = ScalarTraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=71)
     batched = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=71)
     t_ref, calls = _best_of(lambda: reference.calls_for_day(DAY))
     t_new, table = _best_of(lambda: batched.table_for_day(DAY))
@@ -82,8 +90,8 @@ def test_controller_day_is_8x_faster_with_identical_stats(default_setup, record_
     calls = table.to_calls()
 
     def scalar_day():
-        controller = TitanNextController(
-            setup.scenario, OfflinePlan.from_assignment(solved.assignment), seed=72
+        controller = ScalarTitanNext(
+            setup.scenario, ScalarPlan.from_assignment(solved.assignment), seed=72
         )
         return [controller.process(call) for call in calls], controller.stats
 
@@ -123,17 +131,17 @@ def test_first_joiner_day_is_2_5x_faster_with_identical_placements(policy, recor
     ).table_for_day(DAY)
     calls = table.to_calls()
 
-    def make():
+    def make(scalar):
         if policy == "wrr":
-            return FirstJoinerWrr(setup.scenario, seed=73)
-        return FirstJoinerLf(setup.scenario)
+            return (ScalarWrr if scalar else FirstJoinerWrr)(setup.scenario, seed=73)
+        return (ScalarLf if scalar else FirstJoinerLf)(setup.scenario)
 
     def scalar_day():
-        controller = make()
+        controller = make(scalar=True)
         return [controller.process(call) for call in calls], controller.stats
 
     def batched_day():
-        controller = make()
+        controller = make(scalar=False)
         return controller.process_table(table), controller.stats
 
     t_ref, (ref_assignments, ref_stats) = _best_of(scalar_day)

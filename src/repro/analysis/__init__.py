@@ -4,7 +4,6 @@ from .cost import GCP_SINGAPORE, CostReport, Tariff, compare_costs, cost_of, int
 from .metrics import (
     EvaluationResult,
     LoadMatrix,
-    evaluate_assignment,
     evaluate_batch,
     normalize_to,
     savings_vs,
@@ -30,7 +29,6 @@ __all__ = [
     "policy_comparison",
     "EvaluationResult",
     "LoadMatrix",
-    "evaluate_assignment",
     "evaluate_batch",
     "normalize_to",
     "savings_vs",

@@ -10,17 +10,14 @@ the four metrics the paper reports:
 (d) **call migrations** — counted by the online controller
     (:mod:`repro.core.controller`), not here.
 
-Two scoring paths share one result type:
-
-* :func:`evaluate_assignment` — the pinned scalar reference, walking
-  the assignment table entry by entry;
-* :func:`evaluate_batch` — the vectorized path: scores an
-  :class:`~repro.core.controller.AssignmentBatch` straight off its
-  parallel arrays (one ``np.unique`` group-by), or an assignment
-  table converted to the same row arrays, using the dense coefficient
-  tables cached on the :class:`~repro.core.scenario.Scenario`
-  (:meth:`~repro.core.scenario.Scenario.eval_tables`) and one
-  ``np.add.at`` scatter over the CSR link incidence.
+:func:`evaluate_batch` scores an
+:class:`~repro.core.controller.AssignmentBatch` straight off its
+parallel arrays (one ``np.unique`` group-by), or an assignment table
+converted to the same row arrays, using the dense coefficient tables
+cached on the :class:`~repro.core.scenario.Scenario`
+(:meth:`~repro.core.scenario.Scenario.eval_tables`) and one scatter over
+the CSR link incidence.  ``tests/scalar_reference.py`` scores a table
+entry by entry, as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -179,8 +176,7 @@ def realized_assignment_table(
     ``(slot-of-day, config, final DC, final option)`` with call
     counts as values — exactly what the per-call loop over
     ``CallAssignment`` views would build, so oracle- and
-    prediction-mode results score through the same
-    :func:`evaluate_assignment`.
+    prediction-mode results can be scored as the same kind of table.
     """
     table: Dict[Tuple[int, CallConfig, str, str], float] = {}
     if not len(batch):
@@ -209,54 +205,6 @@ def realized_assignment_table(
     return table
 
 
-def evaluate_assignment(
-    scenario,
-    assignment: Mapping[Tuple[int, CallConfig, str, str], float],
-    policy_name: str = "",
-) -> EvaluationResult:
-    """Score an assignment: realized link loads and latency stats.
-
-    The evaluator recomputes loads from the assignment itself (it does
-    not trust LP peak variables), so LP-based and heuristic policies are
-    scored identically.  This is the pinned scalar reference;
-    :func:`evaluate_batch` is the vectorized production path.
-    """
-    wan = LoadMatrix()
-    internet_loads: Dict[Tuple[Tuple[str, str], int], float] = {}
-    e2e_values: List[float] = []
-    e2e_weights: List[float] = []
-    total_calls = 0.0
-    wan_edge = 0.0
-
-    for (t, config, dc, option), count in assignment.items():
-        if count <= 0:
-            continue
-        total_calls += count
-        e2e_values.append(scenario.e2e_latency_ms(config, dc, option))
-        e2e_weights.append(count)
-        for country, _ in config.participants:
-            bw = config.country_bandwidth_gbps(country) * count
-            if bw <= 0:
-                continue
-            if option == WAN:
-                wan_edge += bw
-                for link_idx in scenario.link_indices(country, dc):
-                    wan.add(link_idx, t, bw)
-            else:
-                key = ((country, dc), t)
-                internet_loads[key] = internet_loads.get(key, 0.0) + bw
-
-    return EvaluationResult(
-        policy=policy_name,
-        wan=wan,
-        internet_loads=internet_loads,
-        e2e_values=np.asarray(e2e_values, dtype=float),
-        e2e_weights=np.asarray(e2e_weights, dtype=float),
-        total_calls=total_calls,
-        wan_edge_traffic=wan_edge,
-    )
-
-
 def evaluate_batch(
     scenario,
     assignments,
@@ -275,8 +223,9 @@ def evaluate_batch(
     distinct rows are scored against the scenario's cached dense
     coefficient tables, WAN loads scatter-add onto the dense
     (link, slot) grid in one ``np.add.at`` over the CSR link
-    incidence, and the result reproduces
-    :func:`evaluate_assignment` to float accumulation order.
+    incidence.  The evaluator recomputes loads from the assignment
+    itself (it does not trust LP peak variables), so LP-based and
+    heuristic policies are scored identically.
     """
     if isinstance(assignments, Mapping):
         rows = _rows_from_table(scenario, assignments)

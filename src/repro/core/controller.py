@@ -17,18 +17,15 @@ Controllers:
 * :class:`FirstJoinerTitan` — weighted-random DC by cores, random
   routing by the pair's Titan fraction.
 
-Each controller has two processing paths over one sample stream:
+Each controller processes a whole
+:class:`~repro.workload.traces.CallTable` at once with
+``process_table(table)``, returning an :class:`AssignmentBatch`.  Every
+random decision is an inverse-CDF transform of raw uniforms, drawn in
+call order, so a replay equals the per-call loop of
+``tests/scalar_reference.py`` placement for placement, and its
+:class:`ControllerStats` too.
 
-* ``process(call)`` — the scalar reference, one :class:`Call` at a
-  time;
-* ``process_table(table)`` — the batch path over a whole
-  :class:`~repro.workload.traces.CallTable`, returning an
-  :class:`AssignmentBatch`.  Every random decision is an inverse-CDF
-  transform of raw uniforms, drawn in the same order as the scalar
-  loop, so the batch path reproduces the scalar assignments and
-  :class:`ControllerStats` call for call.
-
-Both paths place only the scenario's own traffic.  A first-joiner
+Replays place only the scenario's own traffic.  A first-joiner
 baseline raises :class:`KeyError` on a call whose config has a country
 outside ``scenario.country_codes`` (the error scoring raises for it),
 and the Titan-Next batch path on a plan DC outside
@@ -55,9 +52,7 @@ _OPTION_INDEX: Dict[str, int] = {opt: i for i, opt in enumerate(ROUTING_OPTION_O
 #: The dtype of every batch's option columns.
 _OPTION_DTYPE = index_dtype(len(ROUTING_OPTION_ORDER))
 
-#: Media order the controller tries for its intra-country guesses —
-#: shared by the scalar and batch TitanNext paths, whose call-for-call
-#: equivalence depends on identical guess sequences.
+#: Media order the controller tries for its intra-country guesses.
 GUESS_MEDIA: Tuple[str, str, str] = ("video", "audio", "screenshare")
 
 
@@ -219,21 +214,6 @@ class _UniformStream:
         self._pos += m
 
 
-def weighted_shuffle_order(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Efraimidis–Spirakis weighted-random order from raw uniforms.
-
-    Orders indices by descending ``u_i ** (1/w_i)`` (via the monotone
-    ``log(u_i)/w_i``), which distributes like successive weighted draws
-    without replacement.  Being a pure elementwise transform of
-    pre-drawn uniforms — unlike ``rng.choice(replace=False, p=...)`` —
-    it lets the batch path replay the scalar stream exactly.  Works on
-    one call's vector or a ``(calls, buckets)`` matrix.
-    """
-    with np.errstate(divide="ignore"):
-        keys = np.log(u) / weights
-    return np.argsort(-keys, axis=-1, kind="stable")
-
-
 def _table_countries(table: CallTable) -> Tuple[List[str], np.ndarray]:
     """First-joiner countries of a table: code list + per-call index."""
     codes: List[str] = []
@@ -339,10 +319,8 @@ class _CapacityTracker:
     DC ``d``, in the scenario's DC and country order, so one slot's
     usage is one contiguous row.  Capacity caps are snapshotted at
     construction.  Every config it is handed must keep to the
-    scenario's countries (:meth:`load_for` raises otherwise).  The
-    string-keyed methods, over the integer-indexed ``*_at`` steps,
-    serve the scalar controllers; :meth:`admit_table` is the bulk path
-    over the same array.
+    scenario's countries (:meth:`load_for` raises otherwise).
+    :meth:`admit_table` admits a whole table into it.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -364,17 +342,6 @@ class _CapacityTracker:
             (self._slots, (1 + len(scenario.country_codes)) * len(self.dc_codes))
         )
         self._loads: Dict[CallConfig, _ConfigLoad] = {}
-
-    @property
-    def _compute(self) -> np.ndarray:
-        """Compute usage as a ``(dc, slot)`` view."""
-        return self._usage[:, : len(self.dc_codes)].T
-
-    @property
-    def _internet(self) -> np.ndarray:
-        """Internet usage as a ``(country, dc, slot)`` view."""
-        n_dc = len(self.dc_codes)
-        return self._usage[:, n_dc:].reshape(self._slots, -1, n_dc).transpose(1, 2, 0)
 
     def _ensure(self, slots: int) -> None:
         if slots <= self._slots:
@@ -401,32 +368,6 @@ class _CapacityTracker:
             )
             self._loads[config] = load
         return load
-
-    # -- integer-indexed steps of the scalar API --------------------------
-
-    def compute_headroom_at(self, dc_i: int, slot: int, cores: float) -> bool:
-        self._ensure(slot + 1)
-        return self._usage[slot, dc_i] + cores <= self._caps[dc_i] + 1e-9
-
-    def internet_headroom_at(self, load: _ConfigLoad, dc_i: int, slot: int) -> bool:
-        self._ensure(slot + 1)
-        n_dc = len(self.dc_codes)
-        for ci, bw in zip(load.country_idx, load.bandwidths):
-            if self._usage[slot, n_dc * (1 + ci) + dc_i] + bw > self._pair_caps[ci, dc_i] + 1e-12:
-                return False
-        return True
-
-    def admit_at(
-        self, load: _ConfigLoad, dc_i: int, internet: bool, start: int, end: int
-    ) -> None:
-        self._ensure(end)
-        self._usage[start:end, dc_i] += load.cores
-        if internet:
-            n_dc = len(self.dc_codes)
-            for ci, bw in zip(load.country_idx, load.bandwidths):
-                self._usage[start:end, n_dc * (1 + ci) + dc_i] += bw
-
-    # -- bulk admission ---------------------------------------------------
 
     def bucket_matrix(self, key_lists: Sequence[Sequence[Tuple[str, str]]]) -> np.ndarray:
         """``(dc, option)`` key lists as rows of bucket ids
@@ -455,12 +396,11 @@ class _CapacityTracker:
         ascending ``keys(lo, hi)[i - lo]`` (one int64 per column for the
         calls ``lo..hi-1``), ties to the lower column, and overflows
         onto ``overflow_dc``'s WAN when no bucket has headroom.  The
-        result is exactly that of the scalar ``process`` loop, which
-        tries each bucket with :meth:`compute_headroom` and
-        :meth:`internet_headroom` and admits with :meth:`admit`, call by
-        call in table order: the same placements and the same usage,
-        bit for bit.  Returns ``(dc, option, unplanned)`` with
-        ``option`` 1 for the Internet.  A config some call uses that
+        result is exactly that of a per-call loop that checks each
+        bucket's headroom at the call's start slot and admits the call
+        over its slots, call by call in table order: the same
+        placements and the same usage, bit for bit.  Returns ``(dc,
+        option, unplanned)`` with ``option`` 1 for the Internet.  A config some call uses that
         leaves the scenario's countries raises :class:`KeyError` before
         anything is admitted; configs no call uses are not read.
 
@@ -671,23 +611,6 @@ class _CapacityTracker:
             )
         return dc_out, inet_out, unplanned
 
-    # -- string-keyed scalar API ------------------------------------------
-
-    def compute_headroom(self, dc: str, slot: int, cores: float) -> bool:
-        return self.compute_headroom_at(self.dc_index[dc], slot, cores)
-
-    def internet_headroom(self, config: CallConfig, dc: str, slot: int) -> bool:
-        return self.internet_headroom_at(self.load_for(config), self.dc_index[dc], slot)
-
-    def admit(self, config: CallConfig, dc: str, option: str, call: Call) -> None:
-        self.admit_at(
-            self.load_for(config),
-            self.dc_index[dc],
-            option == INTERNET,
-            call.start_slot,
-            call.end_slot,
-        )
-
 
 def _intra_country_guess(country: str, media: str) -> CallConfig:
     """The controller's working assumption for a brand-new call.
@@ -725,8 +648,8 @@ def _previous_keys(
     return guess, last
 
 
-#: A unit consume succeeds while the quota is at least this: the scalar
-#: path refuses when ``remaining < amount - QUOTA_EPS``.
+#: A unit consume succeeds while the quota is at least this: a consume
+#: is refused when ``remaining < amount - QUOTA_EPS``.
 _UNIT = 1.0 - QUOTA_EPS
 
 
@@ -759,11 +682,12 @@ def _chain_picks(
     unit from the picked bucket if it holds one.  Each entry's ops run
     in call order, and step ``j`` takes the ``j``-th op of every chain
     at once, against the quotas the earlier steps left.  A step
-    reproduces :func:`~repro.core.plan.weighted_pick`: ``np.cumsum``
-    adds the buckets in the loop's order, ``0.0`` for a bucket at or
-    below ``QUOTA_EPS`` changes no partial sum, ``target = u * total``,
-    and the pick is the first bucket with ``target < cumulative``, else
-    the last positive one.  Steps are the longest chain, not the ops.
+    reproduces a per-op weighted pick over the entry's quotas:
+    ``np.cumsum`` adds the buckets in the loop's order, ``0.0`` for a
+    bucket at or below ``QUOTA_EPS`` changes no partial sum, ``target =
+    u * total``, and the pick is the first bucket with ``target <
+    cumulative``, else the last positive one.  Steps are the longest
+    chain, not the ops.
     ``quota`` is only read.
 
     Returns per op ``(pick, consumed, emptied)``: the bucket, whether a
@@ -985,7 +909,20 @@ def _snapshot_rows(
 
 
 class TitanNextController:
-    """The §6.4 real-time controller over an offline precomputed plan."""
+    """The §6.4 real-time controller over an offline precomputed plan.
+
+    A call is placed when its first participant joins, from the first
+    joiner's country alone.  The working guess is the planning config
+    most recently seen from that country (intra-country
+    single-participant video before the first); when its plan entry is
+    exhausted, the intra-country configs of the other media types are
+    tried, then the nearest DC over the WAN (the surge path, counted as
+    ``unplanned``).  The guess's bucket is drawn weighted by the
+    remaining quotas, and a unit consumed.  Once the true (reduced)
+    config is known, ~5 minutes in, a right guess stays put; otherwise
+    the tentative unit is refunded and the call draws its target from
+    the true config's entry, migrating when that lands elsewhere.
+    """
 
     def __init__(
         self,
@@ -1002,30 +939,18 @@ class TitanNextController:
         self.rng = np.random.default_rng(seed)
         self.reduce_configs = reduce_configs
         self.stats = ControllerStats()
-        #: Most recently used planning config per country ("we pick the
-        #: most recently used reduced call config based on the country
-        #: of the first joiner", §6.4).
-        self._recent_config: Dict[str, CallConfig] = {}
-        #: Tentative quota consumption per in-flight call: the guessed
-        #: config whose plan bucket was sampled at assign time, plus
-        #: whether a full unit of quota was actually consumed (a
-        #: fractional bucket can be sampled but hold less than one
-        #: unit; refunding it anyway would mint quota from nothing).
-        self._pending: Dict[int, Optional[Tuple[CallConfig, bool]]] = {}
         self._fallback_cache: Dict[str, Tuple[str, str]] = {}
-        #: Batch-path state, created on the first ``process_table`` call
-        #: and carried across calls so successive tables behave like one
-        #: continuous stream: the quota snapshot, the buffered uniform
-        #: reader, and the per-country most-recent plan keys.
+        #: Replay state, created on the first ``process_table`` call
+        #: (the constructor draws nothing from ``rng``) and carried
+        #: across calls so successive tables behave like one continuous
+        #: stream: the quota snapshot, the buffered uniform reader, and
+        #: the per-country most-recent plan keys.
         self._quota_index: Optional[QuotaIndex] = None
         self._uniform_stream: Optional[_UniformStream] = None
         self._recent_key: Dict[str, int] = {}
 
     def _plan_key(self, config: CallConfig) -> CallConfig:
         return config.reduced() if self.reduce_configs else config
-
-    def _plan_slot(self, call: Call) -> int:
-        return call.start_slot % self.scenario.slots_per_day
 
     def _fallback_for_country(self, country_code: str) -> Tuple[str, str]:
         """Surge handling: nearest DC with capacity, over the WAN (§6.4)."""
@@ -1038,103 +963,13 @@ class TitanNextController:
             self._fallback_cache[country_code] = cached
         return cached
 
-    def _fallback(self, call: Call) -> Tuple[str, str]:
-        return self._fallback_for_country(call.first_joiner_country)
-
-    def assign(self, call: Call) -> Tuple[str, str]:
-        """Initial assignment from the first joiner's country only.
-
-        The working guess is the most recently used planning config for
-        the first joiner's country (intra-country single-participant
-        video before any call has been seen); if its quotas are
-        exhausted, intra-country configs of the other media types are
-        tried before falling back to nearest-DC-with-capacity (§6.4,
-        "handling surge in calls").
-        """
-        if self._quota_index is not None:
-            # The batch path owns the quota snapshot, the per-country
-            # recent-config state, and a prefetched uniform buffer;
-            # scalar processing after it would double-spend quota and
-            # draw from a skipped-ahead stream.  Fail loudly instead.
-            raise RuntimeError(
-                "cannot mix scalar process() with process_table() on one "
-                "controller; use a fresh TitanNextController"
-            )
-        slot = self._plan_slot(call)
-        country = call.first_joiner_country
-        guesses = []
-        if country in self._recent_config:
-            guesses.append(self._recent_config[country])
-        for media in GUESS_MEDIA:
-            candidate = _intra_country_guess(country, media)
-            if candidate not in guesses:
-                guesses.append(candidate)
-        for guess in guesses:
-            choice = self.plan.sample(slot, guess, self.rng)
-            if choice is not None:
-                dc, option = choice
-                consumed = self.plan.consume(slot, guess, dc, option)
-                self._pending[call.call_id] = (guess, consumed)
-                return dc, option
-        self.stats.unplanned += 1
-        self._pending[call.call_id] = None
-        return self._fallback(call)
-
-    def reveal(self, call: Call, initial: Tuple[str, str]) -> CallAssignment:
-        """Reconcile once the true (reduced) config is known (~5 min in).
-
-        The quota consumed at assign time was charged against the
-        *guessed* config.  If the guess was right (the common case:
-        intra-country calls reduce to the guessed single-participant
-        config), accounting is already correct and the call stays put.
-        Otherwise the tentative quota is refunded and the call follows
-        the true config's plan — migrating if that lands elsewhere.
-        """
-        slot = self._plan_slot(call)
-        true_reduced = self._plan_key(call.config)
-        self._recent_config[call.first_joiner_country] = true_reduced
-        initial_dc, initial_option = initial
-        self.stats.calls += 1
-        pending = self._pending.pop(call.call_id, None)
-        guess, consumed = pending if pending is not None else (None, False)
-
-        if guess == true_reduced:
-            # Guessed right: the assign-time consumption was the real one.
-            return CallAssignment(call, initial_dc, initial_option, initial_dc, initial_option)
-        if consumed:
-            # Undo only what was actually decremented: a sampled-but-
-            # fractional bucket consumed nothing, so refunding it would
-            # inflate the plan's total quota on every wrong guess.
-            self.plan.refund(slot, guess, initial_dc, initial_option)
-
-        # The paper's rule: draw the target assignment for the *true*
-        # reduced config from the plan (weighted random over its
-        # remaining quotas); "if [it] is different than the initial
-        # assignment, we migrate the call to the target assignment."
-        choice = self.plan.sample(slot, true_reduced, self.rng)
-        if choice is None:
-            # No plan for this config at all: stay where we are.
-            return CallAssignment(call, initial_dc, initial_option, initial_dc, initial_option)
-        final_dc, final_option = choice
-        self.plan.consume(slot, true_reduced, final_dc, final_option)
-        if final_dc != initial_dc:
-            self.stats.dc_migrations += 1
-        if final_option != initial_option:
-            self.stats.option_migrations += 1
-        return CallAssignment(call, initial_dc, initial_option, final_dc, final_option)
-
-    def process(self, call: Call) -> CallAssignment:
-        """Assign at first join, then reconcile at config reveal."""
-        initial = self.assign(call)
-        return self.reveal(call, initial)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch rendition of :meth:`process` over a whole trace table.
+        """Replay a whole trace table, exactly and in bulk.
 
-        An exact bulk replay: the placements, :class:`ControllerStats`
-        and the carried state (quota snapshot, uniform-stream position,
-        per-country recent keys) are those of :meth:`process` run call
-        by call, bit for bit, from the same uniform stream.
+        The placements, :class:`ControllerStats` and the carried state
+        (quota snapshot, uniform-stream position, per-country recent
+        keys) are those of the class's per-call rule run call by call,
+        bit for bit, from the same uniform stream.
 
         * **Static paths.**  A call's first guess is the true plan key
           of the previous call from its country (one stable sort by
@@ -1160,9 +995,9 @@ class TitanNextController:
           while they commit whole, as in
           :meth:`_CapacityTracker.admit_table`.
 
-        Quota accounting runs on the snapshot, so do not interleave
-        with scalar :meth:`process` calls on one controller.  The batch
-        indexes ``scenario.dc_codes``: a plan entry the table reads with
+        Quota accounting runs on a :class:`QuotaIndex` snapshot; the
+        plan itself is left as it was.  The batch indexes
+        ``scenario.dc_codes``: a plan entry the table reads with
         a bucket on any other DC raises :class:`KeyError` with that DC's
         code, the error scoring raises for it.
         """
@@ -1304,32 +1139,13 @@ class FirstJoinerWrr:
             self._bucket_cache[country] = cached
         return cached
 
-    def process(self, call: Call) -> CallAssignment:
-        self.stats.calls += 1
-        keys, weights = self._buckets(call.first_joiner_country)
-        order = weighted_shuffle_order(self.rng.random(len(keys)), weights)
-        cores = call.config.compute_cores()
-        for idx in order:
-            dc, option = keys[idx]
-            if not self.tracker.compute_headroom(dc, call.start_slot, cores):
-                continue
-            if option == INTERNET and not self.tracker.internet_headroom(
-                call.config, dc, call.start_slot
-            ):
-                continue
-            self.tracker.admit(call.config, dc, option, call)
-            return CallAssignment(call, dc, option, dc, option)
-        # Everything full: overflow onto the first bucket's WAN.
-        self.stats.unplanned += 1
-        dc = keys[0][0]
-        self.tracker.admit(call.config, dc, WAN, call)
-        return CallAssignment(call, dc, WAN, dc, WAN)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch WRR: one uniform block, turned run by run into each
-        call's Efraimidis–Spirakis keys, then the tracker's exact bulk
-        admission.  Stream- and float-identical to :meth:`process` call
-        for call."""
+        """WRR over a whole table: one uniform block, turned run by run
+        into each call's Efraimidis–Spirakis keys (a weighted-random
+        bucket order, by descending ``log(u)/w``), then the tracker's
+        exact bulk admission.  Each call draws one uniform per bucket of
+        its country, in call order, and overflows onto the first DC's
+        WAN when every bucket is full."""
         n = len(table)
         tracker = self.tracker
         dc_codes = tuple(tracker.dc_codes)
@@ -1401,27 +1217,11 @@ class FirstJoinerLf:
             self._bucket_cache[country] = cached
         return cached
 
-    def process(self, call: Call) -> CallAssignment:
-        self.stats.calls += 1
-        cores = call.config.compute_cores()
-        for dc, option in self._sorted_buckets(call.first_joiner_country):
-            if not self.tracker.compute_headroom(dc, call.start_slot, cores):
-                continue
-            if option == INTERNET and not self.tracker.internet_headroom(
-                call.config, dc, call.start_slot
-            ):
-                continue
-            self.tracker.admit(call.config, dc, option, call)
-            return CallAssignment(call, dc, option, dc, option)
-        self.stats.unplanned += 1
-        dc = self.scenario.dc_codes[0]
-        self.tracker.admit(call.config, dc, WAN, call)
-        return CallAssignment(call, dc, WAN, dc, WAN)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch LF: cached latency-sorted buckets per country, then the
-        tracker's exact bulk admission (LF draws no randomness).
-        Identical to :meth:`process` call for call."""
+        """LF over a whole table: cached latency-sorted buckets per
+        country, then the tracker's exact bulk admission (LF draws no
+        randomness).  A call that finds every bucket full overflows onto
+        the first DC's WAN."""
         n = len(table)
         tracker = self.tracker
         dc_codes = tuple(tracker.dc_codes)
@@ -1453,27 +1253,11 @@ class FirstJoinerTitan:
         # Equal shares when the fleet has no compute (Scenario.compute_shares).
         self._cum_probs = np.cumsum(scenario.compute_shares())
 
-    def _pick_dc(self, u: float) -> int:
-        return int(
-            np.minimum(
-                np.searchsorted(self._cum_probs, u, side="right"),
-                len(self._cum_probs) - 1,
-            )
-        )
-
-    def process(self, call: Call) -> CallAssignment:
-        self.stats.calls += 1
-        scenario = self.scenario
-        dc = scenario.dc_codes[self._pick_dc(self.rng.random())]
-        fraction = scenario.internet_fraction(call.first_joiner_country, dc)
-        option = INTERNET if self.rng.random() < fraction else WAN
-        return CallAssignment(call, dc, option, dc, option)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch Titan: fully vectorized — one uniform block, one
-        ``searchsorted`` for the DC draws, one fraction-table gather
-        for the routing draws.  Identical to :meth:`process` call for
-        call (Titan is stateless)."""
+        """Titan over a whole table: one uniform block, two per call
+        (the DC, then the routing draw), one ``searchsorted`` for the
+        DC draws and one fraction-table gather for the routing draws
+        (Titan is stateless)."""
         n = len(table)
         scenario = self.scenario
         dc_codes = tuple(scenario.dc_codes)

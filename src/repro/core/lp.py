@@ -20,15 +20,16 @@ The same builder also produces the Locality-First baseline (§7.2): same
 constraint set minus C4, with the objective replaced by total latency
 (or total max-E2E latency for the LF-E2E variant).
 
-The production :meth:`JointAssignmentLp.build` is *array-first*: it
-enumerates the LP columns once into flat index arrays, reads the
-coefficients from the scenario's own tables — max-E2E latency and
-per-country bandwidth from :meth:`Scenario.eval_tables`, WAN link
-incidence from :meth:`Scenario.link_incidence_csr`, the tables §7.1
-scoring reads — and emits every constraint family as a COO
+The build is *array-first*: it enumerates the LP columns once into
+flat index arrays, reads the coefficients from the scenario's own
+tables — max-E2E latency and per-country bandwidth from
+:meth:`Scenario.eval_tables`, WAN link incidence from
+:meth:`Scenario.link_incidence_csr`, the tables §7.1 scoring reads —
+and emits every constraint family as a COO
 :class:`~repro.solver.model.ConstraintBlock`: no per-term dict churn,
-no string-keyed lookups.  The original scalar builder is kept as
-:meth:`JointAssignmentLp.build_reference` to validate equivalence.
+no string-keyed lookups.  ``tests/scalar_reference.py`` assembles the
+same LP term by term, as the oracle the build is checked against row
+for row.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from ..analysis.metrics import _csr_offsets
 from ..geo.world import stable_hash
 from ..net.latency import INTERNET, WAN
-from ..solver.model import ConstraintBlock, LinearProgram, LinExpr, Solution
+from ..solver.model import ConstraintBlock, LinearProgram, Solution
 from ..workload.configs import CallConfig
 from .scenario import Scenario
 
@@ -524,147 +525,6 @@ class JointAssignmentLp:
             c[:n_cols] = e2e
         lp.set_objective_array(c)
         return lp, artifacts
-
-    def build(self) -> Tuple[LinearProgram, Dict[Tuple[int, CallConfig, str, str], str]]:
-        """Build the LP; returns it plus the X-variable name table.
-
-        The name table exists for debugging and backward compatibility;
-        the solve path works purely on integer handles (see
-        :meth:`_build` / :class:`LpArtifacts`).
-        """
-        lp, artifacts = self._build()
-        var_names = {
-            artifacts.key_of(j): lp.variable_name(j) for j in range(artifacts.n_cols)
-        }
-        return lp, var_names
-
-    # -- reference (scalar) build -------------------------------------------
-
-    def build_reference(self) -> Tuple[LinearProgram, Dict[Tuple[int, CallConfig, str, str], str]]:
-        """The original scalar LP assembly (per-term ``add_term`` calls).
-
-        Kept as the ground truth the array-first :meth:`build` is
-        validated against (same constraint counts, same optimum); also a
-        readable rendition of the Fig 13 formulation.
-        """
-        scenario = self.scenario
-        opts = self.options
-        lp = LinearProgram("titan-next")
-        var_names: Dict[Tuple[int, CallConfig, str, str], str] = {}
-
-        x_vars: Dict[Tuple[int, CallConfig, str, str], object] = {}
-        for (t, config), count in sorted(
-            self.demand.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-        ):
-            for dc in self._allowed_dcs(config):
-                for option in self._allowed_options(config, dc):
-                    name = f"x[{t}][{config}][{dc}][{option}]"
-                    x_vars[(t, config, dc, option)] = lp.add_variable(name)
-                    var_names[(t, config, dc, option)] = name
-
-        y_vars = {}
-        if opts.objective == "sum_of_peaks":
-            for link_idx in range(scenario.wan_link_count):
-                y_vars[link_idx] = lp.add_variable(f"y[{link_idx}]")
-
-        # C1 — assign all calls of every (t, c).
-        for (t, config), count in self.demand.items():
-            expr = LinExpr()
-            for dc in self._allowed_dcs(config):
-                for option in self._allowed_options(config, dc):
-                    expr.add_term(x_vars[(t, config, dc, option)])
-            lp.add_constraint(expr == count, name=f"C1[{t}][{config}]")
-
-        # C2 — per-DC compute capacity per slot.
-        for t in self.slots:
-            for dc in scenario.dc_codes:
-                expr = LinExpr()
-                nonzero = False
-                for config in self.configs:
-                    if (t, config) not in self.demand:
-                        continue
-                    if dc not in self._allowed_dcs(config):
-                        continue
-                    cores = config.compute_cores()
-                    for option in self._allowed_options(config, dc):
-                        expr.add_term(x_vars[(t, config, dc, option)], cores)
-                        nonzero = True
-                if nonzero:
-                    cap = scenario.compute_caps[dc]
-                    if opts.single_dc_per_config:
-                        cap *= SINGLE_DC_CAP_RELAX
-                    lp.add_constraint(expr <= cap, name=f"C2[{t}][{dc}]")
-
-        # C3 — Internet capacity per (slot, country, DC).
-        if opts.allow_internet:
-            for t in self.slots:
-                for country in scenario.country_codes:
-                    for dc in scenario.dc_codes:
-                        cap = scenario.internet_cap_gbps(country, dc)
-                        cap *= opts.internet_capacity_factor
-                        expr = LinExpr()
-                        nonzero = False
-                        for config in self.configs:
-                            if (t, config) not in self.demand:
-                                continue
-                            bw = config.country_bandwidth_gbps(country)
-                            if bw <= 0:
-                                continue
-                            key = (t, config, dc, INTERNET)
-                            if key in x_vars:
-                                expr.add_term(x_vars[key], bw)
-                                nonzero = True
-                        if nonzero:
-                            lp.add_constraint(expr <= cap, name=f"C3[{t}][{country}][{dc}]")
-
-        # C4 — average max-E2E latency bound (Titan-Next only).
-        if opts.objective == "sum_of_peaks":
-            total_calls = sum(self.demand.values())
-            expr = LinExpr()
-            for (t, config, dc, option), var in x_vars.items():
-                expr.add_term(var, scenario.e2e_latency_ms(config, dc, option))
-            lp.add_constraint(expr <= opts.e2e_bound_ms * total_calls, name="C4")
-
-        # C5 — link peaks dominate every slot's WAN load.
-        if opts.objective == "sum_of_peaks":
-            for t in self.slots:
-                loads: Dict[int, LinExpr] = {}
-                for config in self.configs:
-                    if (t, config) not in self.demand:
-                        continue
-                    for dc in self._allowed_dcs(config):
-                        if (t, config, dc, WAN) not in x_vars:
-                            continue
-                        var = x_vars[(t, config, dc, WAN)]
-                        for country, _ in config.participants:
-                            bw = config.country_bandwidth_gbps(country)
-                            if bw <= 0:
-                                continue
-                            for link_idx in scenario.link_indices(country, dc):
-                                loads.setdefault(link_idx, LinExpr()).add_term(var, bw)
-                for link_idx, load in loads.items():
-                    load.add_term(y_vars[link_idx], -1.0)
-                    lp.add_constraint(load <= 0, name=f"C5[{t}][{link_idx}]")
-
-        # Objective.
-        objective = LinExpr()
-        if opts.objective == "sum_of_peaks":
-            for var in y_vars.values():
-                objective.add_term(var)
-            for (t, config, dc, option), var in x_vars.items():
-                objective.add_term(
-                    var, LOCALITY_EPSILON * scenario.total_latency_ms(config, dc, option)
-                )
-            for (t, config, dc, option), var in x_vars.items():
-                objective.add_term(var, TIE_BREAK_EPSILON * _tie_break_unit(config, dc, option))
-        elif opts.objective == "total_latency":
-            for (t, config, dc, option), var in x_vars.items():
-                objective.add_term(var, scenario.total_latency_ms(config, dc, option))
-        else:  # total_e2e
-            for (t, config, dc, option), var in x_vars.items():
-                objective.add_term(var, scenario.e2e_latency_ms(config, dc, option))
-        lp.set_objective(objective)
-        return lp, var_names
 
     # -- solve ---------------------------------------------------------------
 

@@ -6,16 +6,10 @@ The online controller consumes quotas with weighted-random selection
 ("we then use all the counts for each assignment ... as weights and use
 weighted random to pick the assignment", §6.4).
 
-Two access paths read the same quotas:
-
-* :class:`OfflinePlan` — the dict-backed scalar reference: per-call
-  :meth:`OfflinePlan.sample` draws with :func:`weighted_pick`, which the
-  scalar controller path and the tests use;
-* :class:`QuotaIndex` — an indexed snapshot of the same plan
-  ((slot, interned config) → bucket/quota arrays) for the batch
-  controller, whose bulk replay reproduces :func:`weighted_pick`'s float
-  arithmetic on the identical uniform stream and therefore picks the
-  identical buckets.
+:class:`OfflinePlan` holds the quotas as per-entry dicts;
+:class:`QuotaIndex` is the Titan-Next replay's indexed snapshot of them
+((slot, interned config) → bucket/quota arrays), on which the replay
+does all of its quota accounting.
 """
 
 from __future__ import annotations
@@ -30,29 +24,6 @@ from .lp import ASSIGNMENT_EPS, COLUMN_OPTIONS, AssignmentTable, LpArtifacts
 
 #: Quotas at or below this are treated as exhausted when sampling.
 QUOTA_EPS = 1e-9
-
-
-def weighted_pick(weights: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw over ``weights`` from one uniform.
-
-    The scalar path's primitive; the batch controller reproduces its
-    float arithmetic (running sums in bucket order, ``target = u *
-    total``, the first ``target < cumulative``, else the last bucket)
-    on the same (weights, uniform) pairs, so both pick the same
-    bucket.  ``weights`` must be non-empty and positive;
-    the caller filters exhausted buckets first (and skips the uniform
-    entirely when none remain, keeping the stream aligned).
-    """
-    total = 0.0
-    cumulative = []
-    for w in weights:
-        total += w
-        cumulative.append(total)
-    target = u * total
-    for i, c in enumerate(cumulative):
-        if target < c:
-            return i
-    return len(cumulative) - 1
 
 
 @dataclass
@@ -117,65 +88,16 @@ class OfflinePlan:
     def entry(self, slot: int, config: CallConfig) -> Optional[PlanEntry]:
         return self._entries.get((slot, config))
 
-    def configs_for_slot(self, slot: int) -> List[CallConfig]:
-        return [c for (t, c) in self._entries if t == slot]
-
-    def sample(
-        self, slot: int, config: CallConfig, rng: np.random.Generator
-    ) -> Optional[Tuple[str, str]]:
-        """Weighted-random (DC, option) draw from remaining quotas.
-
-        Draws exactly one uniform from ``rng`` — and none at all when
-        every bucket is exhausted — so the batch path can replay the
-        stream draw for draw.
-        """
-        entry = self._entries.get((slot, config))
-        if entry is None:
-            return None
-        buckets = [(key, w) for key, w in entry.weights() if w > QUOTA_EPS]
-        if not buckets:
-            return None
-        pick = weighted_pick([w for _, w in buckets], float(rng.random()))
-        return buckets[pick][0]
-
-    def consume(
-        self, slot: int, config: CallConfig, dc: str, option: str, amount: float = 1.0
-    ) -> bool:
-        """Decrement a bucket's remaining quota; False if exhausted."""
-        entry = self._entries.get((slot, config))
-        if entry is None:
-            return False
-        key = (dc, option)
-        remaining = entry.buckets.get(key, 0.0)
-        if remaining < amount - QUOTA_EPS:
-            return False
-        entry.buckets[key] = remaining - amount
-        return True
-
-    def refund(
-        self, slot: int, config: CallConfig, dc: str, option: str, amount: float = 1.0
-    ) -> None:
-        """Return quota to a bucket (undo a tentative :meth:`consume`)."""
-        entry = self._entries.setdefault((slot, config), PlanEntry())
-        key = (dc, option)
-        entry.buckets[key] = entry.buckets.get(key, 0.0) + amount
-
-    def peek(self, slot: int, config: CallConfig, dc: str, option: str) -> float:
-        entry = self._entries.get((slot, config))
-        if entry is None:
-            return 0.0
-        return entry.buckets.get((dc, option), 0.0)
-
 
 class QuotaEntry:
     """One (slot, config) plan entry as parallel bucket/quota arrays.
 
     ``keys[i]`` is the ``(dc, option)`` of bucket ``i`` (sorted, the
     same canonical order :meth:`PlanEntry.weights` uses) and
-    ``quota[i]`` its remaining quota.  The batch controller leaves
-    ``quota`` where the dict path's ``- 1.0`` steps would (``k`` such
-    steps are exactly ``- k``), so the quotas — and hence the picks —
-    match bitwise.
+    ``quota[i]`` its remaining quota.  The replay leaves ``quota``
+    where per-call ``- 1.0`` steps would (``k`` such steps are exactly
+    ``- k``), so the quotas, and hence the picks, match a per-call
+    replay bit for bit.
     """
 
     __slots__ = ("keys", "quota")
@@ -190,11 +112,9 @@ class QuotaIndex:
 
     Interns plan keys (reduced call configs) to integers via
     :meth:`key` and materializes each touched (slot, key) entry as a
-    :class:`QuotaEntry` snapshot on first access.  The batch
-    controllers own all quota accounting through this index for the
-    duration of a run; mutations are not written back to the source
-    plan, so do not interleave indexed and dict-path consumption of
-    one plan.
+    :class:`QuotaEntry` snapshot on first access.  The Titan-Next
+    replay does all of its quota accounting on this index; mutations
+    are not written back to the source plan.
     """
 
     def __init__(self, plan: OfflinePlan) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 from ..geo.world import World, default_world
 from ..net.latency import LatencyModel
 from ..solver.model import Solution
-from ..workload.configs import CallConfig, group_by_reduced
+from ..workload.configs import CallConfig
 from ..workload.demand import SLOTS_PER_DAY, ConfigUniverse, DemandModel
 from ..workload.traces import CallTable, TraceGenerator
 from .capacity import InternetCapacityBook
@@ -48,7 +48,7 @@ from .controller import (
     FirstJoinerWrr,
     TitanNextController,
 )
-from .forecast import HoltWinters, forecast_day
+from .forecast import HoltWinters
 from .lp import (
     AssignmentTable,
     JointAssignmentLp,
@@ -232,8 +232,9 @@ def predicted_demand_for_day(
     reduced configs, §8.3) and grouped to reduced configs afterwards.
     The whole sweep is batched: one ``counts_matrix`` window for the
     history of every top config, one ``fit_many`` pass updating all
-    Holt-Winters states together, one matrix forecast.  The scalar
-    rendition is kept as :func:`predicted_demand_for_day_reference`.
+    Holt-Winters states together, one matrix forecast.
+    ``tests/scalar_reference.py`` keeps the per-config pipeline (one
+    ``forecast_day`` fit per config, regrouped per slot) as its oracle.
     """
     history_slots = HISTORY_WEEKS * 7 * SLOTS_PER_DAY
     start = day * SLOTS_PER_DAY - history_slots
@@ -248,42 +249,6 @@ def predicted_demand_for_day(
     predictions = model.fit_many(history[keep].astype(float)).forecast(SLOTS_PER_DAY)
     configs = [items[int(i)].config for i in keep]
     return _table_from_matrix(predictions, configs, reduced)
-
-
-def predicted_demand_for_day_reference(
-    setup: EuropeSetup, day: int, reduced: bool = True
-) -> Dict[Tuple[int, CallConfig], float]:
-    """Scalar ground truth for :func:`predicted_demand_for_day`.
-
-    Samples each history point per (config, slot), fits one
-    Holt-Winters model per config, and regroups per slot — the
-    pre-batching pipeline, kept (like ``JointAssignmentLp.build_reference``)
-    to validate and benchmark the batched path against.
-    """
-    history_slots = HISTORY_WEEKS * 7 * SLOTS_PER_DAY
-    start = day * SLOTS_PER_DAY - history_slots
-    if start < 0:
-        raise InsufficientHistory(day, HISTORY_WEEKS)
-    raw: Dict[Tuple[int, CallConfig], float] = {}
-    for item in setup.universe.top(setup.top_n_configs):
-        history = np.asarray(
-            [setup.demand.sample_count(item.config, s) for s in range(start, start + history_slots)]
-        )
-        if history.max() <= 0:
-            continue
-        prediction = forecast_day(history, horizon=SLOTS_PER_DAY)
-        for slot_of_day, value in enumerate(prediction):
-            if value > 0:
-                key = (slot_of_day, item.config)
-                raw[key] = raw.get(key, 0.0) + float(value)
-    if not reduced:
-        return raw
-    table: Dict[Tuple[int, CallConfig], float] = {}
-    for slot_of_day in range(SLOTS_PER_DAY):
-        slot_counts = {c: v for (t, c), v in raw.items() if t == slot_of_day}
-        for config, count in group_by_reduced(slot_counts).items():
-            table[(slot_of_day, config)] = count
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +692,7 @@ def run_oracle_day(
     already-solved plan (how a :class:`~repro.core.sweep.SweepRunner`
     worker consumes the planning phase's plan).
 
-    Scoring runs through the vectorized
-    :func:`~repro.analysis.metrics.evaluate_batch` path (the scalar
-    ``evaluate_assignment`` reference reproduces it entry for entry).
+    Scoring runs through :func:`~repro.analysis.metrics.evaluate_batch`.
     """
     from ..analysis.metrics import evaluate_batch
 
@@ -859,8 +822,7 @@ def run_prediction_day(
     which inflates migrations).
 
     The day's trace is synthesized once as a :class:`CallTable` and
-    every controller consumes it through its batch ``process_table``
-    path (identical, call for call, to the scalar loops); ``trace``
+    every controller replays it through its ``process_table``; ``trace``
     lets callers that already hold the day's table (e.g. the two
     :func:`migration_comparison` arms, which share one seed) skip the
     synthesis entirely.

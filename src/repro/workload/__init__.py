@@ -1,6 +1,6 @@
 """Call-workload substrate: media, configs, demand, and traces."""
 
-from .configs import CallConfig, group_by_reduced
+from .configs import CallConfig
 from .demand import (
     INTRA_COUNTRY_FRACTION,
     MEDIA_MIX,
@@ -29,7 +29,6 @@ from .traces import Call, CallTable, TraceGenerator
 
 __all__ = [
     "CallConfig",
-    "group_by_reduced",
     "INTRA_COUNTRY_FRACTION",
     "MEDIA_MIX",
     "SLOTS_PER_DAY",

@@ -125,22 +125,3 @@ class CallConfig:
     def __str__(self) -> str:
         inner = ", ".join(f"{country}-{count}" for country, count in self.participants)
         return f"(({inner}), {self.media})"
-
-
-def group_by_reduced(
-    counts: Mapping[CallConfig, float],
-) -> Dict[CallConfig, float]:
-    """Group call-config counts by reduced config (§6.2).
-
-    ``N`` calls of a config with reduction factor ``g`` become ``N * g``
-    reduced calls (the paper's example: 100 × (DE-2, audio) → 200 ×
-    (DE-1, audio)), keeping total resource requirements identical.
-    Configs with different media types are never merged.
-    """
-    grouped: Dict[CallConfig, float] = {}
-    for config, count in counts.items():
-        if count < 0:
-            raise ValueError("negative call count")
-        reduced = config.reduced()
-        grouped[reduced] = grouped.get(reduced, 0.0) + count * config.reduction_factor()
-    return grouped

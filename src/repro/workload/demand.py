@@ -13,8 +13,8 @@ The sampler is counter-based: each config owns one Philox stream keyed
 on ``(seed, stable_hash(config))``, slot ``s`` owns a fixed block of
 that stream, and counts are drawn by inverting the Poisson CDF on the
 slot's uniform — so a whole ``(configs, slots)`` window is one batched
-array computation (:meth:`DemandModel.counts_matrix`) and the scalar
-APIs are thin views of the same stream.
+array computation (:meth:`DemandModel.counts_matrix`), and one config's
+:meth:`DemandModel.series` is a view of the same stream.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def _poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # recurrence, so its count is what walking every entry to the
         # largest lam's end would give.  Until the first compaction the
         # walk runs on ``counts`` itself (``live`` is None), so a
-        # one-entry call (``sample_count``) costs what the plain walk
-        # did; afterwards ``live`` maps walked entries to ``counts``.
+        # one- or two-entry call costs what the plain walk did;
+        # afterwards ``live`` maps walked entries to ``counts``.
         unresolved = us >= cdf
         n_live = int(np.count_nonzero(unresolved))
         live = None
@@ -138,7 +138,7 @@ def _poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4096)
 def _day_shock(seed: int, sigma: float, day: int) -> float:
     """:meth:`DemandModel.day_shock`, memoized: a pure function of its
-    arguments, read once per (config, slot) by the scalar samplers."""
+    arguments, read once per day of every window."""
     rng = np.random.default_rng((seed, 0xD45, day))
     return float(np.exp(rng.normal(0.0, sigma)))
 
@@ -250,13 +250,13 @@ class DemandModel:
     """Per-(config, slot) Poisson arrival process with seasonality.
 
     ``expected_count`` is the deterministic rate (what an ideal
-    forecaster could learn); ``sample_count`` adds Poisson noise plus a
+    forecaster could learn); the sampled counts add Poisson noise plus a
     per-day demand shock shared across configs (news days, holidays),
     which is what makes Holt-Winters' job realistic.
 
-    The batch APIs (:meth:`expected_matrix`, :meth:`counts_matrix`)
-    produce whole ``(n_configs, n_slots)`` windows as single array
-    computations; the scalar APIs delegate to the same uniform stream
+    :meth:`expected_matrix` and :meth:`counts_matrix` produce whole
+    ``(n_configs, n_slots)`` windows as single array computations;
+    :meth:`series` reads one config's row from the same uniform stream
     and inverse-CDF, so every consumer sees one consistent sample
     stream no matter how it slices the process.
     """
@@ -379,8 +379,9 @@ class DemandModel:
     ) -> np.ndarray:
         """Sampled counts for a whole window: int64 ``(n_configs, slots)``.
 
-        Entry ``[i, j]`` equals ``sample_count(configs[i],
-        start_slot + j)`` — the scalar APIs are views of this stream.
+        Entry ``[i, j]`` is config ``i``'s count at slot ``start_slot +
+        j``, a pure function of ``(seed, config, slot)``: any window
+        regenerates it, and :meth:`series` reads the same stream.
         ``multipliers`` scales the Poisson rate per (config, slot)
         *before* the inverse-CDF draw: the same slot-addressed uniforms
         feed a scaled λ, so a stressed window stays a pure function of
@@ -394,22 +395,6 @@ class DemandModel:
         for i, demand in enumerate(demands):
             uniforms[i] = self._config_uniforms(demand.config, start_slot, slots)
         return _poisson_from_uniform(uniforms, lam)
-
-    def sample_count(self, config: CallConfig, slot: int) -> int:
-        """Poisson-sampled calls for (config, slot), deterministic."""
-        lam = self.expected_count(config, slot) * self.day_shock(slot // SLOTS_PER_DAY)
-        if lam <= 0:
-            return 0
-        u = self._config_uniforms(config, slot, 1)
-        return int(_poisson_from_uniform(u, np.asarray([lam]))[0])
-
-    def counts_for_slot(self, slot: int, top_n: Optional[int] = None) -> Dict[CallConfig, int]:
-        """Sampled counts for every (top_n) config in one slot."""
-        demands = self._top(top_n)
-        counts = self.counts_matrix(slot, 1, top_n)[:, 0]
-        return {
-            demands[i].config: int(count) for i, count in enumerate(counts) if count > 0
-        }
 
     def series(self, config: CallConfig, start_slot: int, slots: int) -> np.ndarray:
         """Sampled demand time series for one config."""

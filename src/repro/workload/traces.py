@@ -9,21 +9,18 @@ individual calls with a first-joiner country and a reveal of the final
 config — which is what this module generates, consistently with the
 aggregate :class:`repro.workload.demand.DemandModel`.
 
-Two representations share one sample stream:
-
-* :meth:`TraceGenerator.calls_for_slot` / ``calls_for_window`` — the
-  scalar reference: one :class:`Call` object per call, drawn in a
-  per-(config, slot) Python loop;
-* :meth:`TraceGenerator.table_for_window` — the batch path: a
-  :class:`CallTable` (structure-of-arrays over the same calls) built
-  from one :meth:`~repro.workload.demand.DemandModel.counts_matrix`
-  window with vectorized duration and first-joiner draws.
+:meth:`TraceGenerator.table_for_window` builds a window's calls as a
+:class:`CallTable` (structure-of-arrays) from one
+:meth:`~repro.workload.demand.DemandModel.counts_matrix` window, with
+vectorized duration and first-joiner draws; :class:`Call` objects are
+lazy views of its rows.
 
 Per-call randomness is counter-based, mirroring the demand model's
 scheme: each (config, slot) owns a Philox stream keyed on
 ``(seed, stable_hash(config))`` with the slot in the counter, and every
-draw is a pure function of that stream's uniforms (inverse-CDF), so the
-batched table reproduces the scalar calls bit for bit.
+draw is a pure function of that stream's uniforms (inverse-CDF), so a
+table equals the per-(config, slot) loop of
+``tests/scalar_reference.py`` call for call.
 """
 
 from __future__ import annotations
@@ -91,8 +88,7 @@ def duration_from_uniform(u):
     with ``u < CDF(k)`` is ``ceil(log(1-u)/log(1-p))``; the result is
     clipped to ``[1, MAX_DURATION_SLOTS]``, in the table's duration dtype.
     Works elementwise on arrays and on scalars, with identical float
-    behaviour — which is what keeps the scalar and batched trace paths
-    on one stream.
+    behaviour.
     """
     k = np.ceil(np.log1p(-u) / _LOG_1MP)
     return np.clip(k, 1, MAX_DURATION_SLOTS).astype(_DURATION_DTYPE)
@@ -292,14 +288,12 @@ class _ConfigDraw:
 class TraceGenerator:
     """Expands a :class:`DemandModel` into individual calls.
 
-    For each (config, slot) the generator emits ``sample_count`` calls;
-    each call picks its first joiner weighted by the config's per-country
-    participant counts and draws a duration from a clipped geometric
-    (median ~1 slot, tail up to 3 hours).
-
-    ``calls_for_slot`` / ``calls_for_window`` are the pinned scalar
-    reference; :meth:`table_for_window` produces the same calls as a
-    :class:`CallTable` in one batched pass.
+    For each (config, slot) the generator emits the demand model's
+    sampled count of calls; each call picks its first joiner weighted by
+    the config's per-country participant counts and draws a duration
+    from a clipped geometric (median ~1 slot, tail up to 3 hours).
+    :meth:`table_for_window` produces a window's calls as a
+    :class:`CallTable` in one pass.
     """
 
     def __init__(
@@ -325,17 +319,6 @@ class TraceGenerator:
             self._philox_keys[config] = key
         return key
 
-    def _call_rng(self, config: CallConfig, slot: int) -> np.random.Generator:
-        """Slot-addressed Philox stream for one config's calls.
-
-        The key is ``(seed, stable_hash(config))`` and the slot sits in
-        the counter's third word, so every (config, slot) owns an
-        independent stream regardless of which window is generated —
-        the same scheme :class:`DemandModel` uses for counts.
-        """
-        counter = np.array([0, 0, np.uint64(slot), 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=self._philox_key(config), counter=counter))
-
     def _draw(self, config: CallConfig) -> _ConfigDraw:
         draw = self._draws.get(config)
         if draw is None:
@@ -360,38 +343,6 @@ class TraceGenerator:
             )
         return self._universe
 
-    # -- scalar reference --------------------------------------------------
-
-    def calls_for_slot(self, slot: int, id_offset: int = 0) -> List[Call]:
-        """All calls starting in one 30-minute slot (scalar reference)."""
-        calls: List[Call] = []
-        counts = self.demand.counts_for_slot(slot, top_n=self.top_n_configs)
-        call_id = id_offset
-        for config, count in sorted(counts.items(), key=lambda kv: str(kv[0])):
-            rng = self._call_rng(config, slot)
-            draw = self._draw(config)
-            for _ in range(count):
-                u_first = rng.random()
-                u_duration = rng.random()
-                first = draw.countries[int(first_joiner_from_uniform(draw.cum_weights, u_first))]
-                duration = int(duration_from_uniform(u_duration))
-                calls.append(Call(call_id, config, slot, duration, first))
-                call_id += 1
-        return calls
-
-    def calls_for_window(self, start_slot: int, slots: int) -> List[Call]:
-        """All calls starting within [start_slot, start_slot + slots)."""
-        if slots < 0:
-            raise ValueError("slots must be non-negative")
-        calls: List[Call] = []
-        for slot in range(start_slot, start_slot + slots):
-            calls.extend(self.calls_for_slot(slot, id_offset=len(calls)))
-        return calls
-
-    def calls_for_day(self, day: int) -> List[Call]:
-        """All calls starting on one day (day 0 = Monday)."""
-        return self.calls_for_window(day * SLOTS_PER_DAY, SLOTS_PER_DAY)
-
     # -- batch path --------------------------------------------------------
 
     def table_for_window(
@@ -403,11 +354,10 @@ class TraceGenerator:
     ) -> CallTable:
         """One window of calls as a :class:`CallTable`, in one pass.
 
-        Row-for-row identical to :meth:`calls_for_window` (same counts,
-        same per-(config, slot) uniforms, same inverse-CDF draws), but
-        the counts come from one ``counts_matrix`` window and the
-        duration / first-joiner transforms run vectorized over all
-        calls at once.  ``multipliers`` (broadcastable to
+        The counts come from one ``counts_matrix`` window, and the
+        duration and first-joiner transforms run vectorized over all
+        calls at once, on each (config, slot)'s own stream.
+        ``multipliers`` (broadcastable to
         ``(n_configs, slots)``) scales the Poisson rates — the stress
         campaigns' flash-crowd / holiday / shock hook; per-call draws
         stay on the same slot-addressed streams.
@@ -425,9 +375,9 @@ class TraceGenerator:
         # so each config's Philox is constructed once and re-pointed at
         # successive slots by counter mutation (streams are independent,
         # so draw order does not matter); parts are then reassembled in
-        # the scalar emission order: slot-major, configs by str within a
-        # slot.  Each block holds the same doubles the scalar path draws
-        # call by call — evens pick the first joiner, odds the duration.
+        # emission order: slot-major, configs by str within a slot.
+        # Each block holds a call's doubles in pairs: evens pick the
+        # first joiner, odds the duration.
         parts: List[Tuple[int, int, int, int, np.ndarray]] = []
         for position, i in enumerate(order):
             row = counts[i]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.cost import GCP_SINGAPORE, Tariff, compare_costs, cost_of, internet_traffic_gb
-from repro.analysis.metrics import evaluate_assignment
+from repro.analysis.metrics import evaluate_batch
 from repro.analysis.reporting import bar_chart, cdf_sparkline, format_table, policy_comparison
 from repro.core.policies import TitanNextPolicy, WrrPolicy
 from repro.core.titan_next import oracle_demand_for_day
@@ -18,7 +18,7 @@ def policy_results(small_setup):
     results = {}
     for policy in (WrrPolicy(small_setup.scenario), TitanNextPolicy(small_setup.scenario)):
         assignment = policy.assign(demand)
-        results[policy.name] = evaluate_assignment(small_setup.scenario, assignment, policy.name)
+        results[policy.name] = evaluate_batch(small_setup.scenario, assignment, policy.name)
     return results
 
 

@@ -15,15 +15,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.cost import GCP_SINGAPORE, compare_costs, cost_of, internet_traffic_gb
-from repro.analysis.metrics import (
-    EvaluationResult,
-    LoadMatrix,
-    evaluate_assignment,
-    evaluate_batch,
-)
+from repro.analysis.metrics import EvaluationResult, LoadMatrix, evaluate_batch
 from repro.analysis.stats import weighted_percentile, weighted_percentiles
 from repro.core.policies import LocalityFirstPolicy, TitanNextPolicy, WrrPolicy
 from repro.core.titan_next import oracle_demand_for_day, run_prediction_day
+from tests.scalar_reference import evaluate_assignment
 
 DAY = 2
 PREDICTION_DAY = 30  # needs >= 4 weeks of history
@@ -154,9 +150,7 @@ class TestWanEdgeTrafficField:
         assert "wan_edge_traffic" in {f.name for f in dataclasses.fields(EvaluationResult)}
 
     def test_survives_replace(self, small_setup, oracle_tables):
-        result = evaluate_assignment(
-            small_setup.scenario, oracle_tables["titan-next"], "tn"
-        )
+        result = evaluate_batch(small_setup.scenario, oracle_tables["titan-next"], "tn")
         assert result.wan_edge_traffic > 0
         copy = dataclasses.replace(result, policy="copy")
         assert copy.wan_edge_traffic == result.wan_edge_traffic

@@ -1,7 +1,8 @@
 """Batch controller paths vs the scalar references.
 
 For identical uniform streams on the Europe scenario, every
-controller's ``process_table`` reproduces the scalar per-call loop —
+controller's ``process_table`` reproduces its per-call oracle in
+``tests/scalar_reference.py`` —
 the same :class:`ControllerStats` *and* the same per-call placements.
 The first-joiner baselines admit in bulk, so they are also checked
 where that is hardest: under heavy contention on Europe and the four
@@ -28,7 +29,7 @@ from repro.core.controller import (
     _table_countries,
 )
 from repro.core.lp import JointAssignmentLp
-from repro.core.plan import QUOTA_EPS, OfflinePlan, weighted_pick
+from repro.core.plan import QUOTA_EPS, OfflinePlan
 from repro.core.scenario import Scenario
 from repro.core.titan_next import (
     oracle_demand_for_day,
@@ -39,6 +40,14 @@ from repro.net.latency import WAN
 from repro.scenarios.factory import build_scenario
 from repro.workload.configs import CallConfig
 from repro.workload.traces import CallTable, TraceGenerator
+from tests.scalar_reference import (
+    ScalarLf,
+    ScalarPlan,
+    ScalarTitan,
+    ScalarTitanNext,
+    ScalarWrr,
+    weighted_pick,
+)
 
 
 ZOO = ("americas", "apac", "emea", "global")
@@ -69,8 +78,8 @@ def _placements(assignments):
 
 class TestBatchEquivalence:
     def test_titan_next_matches_scalar(self, small_setup, plan_assignment, day_table):
-        scalar = TitanNextController(
-            small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
+        scalar = ScalarTitanNext(
+            small_setup.scenario, ScalarPlan.from_assignment(plan_assignment), seed=7
         )
         batched = TitanNextController(
             small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
@@ -83,9 +92,9 @@ class TestBatchEquivalence:
         assert batch.option_migrations == scalar.stats.option_migrations
 
     def test_titan_next_raw_configs_match_scalar(self, small_setup, plan_assignment, day_table):
-        scalar = TitanNextController(
+        scalar = ScalarTitanNext(
             small_setup.scenario,
-            OfflinePlan.from_assignment(plan_assignment),
+            ScalarPlan.from_assignment(plan_assignment),
             seed=7,
             reduce_configs=False,
         )
@@ -100,16 +109,16 @@ class TestBatchEquivalence:
         assert batched.stats == scalar.stats
 
     @pytest.mark.parametrize(
-        "make",
+        "make, make_scalar",
         [
-            lambda scenario: FirstJoinerWrr(scenario, seed=3),
-            lambda scenario: FirstJoinerLf(scenario),
-            lambda scenario: FirstJoinerTitan(scenario, seed=4),
+            (lambda scenario: FirstJoinerWrr(scenario, seed=3), lambda s: ScalarWrr(s, seed=3)),
+            (FirstJoinerLf, ScalarLf),
+            (lambda scenario: FirstJoinerTitan(scenario, seed=4), lambda s: ScalarTitan(s, seed=4)),
         ],
         ids=["wrr", "lf", "titan"],
     )
-    def test_baseline_matches_scalar(self, small_setup, day_table, make):
-        scalar = make(small_setup.scenario)
+    def test_baseline_matches_scalar(self, small_setup, day_table, make, make_scalar):
+        scalar = make_scalar(small_setup.scenario)
         batched = make(small_setup.scenario)
         reference = [scalar.process(call) for call in day_table.to_calls()]
         batch = batched.process_table(day_table)
@@ -127,8 +136,8 @@ class TestBatchEquivalence:
         )
         first = generator.table_for_window(30 * 48 + 14, 5)
         second = generator.table_for_window(30 * 48 + 19, 5, id_offset=len(first))
-        scalar = TitanNextController(
-            small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
+        scalar = ScalarTitanNext(
+            small_setup.scenario, ScalarPlan.from_assignment(plan_assignment), seed=7
         )
         batched = TitanNextController(
             small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
@@ -139,16 +148,6 @@ class TestBatchEquivalence:
         )
         assert batch == _placements(reference)
         assert batched.stats == scalar.stats
-
-    def test_scalar_after_batch_rejected(self, small_setup, plan_assignment, day_table):
-        """Mixing scalar process() after process_table() would double-
-        spend quota against the untouched plan — it must fail loudly."""
-        controller = TitanNextController(
-            small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
-        )
-        controller.process_table(day_table)
-        with pytest.raises(RuntimeError, match="process_table"):
-            controller.process(day_table.call(0))
 
     def test_empty_table(self, small_setup, plan_assignment, day_table):
         empty = day_table.__class__(
@@ -205,33 +204,44 @@ def _permuted(table, seed):
     )
 
 
-def _replay_both(scenario, tables, make):
-    """Scalar loop over all tables vs one batch call per table; asserts
-    equal placements, stats and tracker usage, returns the scalar one."""
-    scalar, batched = make(scenario), make(scenario)
+def _replay_both(scenario, tables, make, make_scalar):
+    """The oracle's loop over all tables vs one batch call per table;
+    asserts equal placements, stats and tracker usage, returns the
+    oracle."""
+    scalar, batched = make_scalar(scenario), make(scenario)
     reference = [scalar.process(call) for table in tables for call in table.to_calls()]
     placements = []
     for table in tables:
         placements += _placements(batched.process_table(table))
     assert placements == _placements(reference)
     assert batched.stats == scalar.stats
-    for usage in ("_compute", "_internet"):
-        ours, theirs = getattr(batched.tracker, usage), getattr(scalar.tracker, usage)
-        assert ours.shape == theirs.shape
-        assert ours.tobytes() == theirs.tobytes()
+    ours, theirs = batched.tracker._usage, scalar.tracker._usage
+    assert ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
     return scalar
 
 
+def _internet_usage(tracker):
+    """The tracker's Internet rows (every row past the DCs' compute)."""
+    return tracker._usage[:, len(tracker.dc_codes) :]
+
+
+#: Each first-joiner baseline and its oracle, on one seed.
 MAKERS = {
-    "wrr": lambda scenario: FirstJoinerWrr(scenario, seed=3),
-    "lf": lambda scenario: FirstJoinerLf(scenario),
+    "wrr": (
+        lambda scenario: FirstJoinerWrr(scenario, seed=3),
+        lambda scenario: ScalarWrr(scenario, seed=3),
+    ),
+    "lf": (FirstJoinerLf, ScalarLf),
 }
-FIRST_JOINER = pytest.mark.parametrize("make", list(MAKERS.values()), ids=list(MAKERS))
+FIRST_JOINER = pytest.mark.parametrize(
+    "make, make_scalar", list(MAKERS.values()), ids=list(MAKERS)
+)
 
 #: Europe (ids ``wrr``/``lf``), then each zoo scenario (``<name>-wrr``...).
 CONTENDED = pytest.mark.parametrize(
-    "where, make",
-    [(where, make) for where in ("europe",) + ZOO for make in MAKERS.values()],
+    "where, make, make_scalar",
+    [(where, *makers) for where in ("europe",) + ZOO for makers in MAKERS.values()],
     ids=[
         policy if where == "europe" else f"{where}-{policy}"
         for where in ("europe",) + ZOO
@@ -282,7 +292,7 @@ def _mixed_table(configs, n, seed, slots=6):
 
 class TestBulkAdmissionEquivalence:
     @CONTENDED
-    def test_contended_matches_scalar(self, request, zoo_contended, where, make):
+    def test_contended_matches_scalar(self, request, zoo_contended, where, make, make_scalar):
         """Europe's 5 DCs, then the zoo's bucket matrices up to global's
         21 DCs (43 columns with the end marker)."""
         if where == "europe":
@@ -290,30 +300,32 @@ class TestBulkAdmissionEquivalence:
             table = request.getfixturevalue("day_table")
         else:
             scenario, table = zoo_contended(where)
-        scalar = _replay_both(scenario, [table], make)
+        scalar = _replay_both(scenario, [table], make, make_scalar)
         assert scalar.stats.unplanned > len(table) // 4
-        assert scalar.tracker._internet.any()
+        assert _internet_usage(scalar.tracker).any()
 
     @FIRST_JOINER
-    def test_unordered_rows_match_scalar(self, small_setup, contended, make):
+    def test_unordered_rows_match_scalar(self, small_setup, contended, make, make_scalar):
         generator = TraceGenerator(
             small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5
         )
         table = _permuted(generator.table_for_day(30), seed=11)
         assert (np.diff(table.start_slot) < 0).any()
-        _replay_both(contended, [table], make)
+        _replay_both(contended, [table], make, make_scalar)
 
     @FIRST_JOINER
-    def test_split_tables_match_one_scalar_pass(self, small_setup, contended, make):
+    def test_split_tables_match_one_scalar_pass(
+        self, small_setup, contended, make, make_scalar
+    ):
         generator = TraceGenerator(
             small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5
         )
         first = generator.table_for_window(30 * 48 + 14, 5)
         second = generator.table_for_window(30 * 48 + 19, 5, id_offset=len(first))
-        _replay_both(contended, [first, second], make)
+        _replay_both(contended, [first, second], make, make_scalar)
 
     @FIRST_JOINER
-    def test_outside_country_rejected(self, small_setup, make):
+    def test_outside_country_rejected(self, small_setup, make, make_scalar):
         """A participant country outside the scenario has no usage row:
         the scalar loop and the bulk path both raise the KeyError that
         scoring raises for it."""
@@ -330,7 +342,7 @@ class TestBulkAdmissionEquivalence:
         with pytest.raises(KeyError) as scoring:
             scenario.eval_tables(configs)
         assert scoring.value.args == message
-        scalar = make(scenario)
+        scalar = make_scalar(scenario)
         with pytest.raises(KeyError) as loop:
             for call in table.to_calls():
                 scalar.process(call)
@@ -340,7 +352,7 @@ class TestBulkAdmissionEquivalence:
         assert bulk.value.args == message
 
     @FIRST_JOINER
-    def test_unused_outside_config_is_not_read(self, small_setup, make):
+    def test_unused_outside_config_is_not_read(self, small_setup, make, make_scalar):
         """A config outside the scenario that no call uses is never
         loaded: the bulk path places every call as the scalar loop does.
         Scoring the batch still reads every config of the table."""
@@ -350,7 +362,7 @@ class TestBulkAdmissionEquivalence:
             CallConfig.from_counts({"GB": 2, "US": 1}, "video"),
         ]
         table = CallTable(configs, [0] * 5, [30 * 48 + 14] * 5, [1, 2, 1, 3, 1], [0] * 5)
-        _replay_both(scenario, [table], make)
+        _replay_both(scenario, [table], make, make_scalar)
         with pytest.raises(KeyError):
             evaluate_batch(scenario, make(scenario).process_table(table))
 
@@ -368,17 +380,18 @@ class TestFirstJoinerEdgeCases:
         tied = _scaled_copy(scenario, 0.2, fractions=full)
         _, weights = FirstJoinerWrr(tied)._buckets("GB")
         assert np.count_nonzero(weights == 0) == len(scenario.dc_codes)
-        _replay_both(tied, [day_table], MAKERS["wrr"])
+        make, make_scalar = MAKERS["wrr"]
+        _replay_both(tied, [day_table], make, make_scalar)
         # Contended, so calls fall through the tied WAN buckets past
         # the first DC's (the overflow's) to another DC's.
-        batch = MAKERS["wrr"](tied).process_table(day_table)
+        batch = make(tied).process_table(day_table)
         codes, country = _table_countries(day_table)
         tied_calls = np.isin(country, [codes.index(c) for c in ("GB", "FR", "NL")])
         on_wan = (batch.initial_option_idx == 0) & (batch.initial_dc_idx > 0)
         assert (tied_calls & on_wan).any()
 
     @FIRST_JOINER
-    def test_country_without_internet_beside_full_rows(self, small_setup, make):
+    def test_country_without_internet_beside_full_rows(self, small_setup, make, make_scalar):
         """DE has no Internet bucket (5 buckets, then end markers) and
         GB ten: one table mixes both, under contention."""
         scenario = small_setup.scenario
@@ -391,15 +404,15 @@ class TestFirstJoinerEdgeCases:
             CallConfig.from_counts({"DE": 2, "GB": 2}, "audio"),
         ]
         table = _mixed_table(configs, 800, seed=4)
-        scalar = _replay_both(_scaled_copy(scenario, 0.05), [table], make)
+        scalar = _replay_both(_scaled_copy(scenario, 0.05), [table], make, make_scalar)
         assert scalar.stats.unplanned > 0
 
     @FIRST_JOINER
-    def test_no_compute_overflows_every_call(self, small_setup, day_table, make):
+    def test_no_compute_overflows_every_call(self, small_setup, day_table, make, make_scalar):
         """All compute caps 0: every call overflows onto the first DC's
         WAN (WRR's weights are all 0 and its keys all -inf)."""
         scenario = _scaled_copy(small_setup.scenario, 1.0, compute_factor=0.0)
-        scalar = _replay_both(scenario, [day_table], make)
+        scalar = _replay_both(scenario, [day_table], make, make_scalar)
         assert scalar.stats.unplanned == scalar.stats.calls == len(day_table)
         batch = make(scenario).process_table(day_table)
         assert not batch.initial_dc_idx.any() and not batch.initial_option_idx.any()
@@ -409,7 +422,7 @@ class TestFirstJoinerEdgeCases:
         shares instead of dividing by the zero total, and batch ≡
         scalar call for call."""
         scenario = _scaled_copy(small_setup.scenario, 1.0, compute_factor=0.0)
-        scalar, batched = FirstJoinerTitan(scenario, seed=4), FirstJoinerTitan(scenario, seed=4)
+        scalar, batched = ScalarTitan(scenario, seed=4), FirstJoinerTitan(scenario, seed=4)
         reference = [scalar.process(call) for call in day_table.to_calls()]
         batch = batched.process_table(day_table)
         assert _placements(batch) == _placements(reference)
@@ -419,15 +432,15 @@ class TestFirstJoinerEdgeCases:
         assert set(batch.initial_dc_idx.tolist()) == set(range(n_dc))
 
     @FIRST_JOINER
-    def test_zero_internet_gbps(self, small_setup, day_table, make):
+    def test_zero_internet_gbps(self, small_setup, day_table, make, make_scalar):
         """No Internet capacity: every Internet bucket is refused."""
         scenario = _scaled_copy(small_setup.scenario, 0.0, compute_factor=0.2)
-        scalar = _replay_both(scenario, [day_table], make)
-        assert not scalar.tracker._internet.any()
+        scalar = _replay_both(scenario, [day_table], make, make_scalar)
+        assert not _internet_usage(scalar.tracker).any()
         assert scalar.stats.unplanned > 0
 
     @FIRST_JOINER
-    def test_one_call_table(self, small_setup, day_table, make):
+    def test_one_call_table(self, small_setup, day_table, make, make_scalar):
         one = CallTable(
             day_table.configs,
             day_table.config_idx[:1],
@@ -435,7 +448,7 @@ class TestFirstJoinerEdgeCases:
             day_table.duration_slots[:1],
             day_table.first_joiner_idx[:1],
         )
-        scalar = _replay_both(_scaled_copy(small_setup.scenario, 0.2), [one], make)
+        scalar = _replay_both(_scaled_copy(small_setup.scenario, 0.2), [one], make, make_scalar)
         assert scalar.stats.calls == 1
 
 
@@ -449,17 +462,18 @@ def _exhausted_entries(plan, slots):
 
 
 def _titan_next_both(scenario, assignment, tables, reduce_configs=True):
-    """Scalar :meth:`process` over every table vs one ``process_table``
-    per table on a twin controller: equal placements and stats after
-    each table, and the scenario's DC codes.  The last table replays
-    against the carried state (quota snapshot, stream position, recent
-    keys).  Returns the scalar controller."""
-    scalar, batched = (
-        TitanNextController(
-            scenario, OfflinePlan.from_assignment(assignment), seed=7,
-            reduce_configs=reduce_configs,
-        )
-        for _ in range(2)
+    """The oracle's :meth:`process` over every table vs one
+    ``process_table`` per table: equal placements and stats after each
+    table, and the scenario's DC codes.  The last table replays against
+    the carried state (quota snapshot, stream position, recent keys).
+    Returns the oracle."""
+    scalar = ScalarTitanNext(
+        scenario, ScalarPlan.from_assignment(assignment), seed=7,
+        reduce_configs=reduce_configs,
+    )
+    batched = TitanNextController(
+        scenario, OfflinePlan.from_assignment(assignment), seed=7,
+        reduce_configs=reduce_configs,
     )
     for table in tables:
         reference = [scalar.process(call) for call in table.to_calls()]
@@ -569,8 +583,8 @@ class TestTitanNextBulkEquivalence:
         assert scoring.value.args == (outside,)
 
     def test_chain_picks_reproduce_weighted_pick(self):
-        """The lockstep walk against :func:`weighted_pick` and the
-        scalar consume, op by op, on quotas that run dry, hold
+        """The lockstep walk against the oracle's :func:`weighted_pick`
+        and consume, op by op, on quotas that run dry, hold
         sub-unit remainders or sit at ``QUOTA_EPS``; ``u = 1.0`` takes
         the no-``target < cumulative`` branch (last positive bucket)."""
         rng = np.random.default_rng(3)

@@ -21,6 +21,7 @@ from repro.net.latency import INTERNET, WAN
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, VIDEO
 from repro.workload.traces import Call, CallTable, TraceGenerator
+from tests.scalar_reference import ScalarPlan, ScalarTitanNext, call_table
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +34,13 @@ def plan(small_setup):
 
 class TestOfflinePlan:
     def test_from_assignment_quotas(self, plan):
-        offline = OfflinePlan.from_assignment(plan)
+        offline = ScalarPlan.from_assignment(plan)
         slots_with_plans = {key[0] for key in plan}
         # Busy midday slot must have a plan for common configs.
         assert any(offline.configs_for_slot(t) for t in slots_with_plans)
 
     def test_sample_and_consume(self, plan):
-        offline = OfflinePlan.from_assignment(plan)
+        offline = ScalarPlan.from_assignment(plan)
         rng = np.random.default_rng(1)
         slot = 20
         configs = offline.configs_for_slot(slot)
@@ -54,7 +55,7 @@ class TestOfflinePlan:
 
     def test_consume_exhausts(self):
         config = CallConfig.from_counts({"FR": 1}, AUDIO)
-        offline = OfflinePlan.from_assignment({(0, config, "westeurope", WAN): 2.0})
+        offline = ScalarPlan.from_assignment({(0, config, "westeurope", WAN): 2.0})
         assert offline.consume(0, config, "westeurope", WAN)
         assert offline.consume(0, config, "westeurope", WAN)
         assert not offline.consume(0, config, "westeurope", WAN)
@@ -62,7 +63,7 @@ class TestOfflinePlan:
         assert offline.sample(0, config, rng) is None
 
     def test_sample_unknown_config(self):
-        offline = OfflinePlan()
+        offline = ScalarPlan()
         rng = np.random.default_rng(0)
         assert offline.sample(0, CallConfig.from_counts({"FR": 1}, AUDIO), rng) is None
 
@@ -72,7 +73,7 @@ class TestQuotaAccounting:
 
     def _plan(self, quota=3.0):
         config = CallConfig.from_counts({"FR": 1}, AUDIO)
-        plan = OfflinePlan.from_assignment(
+        plan = ScalarPlan.from_assignment(
             {
                 (0, config, "westeurope", WAN): quota,
                 (0, config, "france-central", INTERNET): quota,
@@ -147,17 +148,32 @@ def _one_row(controller, call):
     return batch[0]
 
 
-#: Each controller test runs through the scalar path and the batch path.
+def _oracle(scenario, assignment):
+    return ScalarTitanNext(scenario, ScalarPlan.from_assignment(assignment))
+
+
+def _product(scenario, assignment):
+    return TitanNextController(scenario, OfflinePlan.from_assignment(assignment))
+
+
+def _process(controller, call):
+    return controller.process(call)
+
+
+#: Each controller test runs through the oracle, one call at a time,
+#: and through the product's ``process_table``: ``make(scenario,
+#: assignment)`` builds the controller, ``replay(controller, call)``
+#: places the call.
 REPLAY = pytest.mark.parametrize(
-    "replay",
-    [lambda controller, call: controller.process(call), _one_row],
+    "make, replay",
+    [(_oracle, _process), (_product, _one_row)],
     ids=["process", "process_table"],
 )
 
 
 def _remaining(controller, slot, config, dc, option):
-    """A bucket's remaining quota: the batch path's snapshot once it
-    exists, else the plan the scalar path consumes."""
+    """A bucket's remaining quota: the replay's snapshot once it
+    exists, else the plan the oracle consumes."""
     index = controller._quota_index
     if index is None:
         return controller.plan.peek(slot, config, dc, option)
@@ -169,23 +185,23 @@ class TestTitanNextController:
     def test_processes_calls_and_counts(self, small_setup, plan):
         controller = TitanNextController(small_setup.scenario, OfflinePlan.from_assignment(plan))
         trace = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5)
-        calls = trace.calls_for_window(30 * 48 + 18, 4)
-        assignments = [controller.process(call) for call in calls]
-        assert controller.stats.calls == len(calls)
+        table = trace.table_for_window(30 * 48 + 18, 4)
+        assignments = controller.process_table(table)
+        assert len(table) > 0
+        assert controller.stats.calls == len(table)
         assert all(a.final_dc in small_setup.scenario.dc_codes for a in assignments)
 
     def test_migration_rates_plausible(self, small_setup, plan):
         """Table 4: DC migrations with reduced configs sit around 11-19%."""
         controller = TitanNextController(small_setup.scenario, OfflinePlan.from_assignment(plan))
         trace = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5)
-        calls = trace.calls_for_window(30 * 48 + 16, 8)
-        for call in calls:
-            controller.process(call)
+        controller.process_table(trace.table_for_window(30 * 48 + 16, 8))
+        assert controller.stats.calls > 0
         assert 0.0 <= controller.stats.dc_migration_rate < 0.5
 
     @REPLAY
-    def test_fallback_on_empty_plan(self, small_setup, replay):
-        controller = TitanNextController(small_setup.scenario, OfflinePlan())
+    def test_fallback_on_empty_plan(self, small_setup, make, replay):
+        controller = make(small_setup.scenario, {})
         config = CallConfig.from_counts({"FR": 2}, VIDEO)
         call = Call(0, config, 10, 1, "FR")
         assignment = replay(controller, call)
@@ -194,33 +210,28 @@ class TestTitanNextController:
         assert controller.stats.unplanned == 1
 
     @REPLAY
-    def test_no_migration_when_plan_matches(self, small_setup, replay):
+    def test_no_migration_when_plan_matches(self, small_setup, make, replay):
         config = CallConfig.from_counts({"FR": 2}, VIDEO)
         reduced = config.reduced()
-        plan = OfflinePlan.from_assignment(
-            {
-                (10, reduced, "france-central", WAN): 100.0,
-            }
-        )
-        controller = TitanNextController(small_setup.scenario, plan)
+        controller = make(small_setup.scenario, {(10, reduced, "france-central", WAN): 100.0})
         call = Call(0, config, 10, 1, "FR")
         assignment = replay(controller, call)
         assert not assignment.dc_migrated
 
     @REPLAY
-    def test_fractional_bucket_not_refunded_into_existence(self, small_setup, replay):
+    def test_fractional_bucket_not_refunded_into_existence(self, small_setup, make, replay):
         """A sampled-but-fractional bucket consumes nothing, so a wrong
         guess must not refund a full unit into it (that would mint plan
         quota from nothing on every mismatch)."""
         video_reduced = CallConfig.from_counts({"FR": 1}, VIDEO)
         audio_reduced = CallConfig.from_counts({"FR": 1}, AUDIO)
-        plan = OfflinePlan.from_assignment(
+        controller = make(
+            small_setup.scenario,
             {
                 (10, video_reduced, "ireland", WAN): 0.4,
                 (10, audio_reduced, "france-central", WAN): 100.0,
-            }
+            },
         )
-        controller = TitanNextController(small_setup.scenario, plan)
         # Guess is video (0.4 quota: sampled, but less than one unit);
         # the true config is audio, so reconciliation follows audio's plan.
         call = Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR")
@@ -231,16 +242,16 @@ class TestTitanNextController:
         assert _remaining(controller, 10, audio_reduced, "france-central", WAN) == 99.0
 
     @REPLAY
-    def test_migration_when_plan_differs(self, small_setup, replay):
+    def test_migration_when_plan_differs(self, small_setup, make, replay):
         video_reduced = CallConfig.from_counts({"FR": 1}, VIDEO)
         audio_reduced = CallConfig.from_counts({"FR": 1}, AUDIO)
-        plan = OfflinePlan.from_assignment(
+        controller = make(
+            small_setup.scenario,
             {
                 (10, video_reduced, "ireland", WAN): 100.0,
                 (10, audio_reduced, "france-central", WAN): 100.0,
-            }
+            },
         )
-        controller = TitanNextController(small_setup.scenario, plan)
         # First joiner from FR; recent media defaults to video -> ireland.
         call = Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR")
         assignment = replay(controller, call)
@@ -252,22 +263,22 @@ class TestTitanNextController:
 
 
 class TestFirstJoinerBaselines:
-    def _calls(self, setup, n_slots=4):
-        trace = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=7)
-        return trace.calls_for_window(30 * 48 + 18, n_slots)
-
     def test_wrr_assigns_everything(self, small_setup):
         controller = FirstJoinerWrr(small_setup.scenario)
-        calls = self._calls(small_setup)
-        assignments = [controller.process(c) for c in calls]
-        assert len(assignments) == len(calls)
+        trace = TraceGenerator(
+            small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=7
+        )
+        table = trace.table_for_window(30 * 48 + 18, 4)
+        assignments = controller.process_table(table)
+        assert len(assignments) == len(table) > 0
+        assert controller.stats.calls == len(table)
         assert all(a.final_dc in small_setup.scenario.dc_codes for a in assignments)
 
     def test_lf_prefers_nearest(self, small_setup):
         controller = FirstJoinerLf(small_setup.scenario)
         config = CallConfig.from_counts({"FR": 2}, AUDIO)
         call = Call(0, config, 10, 1, "FR")
-        assignment = controller.process(call)
+        assignment = _one_row(controller, call)
         # France's lowest-latency bucket is one of the nearby DCs.
         near = {"france-central", "westeurope", "switzerland-north", "uk-south"}
         assert assignment.final_dc in near
@@ -275,9 +286,8 @@ class TestFirstJoinerBaselines:
     def test_titan_routing_fraction(self, small_setup):
         controller = FirstJoinerTitan(small_setup.scenario, seed=9)
         config = CallConfig.from_counts({"GB": 2}, AUDIO)
-        options = [
-            controller.process(Call(i, config, 10, 1, "GB")).final_option for i in range(400)
-        ]
+        table = call_table([Call(i, config, 10, 1, "GB") for i in range(400)])
+        options = [a.final_option for a in controller.process_table(table)]
         internet_share = np.mean([o == INTERNET for o in options])
         # Fractions average ~18% at convergence.
         assert 0.02 < internet_share < 0.4
@@ -289,9 +299,10 @@ class TestFirstJoinerBaselines:
             FirstJoinerLf(small_setup.scenario),
             FirstJoinerTitan(small_setup.scenario),
         ):
-            for i in range(50):
-                assignment = controller.process(Call(i, config, 10, 1, "DE"))
-                assert assignment.final_option == WAN
+            table = call_table([Call(i, config, 10, 1, "DE") for i in range(50)])
+            batch = controller.process_table(table)
+            assert len(batch) == 50
+            assert all(assignment.final_option == WAN for assignment in batch)
 
 
 @pytest.mark.slow
@@ -317,13 +328,9 @@ class TestPredictionPipeline:
 
     def test_run_prediction_day_tn_beats_wrr(self, small_setup):
         """Fig 15: TN reduces the sum of peaks vs first-joiner WRR."""
-        from repro.analysis.metrics import evaluate_assignment
-
         results = run_prediction_day(small_setup, day=30, policies=("wrr", "titan-next"))
         peaks = {
-            name: evaluate_assignment(
-                small_setup.scenario, r.realized_table(), name
-            ).sum_of_peaks_gbps
+            name: r.evaluate(small_setup.scenario).sum_of_peaks_gbps
             for name, r in results.items()
         }
         assert peaks["titan-next"] < peaks["wrr"]

@@ -167,27 +167,27 @@ class TestJointLp:
 
     def test_internet_reduces_wan_peaks(self, small_setup, demand_day):
         """§7.4: Internet offload adds savings on top of placement."""
-        from repro.analysis.metrics import evaluate_assignment
+        from repro.analysis.metrics import evaluate_batch
 
         with_internet = JointAssignmentLp(small_setup.scenario, demand_day).solve()
         without = JointAssignmentLp(
             small_setup.scenario, demand_day, JointLpOptions(allow_internet=False)
         ).solve()
         scenario = small_setup.scenario
-        peaks_with = evaluate_assignment(scenario, with_internet.assignment).sum_of_peaks_gbps
-        peaks_without = evaluate_assignment(scenario, without.assignment).sum_of_peaks_gbps
+        peaks_with = evaluate_batch(scenario, with_internet.assignment).sum_of_peaks_gbps
+        peaks_without = evaluate_batch(scenario, without.assignment).sum_of_peaks_gbps
         assert peaks_with < peaks_without
 
     def test_doubled_internet_saves_more(self, small_setup, demand_day):
         """§7.4: hypothetically doubling Internet capacity saves more."""
-        from repro.analysis.metrics import evaluate_assignment
+        from repro.analysis.metrics import evaluate_batch
 
         base = JointAssignmentLp(small_setup.scenario, demand_day).solve()
         doubled = JointAssignmentLp(
             small_setup.scenario, demand_day, JointLpOptions(internet_capacity_factor=2.0)
         ).solve()
-        peaks_base = evaluate_assignment(small_setup.scenario, base.assignment).sum_of_peaks_gbps
-        peaks_doubled = evaluate_assignment(
+        peaks_base = evaluate_batch(small_setup.scenario, base.assignment).sum_of_peaks_gbps
+        peaks_doubled = evaluate_batch(
             small_setup.scenario, doubled.assignment
         ).sum_of_peaks_gbps
         assert peaks_doubled <= peaks_base * (1 + 1e-9)
@@ -204,10 +204,10 @@ class TestJointLp:
 
     def test_lp_peaks_match_evaluator(self, small_setup, demand_day):
         """The LP's y_l values agree with independently recomputed loads."""
-        from repro.analysis.metrics import evaluate_assignment
+        from repro.analysis.metrics import evaluate_batch
 
         result = JointAssignmentLp(small_setup.scenario, demand_day).solve()
-        evaluated = evaluate_assignment(small_setup.scenario, result.assignment)
+        evaluated = evaluate_batch(small_setup.scenario, result.assignment)
         assert evaluated.sum_of_peaks_gbps == pytest.approx(
             result.sum_of_peaks(), rel=1e-5, abs=1e-6
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import LoadMatrix, evaluate_assignment, normalize_to, savings_vs
+from repro.analysis.metrics import LoadMatrix, evaluate_batch, normalize_to, savings_vs
 from repro.analysis.stats import cdf_at, summarize, weighted_percentile
 from repro.core.policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy
 from repro.core.scenario import Scenario
@@ -28,7 +28,7 @@ def policy_results(small_setup, demand_day):
         TitanNextPolicy(small_setup.scenario),
     ):
         assignment = policy.assign(demand_day)
-        results[policy.name] = evaluate_assignment(small_setup.scenario, assignment, policy.name)
+        results[policy.name] = evaluate_batch(small_setup.scenario, assignment, policy.name)
     return results
 
 
@@ -107,7 +107,7 @@ class TestPolicyInvariants:
     def test_lf_e2e_variant_runs(self, small_setup, demand_day):
         policy = LocalityFirstPolicy(small_setup.scenario, objective="total_e2e")
         assignment = policy.assign(demand_day)
-        result = evaluate_assignment(small_setup.scenario, assignment, "lf-e2e")
+        result = evaluate_batch(small_setup.scenario, assignment, "lf-e2e")
         assert result.total_calls > 0
 
     def test_lf_invalid_objective(self, small_setup):

@@ -6,8 +6,8 @@ integer dtype holding every value in ``[0, bound]``.  These tests put
 tables on the int8/int16 edge of the config index (127 and 128 configs)
 and on the int16/int32 edge of the start slot (a largest end slot of
 32,767 and of 32,768), and check every batch path there against its
-scalar reference: WRR, LF and Titan ``process_table`` against
-``process``, ``realized_assignment_table`` against a per-call
+scalar reference: WRR, LF and Titan ``process_table`` against their
+per-call oracles, ``realized_assignment_table`` against a per-call
 accumulation, ``evaluate_batch`` against ``evaluate_assignment`` and
 ``quota_overflow`` against a loop over the calls.  The constructors
 reject an index outside its range, naming the column, and the Europe
@@ -19,11 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import (
-    evaluate_assignment,
-    evaluate_batch,
-    realized_assignment_table,
-)
+from repro.analysis.metrics import evaluate_batch, realized_assignment_table
 from repro.core.controller import (
     AssignmentBatch,
     FirstJoinerLf,
@@ -38,8 +34,9 @@ from repro.core.titan_next import _prediction_day_result, oracle_demand_for_day,
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, SCREENSHARE, VIDEO
 from repro.workload.traces import MAX_DURATION_SLOTS, CallTable, TraceGenerator, index_dtype
+from tests.scalar_reference import ScalarTitan, evaluate_assignment
 from tests.test_analysis_metrics import assert_equivalent
-from tests.test_controller_batch import _placements, _replay_both, _scaled_copy
+from tests.test_controller_batch import MAKERS, _placements, _replay_both, _scaled_copy
 
 #: The countries of the cut-down scenario: few usage rows, so a tracker
 #: sized past slot 32,768 stays small.
@@ -99,12 +96,6 @@ EDGES = pytest.mark.parametrize(
     ids=["cfg127-end32767", "cfg127-end32768", "cfg128-end32767", "cfg128-end32768"],
 )
 
-FIRST_JOINER = {
-    "wrr": lambda scenario: FirstJoinerWrr(scenario, seed=3),
-    "lf": lambda scenario: FirstJoinerLf(scenario),
-}
-
-
 class TestIndexDtype:
     @pytest.mark.parametrize(
         "bound, dtype",
@@ -143,16 +134,18 @@ class TestWidthEdges:
             table.end_slot, table.start_slot.astype(np.int64) + table.duration_slots
         )
 
-    @pytest.mark.parametrize("make", list(FIRST_JOINER.values()), ids=list(FIRST_JOINER))
-    def test_first_joiner_replays_match_scalar(self, scenario, n_configs, last_end, make):
+    @pytest.mark.parametrize("make, make_scalar", list(MAKERS.values()), ids=list(MAKERS))
+    def test_first_joiner_replays_match_scalar(
+        self, scenario, n_configs, last_end, make, make_scalar
+    ):
         """Placements, stats and tracker usage, bit for bit."""
         table = _edge_table(n_configs, last_end)
-        scalar = _replay_both(scenario, [table], make)
+        scalar = _replay_both(scenario, [table], make, make_scalar)
         assert 0 < scalar.stats.unplanned < len(table)
 
     def test_titan_matches_scalar(self, scenario, n_configs, last_end):
         table = _edge_table(n_configs, last_end)
-        scalar, batched = FirstJoinerTitan(scenario, seed=4), FirstJoinerTitan(scenario, seed=4)
+        scalar, batched = ScalarTitan(scenario, seed=4), FirstJoinerTitan(scenario, seed=4)
         reference = [scalar.process(call) for call in table.to_calls()]
         batch = batched.process_table(table)
         assert _placements(batch) == _placements(reference)

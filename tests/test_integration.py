@@ -8,7 +8,6 @@ to end, with no pre-canned capacity book.
 
 import pytest
 
-from repro.analysis.metrics import evaluate_assignment
 from repro.core.lp import JointAssignmentLp
 from repro.core.scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
 from repro.core.titan import SyntheticPathProber, Titan
@@ -91,7 +90,7 @@ class TestClosedLoop:
         setup, _ = closed_loop_setup
         results = run_prediction_day(setup, day=30, policies=("wrr", "titan-next"))
         peaks = {
-            name: evaluate_assignment(setup.scenario, r.realized_table(), name).sum_of_peaks_gbps
+            name: r.evaluate(setup.scenario).sum_of_peaks_gbps
             for name, r in results.items()
         }
         assert peaks["titan-next"] < peaks["wrr"]

@@ -10,6 +10,7 @@ from repro.net.latency import INTERNET, WAN
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, SCREENSHARE, VIDEO
 from repro.workload.traces import Call
+from tests.scalar_reference import call_table
 
 EU = ["GB", "FR", "NL", "IT", "ES", "PL"]
 DCS = ["uk-south", "france-central", "westeurope", "switzerland-north", "ireland"]
@@ -55,7 +56,8 @@ def test_controller_never_crashes_and_counts_consistently(small_setup, calls, en
         assignment_table[key] = assignment_table.get(key, 0.0) + quota
     plan = OfflinePlan.from_assignment(assignment_table)
     controller = TitanNextController(small_setup.scenario, plan)
-    outcomes = [controller.process(call) for call in calls]
+    outcomes = controller.process_table(call_table(calls))
+    assert len(outcomes) == len(calls)
     assert controller.stats.calls == len(calls)
     assert controller.stats.dc_migrations <= len(calls)
     for outcome in outcomes:

@@ -80,9 +80,9 @@ def test_lp_constraints_hold_for_random_demand(small_setup, demand):
 
     # Objective equals independently recomputed sum of link peaks
     # (up to the locality epsilon term).
-    from repro.analysis.metrics import evaluate_assignment
+    from repro.analysis.metrics import evaluate_batch
 
-    evaluated = evaluate_assignment(scenario, result.assignment)
+    evaluated = evaluate_batch(scenario, result.assignment)
     assert evaluated.sum_of_peaks_gbps == pytest.approx(result.sum_of_peaks(), rel=1e-4, abs=1e-6)
 
 

@@ -1,4 +1,5 @@
-"""CallTable: batched trace synthesis vs the scalar reference."""
+"""CallTable: batched trace synthesis vs the scalar reference
+(``tests/scalar_reference.py``)."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.workload.traces import (
     duration_from_uniform,
     first_joiner_from_uniform,
 )
+from tests.scalar_reference import ScalarTraceGenerator
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,7 @@ class TestDrawPrimitives:
 class TestCallTableEquivalence:
     def test_table_matches_scalar_window(self, demand):
         generator = TraceGenerator(demand, top_n_configs=50, seed=11)
-        reference = TraceGenerator(demand, top_n_configs=50, seed=11)
+        reference = ScalarTraceGenerator(demand, top_n_configs=50, seed=11)
         table = generator.table_for_window(30 * SLOTS_PER_DAY + 14, 6)
         calls = reference.calls_for_window(30 * SLOTS_PER_DAY + 14, 6)
         assert len(table) == len(calls)
@@ -65,7 +67,7 @@ class TestCallTableEquivalence:
         two_pairs = DemandModel(universe, daily_calls=10_000)
         start = 30 * SLOTS_PER_DAY + 20
         table = TraceGenerator(two_pairs, seed=5).table_for_window(start, 2)
-        calls = TraceGenerator(two_pairs, seed=5).calls_for_window(start, 2)
+        calls = ScalarTraceGenerator(two_pairs, seed=5).calls_for_window(start, 2)
         assert table.to_calls() == calls
         assert {len(call.config.countries) for call in calls} == {1, 2, 3}
         joiners = {call.config.countries.index(call.first_joiner_country) for call in calls}

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.configs import CallConfig, group_by_reduced
+from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, SCREENSHARE, VIDEO, dominant_media, media_rank, profile
+from tests.scalar_reference import group_by_reduced
 
 
 class TestMedia:

@@ -17,6 +17,7 @@ from repro.workload.demand import (
 )
 from repro.workload.media import AUDIO
 from repro.workload.traces import Call, TraceGenerator
+from tests.scalar_reference import counts_for_slot, sample_count
 
 
 def full_poisson_walk(u, lam):
@@ -110,7 +111,10 @@ class TestDemandModel:
         m1 = DemandModel(universe, daily_calls=5000, seed=9)
         m2 = DemandModel(universe, daily_calls=5000, seed=9)
         config = universe.configs[0]
-        assert m1.sample_count(config, 17) == m2.sample_count(config, 17)
+        assert np.array_equal(m1.series(config, 17, 4), m2.series(config, 17, 4))
+        assert np.array_equal(
+            m1.counts_matrix(17, 4, top_n=20), m2.counts_matrix(17, 4, top_n=20)
+        )
 
     def test_expected_counts_integrate_to_daily_calls(self, demand, universe):
         total = sum(
@@ -135,7 +139,7 @@ class TestDemandModel:
     def test_unknown_config_has_zero_demand(self, demand):
         alien = CallConfig.from_counts({"US": 7}, AUDIO)
         assert demand.expected_count(alien, 0) == 0.0
-        assert demand.sample_count(alien, 0) == 0
+        assert not demand.series(alien, 0, 1).any()
 
     def test_negative_slot_rejected(self, demand, universe):
         with pytest.raises(ValueError):
@@ -148,12 +152,14 @@ class TestDemandModel:
     def test_series_matches_samples(self, demand, universe):
         config = universe.configs[0]
         series = demand.series(config, 10, 5)
-        assert list(series) == [demand.sample_count(config, s) for s in range(10, 15)]
+        assert list(series) == [sample_count(demand, config, s) for s in range(10, 15)]
 
     def test_counts_for_slot_respects_top_n(self, demand):
-        all_counts = demand.counts_for_slot(20)
-        top_counts = demand.counts_for_slot(20, top_n=10)
-        assert sum(top_counts.values()) <= sum(all_counts.values())
+        all_counts = demand.counts_matrix(20, 1)
+        top_counts = demand.counts_matrix(20, 1, top_n=10)
+        assert top_counts.shape == (10, 1)
+        assert np.array_equal(top_counts, all_counts[:10])
+        assert top_counts.sum() <= all_counts.sum()
 
 
 class TestBatchDemand:
@@ -164,7 +170,7 @@ class TestBatchDemand:
         assert matrix.shape == (12, 4)
         for i, item in enumerate(universe.top(12)):
             for j in range(4):
-                assert matrix[i, j] == demand.sample_count(item.config, 17 + j)
+                assert matrix[i, j] == sample_count(demand, item.config, 17 + j)
 
     def test_expected_matrix_matches_scalar(self, demand, universe):
         matrix = demand.expected_matrix(100, 6, top_n=8)
@@ -187,7 +193,7 @@ class TestBatchDemand:
         assert np.array_equal(whole, stitched[:, :60])
 
     def test_counts_for_slot_matches_matrix(self, demand, universe):
-        counts = demand.counts_for_slot(20, top_n=30)
+        counts = counts_for_slot(demand, 20, top_n=30)
         matrix = demand.counts_matrix(20, 1, top_n=30)[:, 0]
         for i, item in enumerate(universe.top(30)):
             assert counts.get(item.config, 0) == matrix[i]
@@ -287,29 +293,31 @@ class TestCoverageCache:
 class TestTraceGenerator:
     def test_calls_match_demand_counts(self, demand):
         generator = TraceGenerator(demand, top_n_configs=50)
-        calls = generator.calls_for_slot(20)
-        expected = sum(demand.counts_for_slot(20, top_n=50).values())
-        assert len(calls) == expected
+        table = generator.table_for_window(20, 1)
+        expected = demand.counts_matrix(20, 1, top_n=50)[:, 0]
+        assert len(table) == expected.sum() > 0
+        per_config = np.bincount(table.config_idx, minlength=len(table.configs))
+        assert np.array_equal(per_config, expected)
 
     def test_first_joiner_belongs_to_config(self, demand):
         generator = TraceGenerator(demand, top_n_configs=50)
-        for call in generator.calls_for_slot(21):
+        table = generator.table_for_window(21, 1)
+        assert len(table) > 0
+        for call in table:
             assert call.first_joiner_country in call.config.countries
 
     def test_call_ids_unique(self, demand):
         generator = TraceGenerator(demand, top_n_configs=50)
-        calls = generator.calls_for_window(18, 3)
-        ids = [c.call_id for c in calls]
-        assert len(ids) == len(set(ids))
+        ids = list(generator.table_for_window(18, 3).call_ids)
+        assert len(ids) == len(set(ids)) > 0
 
     def test_deterministic(self, demand):
         g1 = TraceGenerator(demand, top_n_configs=50, seed=3)
         g2 = TraceGenerator(demand, top_n_configs=50, seed=3)
-        c1 = g1.calls_for_slot(20)
-        c2 = g2.calls_for_slot(20)
-        assert [(c.config, c.first_joiner_country) for c in c1] == [
-            (c.config, c.first_joiner_country) for c in c2
-        ]
+        c1 = g1.table_for_window(20, 1)
+        c2 = g2.table_for_window(20, 1)
+        assert len(c1) > 0
+        assert c1.to_calls() == c2.to_calls()
 
     def test_call_validation(self, demand):
         config = CallConfig.from_counts({"DE": 2}, AUDIO)
@@ -329,14 +337,12 @@ class TestTraceGenerator:
     def test_negative_window_rejected(self, demand):
         generator = TraceGenerator(demand)
         with pytest.raises(ValueError):
-            generator.calls_for_window(0, -1)
+            generator.table_for_window(0, -1)
 
     def test_duration_distribution(self, demand):
         """Durations are geometric(0.6) clipped to [1, 6]: median ~1 slot."""
         generator = TraceGenerator(demand, top_n_configs=50, seed=3)
-        durations = np.array(
-            [c.duration_slots for c in generator.calls_for_window(18, 6)]
-        )
+        durations = generator.table_for_window(18, 6).duration_slots
         assert durations.min() >= 1
         assert durations.max() <= 6
         assert np.median(durations) == 1

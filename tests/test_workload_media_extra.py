@@ -72,7 +72,7 @@ class TestDemandArithmetic:
         config = demand.universe.configs[0]
         slot_of_day = 20
         samples = [
-            demand.sample_count(config, d * SLOTS_PER_DAY + slot_of_day) for d in range(0, 56, 7)
+            demand.series(config, d * SLOTS_PER_DAY + slot_of_day, 1)[0] for d in range(0, 56, 7)
         ]
         expected = demand.expected_count(config, slot_of_day)
         assert np.mean(samples) == pytest.approx(expected, rel=0.5)
@@ -81,4 +81,4 @@ class TestDemandArithmetic:
     @given(slot=st.integers(min_value=0, max_value=5000))
     def test_sample_count_non_negative(self, demand, slot):
         config = demand.universe.configs[1]
-        assert demand.sample_count(config, slot) >= 0
+        assert demand.series(config, slot, 1)[0] >= 0
